@@ -7,10 +7,9 @@ the two worlds), synthetic benchmark generators, and the experiment
 harness behind the ``okreg`` command-line tool.
 """
 
-from .base import ConfigError, CsvFormatError, NumericalError, PredictiveDistribution
+from .base import ConfigError, CsvFormatError, NumericalError, PredictiveDistribution, Step
 from .batch_gp import BatchFit, batch_fit, batch_predict, batch_predict_grid
 from .datasets import (
-    Nonlinearity,
     RegressionSet,
     SwitchScenario,
     SwitchStream,
@@ -28,7 +27,6 @@ from .evaluation import (
     UncertaintyTrace,
     moving_average,
     nmse_db,
-    point_prediction,
     predict_means,
     run_online_experiment,
     run_reconvergence,
@@ -39,7 +37,6 @@ from .evaluation import (
 )
 from .kernels import (
     Dictionary,
-    KernelFamily,
     KernelSpec,
     cross_kernel,
     eval_kernel,
@@ -70,13 +67,11 @@ __all__ = [
     "DEFAULT_ADMISSION_THRESHOLD",
     "Dictionary",
     "GpUpdateScratch",
-    "KernelFamily",
     "KernelSpec",
     "Klms",
     "KlmsModel",
     "Knlms",
     "LearningCurve",
-    "Nonlinearity",
     "NumericalError",
     "OnlineGP",
     "PredictiveDistribution",
@@ -84,6 +79,7 @@ __all__ = [
     "ReconvergenceCurve",
     "RegressionSet",
     "SwitchScenario",
+    "Step",
     "SwitchStream",
     "UncertaintyTrace",
     "batch_fit",
@@ -107,7 +103,6 @@ __all__ = [
     "matched_eta",
     "moving_average",
     "nmse_db",
-    "point_prediction",
     "predict_means",
     "random_channel",
     "run_all_checks",

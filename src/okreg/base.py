@@ -17,6 +17,17 @@ class PredictiveDistribution(NamedTuple):
     sigma_y2: float
 
 
+class Step(NamedTuple):
+    """A-priori record of one filter update at (x, y).
+
+    ``y_hat`` is the prediction at x before the update and ``e`` the
+    error y - y_hat that the update spent.
+    """
+
+    y_hat: float
+    e: float
+
+
 class NumericalError(RuntimeError):
     """A factorization failed or a variance went negative beyond tolerance."""
 

@@ -14,14 +14,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .base import NumericalError, PredictiveDistribution
-from .kernels import (
-    Dictionary,
-    KernelSpec,
-    cross_kernel,
-    eval_kernel,
-    gram_matrix,
-    kernel_vector,
-)
+from .kernels import Dictionary, KernelSpec, _vector, cross_kernel, gram_matrix
 
 __all__ = ["BatchFit", "batch_fit", "batch_predict", "batch_predict_grid"]
 
@@ -70,18 +63,9 @@ def batch_fit(spec: KernelSpec, dictionary: Dictionary, y) -> BatchFit:
     return BatchFit(spec, dictionary, y, weights, cho)
 
 
-def _clamp_latent(v: float) -> float:
-    if v < VARIANCE_FLOOR:
-        raise NumericalError(f"negative predictive variance: {v}")
-    return max(v, 0.0)
-
-
 def batch_predict(fit: BatchFit, x) -> PredictiveDistribution:
-    kv = kernel_vector(fit.spec, fit.dictionary, x)
-    kss = eval_kernel(fit.spec, x, x)
-    mean = float(kv @ fit.weights)
-    latent = _clamp_latent(kss - float(kv @ cho_solve(fit._cho, kv)))
-    return PredictiveDistribution(mean, latent, latent + fit.spec.noise_variance)
+    one_row = batch_predict_grid(fit, _vector(x)[np.newaxis])
+    return PredictiveDistribution(*(float(v[0]) for v in one_row))
 
 
 def batch_predict_grid(fit: BatchFit, X):

@@ -332,22 +332,14 @@ def cmd_uncertainty(args) -> int:
     if args.grid_size < 2 or args.grid_max <= args.grid_min:
         raise ConfigError("grid must span a positive range with >= 2 points")
     grid = np.linspace(args.grid_min, args.grid_max, args.grid_size)
-    traces = run_uncertainty_trace(data, spec, grid, prefixes)
+    traces, models = run_uncertainty_trace(data, spec, grid, prefixes)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "uncertainty.csv"
     write_uncertainty_traces(traces, csv_path)
     if args.dump_state:
-        m = max(prefixes)
-        gp = OnlineGP(spec, admission_threshold=1e-12)
-        b0 = BetaKlms(spec, 0.0)
-        b1 = BetaKlms(spec, 1.0)
-        for i in range(m):
-            for model in (gp, b0, b1):
-                model.update(data.inputs[i], data.targets[i])
-        save_state(gp, _state_path(out, "gp"))
-        save_state(b0, _state_path(out, "beta:0"))
-        save_state(b1, _state_path(out, "beta:1"))
+        for label, model in models.items():
+            save_state(model, _state_path(out, label))
     print(f"wrote {csv_path}")
     return EXIT_OK
 
@@ -437,8 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[_common_parent(), _kernel_parent(0.4, 0.1), _alg_parent(
             "gp,beta:0,beta:1,klms,knlms"), _csv_parent()],
     )
-    p.add_argument("--gen", choices=["kin-like"], default="kin-like",
-                   help="synthetic generator when --csv is not given")
     p.add_argument("--dim", type=int, default=None,
                    help="input dimension (default 4 for the generator; required with --csv)")
     p.add_argument("--n", type=int, default=1000, help="training-stream length")
@@ -474,8 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="predictive bands on a 1-D grid for growing prefixes",
         parents=[_common_parent(), _kernel_parent(0.3, 0.1), _csv_parent()],
     )
-    p.add_argument("--gen", choices=["kin-like"], default="kin-like",
-                   help="synthetic generator when --csv is not given")
     p.add_argument("--n", type=int, default=25, help="number of observations")
     p.add_argument("--prefixes", default="3,8,25",
                    help="comma list of prefix sizes (default 3,8,25)")

@@ -9,7 +9,6 @@ Both are deterministic functions of their seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -17,7 +16,6 @@ from .base import CsvFormatError
 
 __all__ = [
     "RegressionSet",
-    "Nonlinearity",
     "SwitchScenario",
     "SwitchStream",
     "link_chain_response",
@@ -57,17 +55,13 @@ class RegressionSet:
         return int(self.inputs.shape[1])
 
 
-class Nonlinearity(Enum):
-    TANH_SAT = "tanh"
-
-
 @dataclass(frozen=True, eq=False)
 class SwitchScenario:
     """Channel-switch time series configuration.
 
     A white Gaussian source is filtered by ``channel_a`` for steps
     before ``switch_at`` and by ``channel_b`` from ``switch_at`` onward,
-    passed through a saturating nonlinearity, and observed with additive
+    passed through the saturating tanh, and observed with additive
     Gaussian noise.  Regression pairs embed the last ``embedding_dim``
     outputs as the input vector for predicting the current output.
     """
@@ -76,7 +70,6 @@ class SwitchScenario:
     channel_b: np.ndarray
     n_total: int = 1000
     switch_at: int = 500
-    nonlinearity: Nonlinearity = Nonlinearity.TANH_SAT
     noise_std: float = 0.01
     embedding_dim: int = 4
     seed: int = 0
@@ -94,8 +87,6 @@ class SwitchScenario:
             raise ValueError("noise_std must be non-negative")
         if self.embedding_dim < 1:
             raise ValueError("embedding_dim must be >= 1")
-        if self.nonlinearity is not Nonlinearity.TANH_SAT:
-            raise ValueError(f"unsupported nonlinearity: {self.nonlinearity!r}")
 
 
 @dataclass(eq=False)

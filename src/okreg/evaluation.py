@@ -1,4 +1,13 @@
-"""Experiment runners, the NMSE metric, and deterministic CSV writers."""
+"""Experiment runners, the NMSE metric, and deterministic CSV writers.
+
+Every model in the package follows one protocol: ``update(x, y)``
+absorbs an observation and returns the a-priori record of that step,
+whose ``y_hat`` is the prediction at x before the update and ``e`` the
+error y - y_hat (a ``Step`` for the KLMS filters, a ``GpUpdateScratch``
+for the GP).  ``run_reconvergence`` scores that error, so each
+observation costs one kernel-vector pass.  ``predict_batch(X)`` scores
+held-out rows; ``predict_means`` reads the means out of it.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +16,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .base import PredictiveDistribution
 from .datasets import (
     RegressionSet,
     SwitchScenario,
@@ -22,7 +30,6 @@ __all__ = [
     "LearningCurve",
     "ReconvergenceCurve",
     "UncertaintyTrace",
-    "point_prediction",
     "predict_means",
     "run_online_experiment",
     "moving_average",
@@ -109,15 +116,8 @@ class UncertaintyTrace:
             raise ValueError("std must be non-negative")
 
 
-def point_prediction(model, x) -> float:
-    """Scalar prediction from any model in the package."""
-    out = model.predict(x)
-    if isinstance(out, PredictiveDistribution):
-        return out.mean
-    return float(out)
-
-
 def predict_means(model, X) -> np.ndarray:
+    """Means of ``model.predict_batch``, which for the GP also holds variances."""
     out = model.predict_batch(np.asarray(X, dtype=float))
     if isinstance(out, tuple):
         out = out[0]
@@ -196,10 +196,7 @@ def run_reconvergence(
             model = model_factories[name]()
             e2 = np.empty(len(stream))
             for t in range(len(stream)):
-                x = stream.inputs[t]
-                yt = stream.targets[t]
-                err = yt - point_prediction(model, x)
-                model.update(x, yt)
+                err = model.update(stream.inputs[t], stream.targets[t]).e
                 e2[t] = err * err
             acc[name] += e2
             if i == n_seeds - 1:
@@ -221,39 +218,43 @@ def run_uncertainty_trace(
     grid,
     prefix_sizes=(3, 8, 25),
     admission_threshold: float = 1e-12,
-) -> list[UncertaintyTrace]:
+):
     """Predictive bands on a 1-D grid after fitting growing prefixes.
 
-    For each prefix size, an exact online GP plus BetaKlms models with
-    beta 0 and 1 are fit on the first observations.  All three traces
-    share the GP mean; they differ only in their std bands.
+    An exact online GP plus BetaKlms models with beta 0 and 1 are fit in
+    one pass over the first max(prefix_sizes) observations; the bands
+    are read off whenever the pass reaches a requested prefix size.  All
+    three traces share the GP mean; they differ only in their std bands.
+    Returns (traces in prefix_sizes order, the three models keyed
+    "gp", "beta:0" and "beta:1" as fit on the largest prefix).
     """
     if observations.dim != 1:
         raise ValueError("uncertainty traces need 1-D inputs")
     grid = np.asarray(grid, dtype=float).ravel()
     if grid.size == 0:
         raise ValueError("grid must be non-empty")
-    grid_rows = grid[:, np.newaxis]
-    traces = []
-    for m in prefix_sizes:
-        m = int(m)
+    sizes = [int(m) for m in prefix_sizes]
+    for m in sizes:
         if not 1 <= m <= len(observations):
             raise ValueError(f"prefix size {m} exceeds the {len(observations)} observations")
-        gp = OnlineGP(spec, admission_threshold=admission_threshold)
-        b0 = BetaKlms(spec, 0.0)
-        b1 = BetaKlms(spec, 1.0)
-        for i in range(m):
-            x = observations.inputs[i]
-            yv = observations.targets[i]
-            gp.update(x, yv)
-            b0.update(x, yv)
-            b1.update(x, yv)
-        mean, _, sy2 = gp.predict_batch(grid_rows)
-        traces.append(UncertaintyTrace("gp", m, grid, mean, np.sqrt(sy2)))
-        for label, model in (("beta:0", b0), ("beta:1", b1)):
-            _, vy = model.variance_batch(grid_rows)
-            traces.append(UncertaintyTrace(label, m, grid, mean.copy(), np.sqrt(vy)))
-    return traces
+    grid_rows = grid[:, np.newaxis]
+    models = {
+        "gp": OnlineGP(spec, admission_threshold=admission_threshold),
+        "beta:0": BetaKlms(spec, 0.0),
+        "beta:1": BetaKlms(spec, 1.0),
+    }
+    at_prefix = {}
+    for i in range(max(sizes, default=0)):
+        for model in models.values():
+            model.update(observations.inputs[i], observations.targets[i])
+        m = i + 1
+        if m in sizes:
+            mean, _, sy2 = models["gp"].predict_batch(grid_rows)
+            at_prefix[m] = [UncertaintyTrace("gp", m, grid, mean, np.sqrt(sy2))]
+            for label in ("beta:0", "beta:1"):
+                _, vy = models[label].variance_batch(grid_rows)
+                at_prefix[m].append(UncertaintyTrace(label, m, grid, mean.copy(), np.sqrt(vy)))
+    return [trace for m in sizes for trace in at_prefix[m]], models
 
 
 # -- CSV output ---------------------------------------------------------

@@ -14,13 +14,11 @@ there) so that inverses stay computable when inputs nearly repeat.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 __all__ = [
-    "KernelFamily",
     "KernelSpec",
     "Dictionary",
     "eval_kernel",
@@ -30,10 +28,6 @@ __all__ = [
 ]
 
 _DEFAULT_JITTER_FACTOR = 1e-10
-
-
-class KernelFamily(Enum):
-    GAUSSIAN = "gaussian"
 
 
 @dataclass(frozen=True)
@@ -48,11 +42,8 @@ class KernelSpec:
     signal_variance: float = 1.0
     noise_variance: float = 0.1
     jitter: float | None = None
-    family: KernelFamily = KernelFamily.GAUSSIAN
 
     def __post_init__(self) -> None:
-        if self.family is not KernelFamily.GAUSSIAN:
-            raise ValueError(f"unsupported kernel family: {self.family!r}")
         if not self.lengthscale > 0:
             raise ValueError("lengthscale must be positive")
         if not self.signal_variance > 0:

@@ -13,6 +13,13 @@ how they spend each step's prediction error e = y - y_hat:
                parameter beta >= 0 and carries an explicit variance
                model: latent variance k(x,x) + beta * ||k||^2.
 
+Every ``update(x, y)`` computes the kernel vector at x once, predicts
+y_hat from the weights before the step, spends e = y - y_hat, and
+returns both as a :class:`~okreg.base.Step`.  That is the a-priori
+prediction the online drivers score, so they never predict separately.
+Scalar ``predict`` and ``BetaKlms.variance`` are one-row calls of
+``predict_batch`` and ``variance_batch``.
+
 ``general_alpha_update`` is the exact one-step weight recursion driven
 by a full posterior state; it is the reference the closed-form BetaKlms
 rule is checked against.
@@ -22,7 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import Dictionary, KernelSpec, cross_kernel, eval_kernel, kernel_vector
+from .base import Step
+from .kernels import Dictionary, KernelSpec, _vector, cross_kernel, eval_kernel, kernel_vector
 
 __all__ = [
     "KlmsModel",
@@ -56,13 +64,19 @@ class KlmsModel:
         return len(self.dictionary)
 
     def predict(self, x) -> float:
-        return float(kernel_vector(self.spec, self.dictionary, x) @ self.alpha)
+        return float(self.predict_batch(_vector(x)[np.newaxis])[0])
 
     def predict_batch(self, X) -> np.ndarray:
         return cross_kernel(self.spec, self.dictionary, X).T @ self.alpha
 
-    def update(self, x, y) -> None:
+    def update(self, x, y) -> Step:
         raise NotImplementedError
+
+    def _a_priori(self, x, y) -> tuple[np.ndarray, Step]:
+        """Kernel vector at x, and the prediction and error before the step."""
+        k = kernel_vector(self.spec, self.dictionary, x)
+        y_hat = float(k @ self.alpha)
+        return k, Step(y_hat, float(y) - y_hat)
 
     def _grow(self, x, weight: float) -> None:
         self.dictionary.append(x)
@@ -80,9 +94,10 @@ class Klms(KlmsModel):
             raise ValueError("eta must be positive")
         self.eta = float(eta)
 
-    def update(self, x, y) -> None:
-        e = float(y) - self.predict(x)
-        self._grow(x, self.eta * e)
+    def update(self, x, y) -> Step:
+        _, step = self._a_priori(x, y)
+        self._grow(x, self.eta * step.e)
+        return step
 
 
 class Qklms(KlmsModel):
@@ -104,16 +119,17 @@ class Qklms(KlmsModel):
         self.eta = float(eta)
         self.quant_radius = float(quant_radius)
 
-    def update(self, x, y) -> None:
-        e = float(y) - self.predict(x)
+    def update(self, x, y) -> Step:
+        _, step = self._a_priori(x, y)
         if self.size:
             v = np.atleast_1d(np.asarray(x, dtype=float))
             dist = np.linalg.norm(self.dictionary.points - v, axis=1)
             nearest = int(np.argmin(dist))
             if dist[nearest] <= self.quant_radius:
-                self.alpha[nearest] += self.eta * e
-                return
-        self._grow(x, self.eta * e)
+                self.alpha[nearest] += self.eta * step.e
+                return step
+        self._grow(x, self.eta * step.e)
+        return step
 
 
 class Knlms(KlmsModel):
@@ -148,18 +164,18 @@ class Knlms(KlmsModel):
         self.eps_reg = float(eps_reg)
         self.coherence_mu0 = float(coherence_mu0)
 
-    def update(self, x, y) -> None:
-        k = kernel_vector(self.spec, self.dictionary, x)
-        e = float(y) - float(k @ self.alpha)
+    def update(self, x, y) -> Step:
+        k, step = self._a_priori(x, y)
         kss = self.spec.signal_variance
         admit = self.size == 0 or float(np.max(k)) <= self.coherence_mu0 * kss
         if admit:
             denom = self.eps_reg + kss * kss + float(k @ k)
-            self.alpha = np.append(self.alpha, 0.0) + (self.eta * e / denom) * np.append(k, kss)
+            self.alpha = np.append(self.alpha, 0.0) + (self.eta * step.e / denom) * np.append(k, kss)
             self.dictionary.append(x)
         else:
             denom = self.eps_reg + float(k @ k)
-            self.alpha = self.alpha + (self.eta * e / denom) * k
+            self.alpha = self.alpha + (self.eta * step.e / denom) * k
+        return step
 
 
 class BetaKlms(KlmsModel):
@@ -189,12 +205,11 @@ class BetaKlms(KlmsModel):
         self.beta = float(beta)
         self.coherence_mu0 = None if coherence_mu0 is None else float(coherence_mu0)
 
-    def update(self, x, y) -> None:
-        k = kernel_vector(self.spec, self.dictionary, x)
-        e = float(y) - float(k @ self.alpha)
+    def update(self, x, y) -> Step:
+        k, step = self._a_priori(x, y)
         kss = self.spec.signal_variance
         denom = self.spec.noise_variance + kss + self.beta * float(k @ k)
-        coef = e / denom
+        coef = step.e / denom
         admit = (
             self.coherence_mu0 is None
             or self.size == 0
@@ -205,18 +220,18 @@ class BetaKlms(KlmsModel):
             self.dictionary.append(x)
         else:
             self.alpha = self.alpha + coef * (self.beta * k)
+        return step
 
     def variance(self, x) -> tuple[float, float]:
-        """Modeled (latent, output) variance at x.
-
-        Grows with the squared kernel mass the dictionary puts near x;
-        beta=0 reduces to the constant prior variance.
-        """
-        k = kernel_vector(self.spec, self.dictionary, x)
-        sf2 = self.spec.signal_variance + self.beta * float(k @ k)
-        return sf2, self.spec.noise_variance + sf2
+        sf2, sy2 = self.variance_batch(_vector(x)[np.newaxis])
+        return float(sf2[0]), float(sy2[0])
 
     def variance_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """Modeled (latent, output) variances at the rows of X.
+
+        They grow with the squared kernel mass the dictionary puts near
+        each row; beta=0 reduces to the constant prior variance.
+        """
         Kx = cross_kernel(self.spec, self.dictionary, X)
         sf2 = self.spec.signal_variance + self.beta * np.einsum("ij,ij->j", Kx, Kx)
         return sf2, self.spec.noise_variance + sf2

@@ -4,7 +4,9 @@ State per model: the dictionary of admitted inputs, the posterior mean
 ``mu`` and covariance ``sigma`` of the latent function at those inputs,
 and ``q_inv``, the inverse of the jitter-regularized Gram matrix.  Each
 admitted observation extends all of them in O(n^2); prediction is
-O(n^2) and never mutates state.
+O(n^2) and never mutates state.  ``update`` returns the per-step
+scratch, whose ``y_hat`` and ``e`` are the a-priori prediction and
+innovation, and scalar ``predict`` is a one-row ``predict_batch``.
 
 Admission is gated on ``gamma2``, the squared residual of the new
 input's feature after projecting onto the span of the dictionary.
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import NumericalError, PredictiveDistribution
-from .kernels import Dictionary, KernelSpec, cross_kernel, gram_matrix, kernel_vector
+from .kernels import Dictionary, KernelSpec, _vector, cross_kernel, gram_matrix, kernel_vector
 
 __all__ = ["GpUpdateScratch", "OnlineGP", "DEFAULT_ADMISSION_THRESHOLD"]
 
@@ -135,19 +137,8 @@ class OnlineGP:
 
     def predict(self, x) -> PredictiveDistribution:
         """Posterior mean and variance at x; the empty model returns the prior."""
-        kss = self.spec.signal_variance
-        if self.size == 0:
-            return PredictiveDistribution(0.0, kss, kss + self.spec.noise_variance)
-        k = kernel_vector(self.spec, self.dictionary, x)
-        q = self._q_inv @ k
-        gamma2 = kss - float(k @ q)
-        h = self._sigma @ q
-        sf2 = gamma2 + float(q @ h)
-        if sf2 < _VARIANCE_FLOOR:
-            raise NumericalError(f"negative predictive variance: {sf2}")
-        sf2 = max(sf2, 0.0)
-        mean = float(q @ self._mu)
-        return PredictiveDistribution(mean, sf2, sf2 + self.spec.noise_variance)
+        one_row = self.predict_batch(_vector(x)[np.newaxis])
+        return PredictiveDistribution(*(float(v[0]) for v in one_row))
 
     def predict_batch(self, X):
         """Vectorized predict over rows of X: (means, latent vars, output vars)."""
@@ -194,6 +185,9 @@ class OnlineGP:
 
     def update(self, x, y) -> GpUpdateScratch:
         """Absorb one observation; returns the scratch that drove the step.
+
+        Its ``y_hat`` and ``e`` are the a-priori prediction and innovation,
+        as in the ``Step`` the KLMS filters return.
 
         The point is admitted only when its gamma2 clears the threshold;
         a skipped point changes nothing (the innovation is dropped, not

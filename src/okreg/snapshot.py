@@ -13,7 +13,7 @@ import hashlib
 
 import numpy as np
 
-from .kernels import Dictionary, KernelFamily, KernelSpec
+from .kernels import Dictionary, KernelSpec
 from .klms import BetaKlms, Klms, KlmsModel, Knlms, Qklms
 from .online_gp import OnlineGP
 
@@ -28,7 +28,7 @@ def _f(v) -> str:
 
 def _scalar_lines(spec: KernelSpec) -> list[str]:
     return [
-        f"family={spec.family.value}",
+        "family=gaussian",
         f"lengthscale={_f(spec.lengthscale)}",
         f"signal_variance={_f(spec.signal_variance)}",
         f"noise_variance={_f(spec.noise_variance)}",
@@ -114,15 +114,21 @@ def _parse(text: str):
     return scalars, blocks
 
 
+def _require(table: dict, key: str, what: str):
+    if key not in table:
+        raise ValueError(f"snapshot is missing the {what}")
+    return table[key]
+
+
 def _block_matrix(blocks, name: str, n: int) -> np.ndarray:
-    rows = blocks.get(name, [])
+    rows = _require(blocks, name, f"[{name}] block")
     if n == 0:
         return np.zeros((0, 0))
     return np.asarray(rows, dtype=float).reshape(n, n)
 
 
 def _block_vector(blocks, name: str) -> np.ndarray:
-    rows = blocks.get(name, [])
+    rows = _require(blocks, name, f"[{name}] block")
     return np.asarray([r[0] for r in rows], dtype=float)
 
 
@@ -131,14 +137,20 @@ def load_state(text: str):
     scalars, blocks = _parse(text)
     if "model" not in scalars:
         raise ValueError("snapshot is missing the model line")
+
+    def scalar(key: str) -> str:
+        return _require(scalars, key, f"{key}= line")
+
+    family = scalars.get("family", "gaussian")
+    if family != "gaussian":
+        raise ValueError(f"unsupported kernel family: {family!r}")
     spec = KernelSpec(
-        lengthscale=float(scalars["lengthscale"]),
-        signal_variance=float(scalars["signal_variance"]),
-        noise_variance=float(scalars["noise_variance"]),
-        jitter=float(scalars["jitter"]),
-        family=KernelFamily(scalars.get("family", "gaussian")),
+        lengthscale=float(scalar("lengthscale")),
+        signal_variance=float(scalar("signal_variance")),
+        noise_variance=float(scalar("noise_variance")),
+        jitter=float(scalar("jitter")),
     )
-    dict_rows = blocks.get("dict", [])
+    dict_rows = _require(blocks, "dict", "[dict] block")
     ids = [int(r[0]) for r in dict_rows]
     points = [r[1:] for r in dict_rows]
     next_id = int(scalars.get("next_id", len(ids)))
@@ -160,30 +172,30 @@ def load_state(text: str):
             _block_matrix(blocks, "q_inv", n),
             targets=_block_vector(blocks, "targets"),
             budget=None if budget == "none" else int(budget),
-            admission_threshold=float(scalars["admission_threshold"]),
+            admission_threshold=float(scalar("admission_threshold")),
         )
     if kind == "klms":
-        variant = scalars["variant"]
+        variant = scalar("variant")
         if variant == "klms":
-            model = Klms(spec, eta=float(scalars["eta"]))
+            model = Klms(spec, eta=float(scalar("eta")))
         elif variant == "qklms":
             model = Qklms(
                 spec,
-                eta=float(scalars["eta"]),
-                quant_radius=float(scalars["quant_radius"]),
+                eta=float(scalar("eta")),
+                quant_radius=float(scalar("quant_radius")),
             )
         elif variant == "knlms":
             model = Knlms(
                 spec,
-                eta=float(scalars["eta"]),
-                eps_reg=float(scalars["eps_reg"]),
-                coherence_mu0=float(scalars["coherence_mu0"]),
+                eta=float(scalar("eta")),
+                eps_reg=float(scalar("eps_reg")),
+                coherence_mu0=float(scalar("coherence_mu0")),
             )
         elif variant == "beta":
             mu0 = scalars.get("coherence_mu0", "none")
             model = BetaKlms(
                 spec,
-                beta=float(scalars["beta"]),
+                beta=float(scalar("beta")),
                 coherence_mu0=None if mu0 == "none" else float(mu0),
             )
         else:

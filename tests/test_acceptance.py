@@ -229,12 +229,12 @@ def test_06_uncertainty_bands_collapse_and_inflate_correctly():
     prior = float(np.sqrt(spec.noise_variance + spec.signal_variance))
     prefixes = (3, 8, 25)
 
-    obs = run_uncertainty_trace(
+    obs, _ = run_uncertainty_trace(
         train, spec, train.inputs.ravel(), prefix_sizes=prefixes
     )
     by_obs = {(t.algorithm, t.prefix): t for t in obs}
     grid = np.linspace(-1.2, 1.2, 101)
-    on_grid = run_uncertainty_trace(train, spec, grid, prefix_sizes=prefixes)
+    on_grid, _ = run_uncertainty_trace(train, spec, grid, prefix_sizes=prefixes)
     by_grid = {(t.algorithm, t.prefix): t for t in on_grid}
 
     # (a) exact posterior: below the prior at observed inputs, and pointwise

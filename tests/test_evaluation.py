@@ -11,8 +11,10 @@ from okreg import (
     BetaKlms,
     KernelSpec,
     Klms,
+    Knlms,
     LearningCurve,
     OnlineGP,
+    Qklms,
     UncertaintyTrace,
     default_switch_scenario,
     fingerprint,
@@ -173,6 +175,40 @@ def test_reconvergence_curves_sorted_and_shaped():
     assert last["b"].size > 0
 
 
+def _mean(prediction) -> float:
+    return float(getattr(prediction, "mean", prediction))
+
+
+@pytest.mark.parametrize(
+    "make, always_grows",
+    [
+        (lambda: OnlineGP(SPEC), False),
+        (lambda: Klms(SPEC, eta=0.5), True),
+        (lambda: Qklms(SPEC, eta=0.5, quant_radius=0.05), False),
+        (lambda: Knlms(SPEC, eta=1.0, coherence_mu0=0.5), False),
+        (lambda: BetaKlms(SPEC, beta=1.0), True),
+        (lambda: BetaKlms(SPEC, beta=0.5, coherence_mu0=0.5), False),
+    ],
+    ids=["gp", "klms", "qklms-merge", "knlms-reject", "beta", "beta-gated"],
+)
+def test_update_returns_its_a_priori_prediction(make, always_grows):
+    model = make()
+    rng = np.random.default_rng(11)
+    X = rng.uniform(-1, 1, size=(12, 2))
+    X = np.vstack([X, X[:4] + 0.01, X[:1]])  # near and exact repeats
+    y = rng.standard_normal(len(X))
+    grew = []
+    for xi, yi in zip(X, y):
+        before = _mean(model.predict(xi))
+        size = model.size
+        step = model.update(xi, yi)
+        assert step.e == float(yi) - step.y_hat
+        assert abs(step.y_hat - before) <= 1e-12
+        grew.append(model.size > size)
+    # the merge, coherence-rejection and skip branches are all exercised
+    assert all(grew) is always_grows
+
+
 def test_reconvergence_validation():
     scenario = default_switch_scenario(seed=0, n_total=10, switch_at=5)
     with pytest.raises(ValueError):
@@ -187,13 +223,46 @@ def test_reconvergence_validation():
 def test_uncertainty_traces_share_the_gp_mean():
     data, _ = gen_kinematics_like(0, 12, 2, d=1)
     grid = np.linspace(-1, 1, 21)
-    traces = run_uncertainty_trace(data, SPEC, grid, prefix_sizes=(4, 12))
+    traces, _ = run_uncertainty_trace(data, SPEC, grid, prefix_sizes=(4, 12))
     by = {(t.algorithm, t.prefix): t for t in traces}
     assert set(by) == {(a, m) for a in ("gp", "beta:0", "beta:1") for m in (4, 12)}
     for m in (4, 12):
         np.testing.assert_array_equal(by[("gp", m)].mean, by[("beta:0", m)].mean)
         np.testing.assert_array_equal(by[("gp", m)].mean, by[("beta:1", m)].mean)
         assert np.all(by[("gp", m)].std >= 0)
+
+
+def test_uncertainty_trace_matches_fresh_fits_per_prefix():
+    data, _ = gen_kinematics_like(0, 25, 2, d=1)
+    grid = np.linspace(-1.2, 1.2, 31)
+    prefixes = (8, 3, 25, 3)
+    traces, models = run_uncertainty_trace(data, SPEC, grid, prefix_sizes=prefixes)
+    labels = ("gp", "beta:0", "beta:1")
+    assert [(t.algorithm, t.prefix) for t in traces] == [(a, m) for m in prefixes for a in labels]
+
+    def fresh(m):
+        fit = {
+            "gp": OnlineGP(SPEC, admission_threshold=1e-12),
+            "beta:0": BetaKlms(SPEC, 0.0),
+            "beta:1": BetaKlms(SPEC, 1.0),
+        }
+        for i in range(m):
+            for model in fit.values():
+                model.update(data.inputs[i], data.targets[i])
+        return fit
+
+    rows = grid[:, np.newaxis]
+    for t in traces:
+        fit = fresh(t.prefix)
+        mean, _, sy2 = fit["gp"].predict_batch(rows)
+        var = sy2 if t.algorithm == "gp" else fit[t.algorithm].variance_batch(rows)[1]
+        np.testing.assert_array_equal(t.grid, grid)
+        np.testing.assert_array_equal(t.mean, mean)
+        np.testing.assert_array_equal(t.std, np.sqrt(var))
+    largest = fresh(max(prefixes))
+    assert set(models) == set(labels)
+    for label in labels:
+        assert fingerprint(models[label]) == fingerprint(largest[label])
 
 
 def test_uncertainty_validation():

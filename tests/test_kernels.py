@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from okreg import (
     Dictionary,
-    KernelFamily,
     KernelSpec,
     cross_kernel,
     eval_kernel,
@@ -29,7 +28,6 @@ def test_spec_defaults_and_jitter():
     assert spec.signal_variance == 1.0
     assert spec.noise_variance == 0.1
     assert spec.jitter == pytest.approx(1e-10, rel=1e-12)
-    assert spec.family is KernelFamily.GAUSSIAN
 
 
 def test_spec_jitter_scales_with_signal_variance():

@@ -1,5 +1,7 @@
 """Text snapshots: bit-exact round-trips and malformed-input handling."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,3 +162,94 @@ def test_load_rejects_alpha_length_mismatch():
 def test_dump_rejects_foreign_objects():
     with pytest.raises(TypeError):
         dump_state(object())
+
+
+_MAKERS = {
+    "gp": lambda: OnlineGP(SPEC),
+    "klms": lambda: Klms(SPEC, eta=0.25),
+    "qklms": lambda: Qklms(SPEC, eta=0.25, quant_radius=0.3),
+    "knlms": lambda: Knlms(SPEC, eta=0.8, eps_reg=0.02, coherence_mu0=0.9),
+    "beta": lambda: BetaKlms(SPEC, beta=1.5),
+}
+
+
+def _fed_text(kind):
+    model = _MAKERS[kind]()
+    rng = np.random.default_rng(5)
+    for xi, yi in zip(rng.uniform(-2, 2, size=(6, 2)), rng.standard_normal(6)):
+        model.update(xi, yi)
+    return dump_state(model)
+
+
+def _without_scalar(text, key):
+    lines = text.splitlines()
+    kept = [line for line in lines if not line.startswith(f"{key}=")]
+    assert len(kept) == len(lines) - 1
+    return "\n".join(kept) + "\n"
+
+
+def _without_block(text, name):
+    kept, skipping = [], False
+    for line in text.splitlines():
+        if line.startswith("["):
+            skipping = line == f"[{name}]"
+        if not skipping:
+            kept.append(line)
+    assert len(kept) < len(text.splitlines())
+    return "\n".join(kept) + "\n"
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [
+        ("gp", "lengthscale"),
+        ("gp", "jitter"),
+        ("gp", "admission_threshold"),
+        ("klms", "variant"),
+        ("klms", "signal_variance"),
+        ("klms", "eta"),
+        ("qklms", "quant_radius"),
+        ("knlms", "eps_reg"),
+        ("knlms", "coherence_mu0"),
+        ("beta", "noise_variance"),
+        ("beta", "beta"),
+    ],
+)
+def test_load_rejects_missing_scalar(kind, key):
+    text = _without_scalar(_fed_text(kind), key)
+    with pytest.raises(ValueError, match=re.escape(f"{key}=")):
+        load_state(text)
+
+
+@pytest.mark.parametrize(
+    "kind, name",
+    [
+        ("klms", "dict"),
+        ("klms", "alpha"),
+        ("beta", "alpha"),
+        ("gp", "dict"),
+        ("gp", "targets"),
+        ("gp", "mu"),
+        ("gp", "sigma"),
+        ("gp", "q_inv"),
+    ],
+)
+def test_load_rejects_missing_block(kind, name):
+    text = _without_block(_fed_text(kind), name)
+    with pytest.raises(ValueError, match=re.escape(f"[{name}]")):
+        load_state(text)
+
+
+@pytest.mark.parametrize("kind", ["gp", "klms"])
+def test_load_rejects_snapshot_cut_before_the_arrays(kind):
+    text = _fed_text(kind)
+    with pytest.raises(ValueError, match=re.escape("[dict]")):
+        load_state(text[: text.index("[dict]")])
+
+
+def test_load_accepts_only_the_gaussian_family():
+    text = _fed_text("klms")
+    assert "family=gaussian\n" in text
+    assert fingerprint(load_state(text)) == fingerprint(load_state(_without_scalar(text, "family")))
+    with pytest.raises(ValueError, match="kernel family"):
+        load_state(text.replace("family=gaussian", "family=laplace"))
