@@ -1,7 +1,7 @@
 """Online kernel regression.
 
-Exact incremental Gaussian-process regression with rank-one
-inverse-Gram updates, its batch oracle, the KLMS family of kernel
+Exact incremental Gaussian-process regression on a Cholesky factor of
+the Gram matrix, its batch oracle, the KLMS family of kernel
 adaptive filters (including the one-parameter beta rule that bridges
 the two worlds), synthetic benchmark generators, and the experiment
 harness behind the ``okreg`` command-line tool.

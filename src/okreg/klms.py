@@ -104,8 +104,11 @@ class Qklms(KlmsModel):
     """Klms with input quantization: near-duplicates update in place.
 
     ``quant_radius == 0`` degenerates to Klms except that exact
-    duplicates of a stored center reuse its weight.  Ties on the nearest
-    center resolve to the lowest index.
+    duplicates of a stored center reuse its weight.  The nearest center
+    is taken to be the one with the largest kernel value, which the
+    a-priori step has already computed; ties, including kernel values
+    that round to the same float, resolve to the lowest index.  Only that
+    center's exact distance is then compared with ``quant_radius``.
     """
 
     variant = "qklms"
@@ -120,12 +123,11 @@ class Qklms(KlmsModel):
         self.quant_radius = float(quant_radius)
 
     def update(self, x, y) -> Step:
-        _, step = self._a_priori(x, y)
+        k, step = self._a_priori(x, y)
         if self.size:
-            v = np.atleast_1d(np.asarray(x, dtype=float))
-            dist = np.linalg.norm(self.dictionary.points - v, axis=1)
-            nearest = int(np.argmin(dist))
-            if dist[nearest] <= self.quant_radius:
+            nearest = int(np.argmax(k))
+            center = self.dictionary.points[nearest : nearest + 1]
+            if np.linalg.norm(center - _vector(x), axis=1)[0] <= self.quant_radius:
                 self.alpha[nearest] += self.eta * step.e
                 return step
         self._grow(x, self.eta * step.e)
@@ -254,10 +256,11 @@ def general_alpha_update(state, x, y, sigma_override=None) -> np.ndarray:
         raise ValueError(f"covariance shape {sigma.shape} does not match size {n}")
     k = kernel_vector(state.spec, state.dictionary, x)
     kss = eval_kernel(state.spec, x, x)
-    alpha = state.q_inv @ state.mu
+    q_inv = state.q_inv
+    alpha = q_inv @ state.mu
     e = float(y) - float(k @ alpha)
-    qk = state.q_inv @ k
-    spread = state.q_inv @ (sigma @ qk) - qk
+    qk = q_inv @ k
+    spread = q_inv @ (sigma @ qk) - qk
     sf2 = kss + float(k @ spread)
     sy2 = state.spec.noise_variance + sf2
     return np.append(alpha + (e / sy2) * spread, e / sy2)

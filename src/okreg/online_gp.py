@@ -1,20 +1,25 @@
-"""Incremental Gaussian-process regression with rank-one inverse-Gram updates.
+"""Incremental Gaussian-process regression on a Cholesky factor of the Gram matrix.
 
 State per model: the dictionary of admitted inputs, the posterior mean
 ``mu`` and covariance ``sigma`` of the latent function at those inputs,
-and ``q_inv``, the inverse of the jitter-regularized Gram matrix.  Each
-admitted observation extends all of them in O(n^2); prediction is
-O(n^2) and never mutates state.  ``update`` returns the per-step
-scratch, whose ``y_hat`` and ``e`` are the a-priori prediction and
-innovation, and scalar ``predict`` is a one-row ``predict_batch``.
+and ``chol``, the lower Cholesky factor L of the jitter-regularized Gram
+matrix (K = L L^T).  Every product with K^-1 is a pair of triangular
+solves against L; no inverse is stored.  Each admitted observation
+extends the state in O(n^2); prediction is O(n^2) and never mutates
+state.  ``update`` returns the per-step scratch, whose ``y_hat`` and
+``e`` are the a-priori prediction and innovation, and scalar
+``predict`` is a one-row ``predict_batch``.
 
-Admission is gated on ``gamma2``, the squared residual of the new
-input's feature after projecting onto the span of the dictionary.
-Points that add less than ``admission_threshold`` of new direction are
-skipped outright, which also protects the 1/gamma2 factor in the
-inverse-Gram growth.  With a ``budget`` set, admitting past capacity
-evicts the oldest center: its row and column are deleted from ``sigma``
-and ``mu`` and ``q_inv`` is recomputed from the reduced Gram matrix.
+Admission is gated on ``gamma2 = k(x, x) - ||L^-1 k||^2``, the squared
+residual of the new input's feature after projecting onto the span of
+the dictionary.  Points that add less than ``admission_threshold`` of
+new direction are skipped outright; an admitted point appends the row
+``[(L^-1 k)^T, sqrt(gamma2)]`` to L.  With a ``budget`` set, admitting
+past capacity evicts the oldest center: its row and column are deleted
+from ``sigma`` and ``mu``, and L is repaired in O(n^2) by a Givens
+rank-one update of its trailing block (the sliding-window state of
+KRLS-T), with no Gram rebuild.  ``q_inv`` and ``krls_weights()`` are
+derived from L on request.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_solve, qr_delete, solve_triangular
+from scipy.linalg.blas import dgemm, dgemv, dtrsm
 
 from .base import NumericalError, PredictiveDistribution
 from .kernels import Dictionary, KernelSpec, _vector, cross_kernel, gram_matrix, kernel_vector
@@ -40,12 +47,15 @@ class GpUpdateScratch:
 
     ``k_ss`` carries the diagonal jitter so that the implicit Gram
     matrix built by successive updates matches ``gram_matrix`` exactly.
+    ``l = L^-1 k`` is the new row of the factor if x is admitted and
+    ``q = L^-T l = K^-1 k``.
     ``sigma_f2``/``sigma_y2`` are the latent/output predictive variances
     at x, ``y_hat`` the predictive mean, ``e`` the innovation y - y_hat.
     """
 
     k_vec: np.ndarray
     k_ss: float
+    l: np.ndarray
     q: np.ndarray
     h: np.ndarray
     gamma2: float
@@ -53,6 +63,20 @@ class GpUpdateScratch:
     sigma_y2: float
     y_hat: float
     e: float
+
+
+def _checked_chol(chol, n: int) -> np.ndarray:
+    """A C-ordered copy of ``chol`` after checking it is an n x n Cholesky factor."""
+    L = np.array(chol, dtype=float, order="C")
+    if L.shape != (n, n):
+        raise ValueError("component shapes do not match the dictionary size")
+    if not np.all(np.isfinite(L)):
+        raise ValueError("the Cholesky factor has non-finite entries")
+    if np.any(np.triu(L, 1)):
+        raise ValueError("the Cholesky factor is not lower-triangular")
+    if not np.all(np.diag(L) > 0):
+        raise ValueError("the Cholesky factor needs a positive diagonal")
+    return L
 
 
 class OnlineGP:
@@ -77,7 +101,7 @@ class OnlineGP:
         self._targets: list[float] = []
         self._mu = np.zeros(0)
         self._sigma = np.zeros((0, 0))
-        self._q_inv = np.zeros((0, 0))
+        self._chol = np.zeros((0, 0))
 
     # -- state access ---------------------------------------------------
 
@@ -94,8 +118,16 @@ class OnlineGP:
         return self._sigma
 
     @property
+    def chol(self) -> np.ndarray:
+        """Lower Cholesky factor L of the jittered Gram matrix (read-only view)."""
+        view = self._chol.view()
+        view.flags.writeable = False
+        return view
+
+    @property
     def q_inv(self) -> np.ndarray:
-        return self._q_inv
+        """K^-1 formed from the factor in O(n^3): for checks, not for the update path."""
+        return cho_solve((self._chol, True), np.eye(self.size))
 
     @property
     def targets(self) -> np.ndarray:
@@ -108,29 +140,41 @@ class OnlineGP:
         dictionary: Dictionary,
         mu,
         sigma,
-        q_inv,
+        *,
+        chol=None,
         targets=None,
         budget: int | None = None,
         admission_threshold: float = DEFAULT_ADMISSION_THRESHOLD,
     ) -> "OnlineGP":
-        """Assemble a model from explicit posterior pieces (snapshots, oracles)."""
+        """Assemble a model from explicit posterior pieces (snapshots, oracles).
+
+        ``chol`` is the lower Cholesky factor of the dictionary's jittered
+        Gram matrix; when omitted it is computed from that matrix.  Raises
+        ValueError when a piece does not fit the dictionary.
+        """
         model = cls(spec, budget=budget, admission_threshold=admission_threshold)
         n = len(dictionary)
         mu = np.asarray(mu, dtype=float).ravel()
         sigma = np.asarray(sigma, dtype=float)
-        q_inv = np.asarray(q_inv, dtype=float)
-        if mu.size != n or sigma.shape != (n, n) or q_inv.shape != (n, n):
+        if mu.size != n or sigma.shape != (n, n):
             raise ValueError("component shapes do not match the dictionary size")
         if targets is None:
             targets = np.zeros(n)
         targets = np.asarray(targets, dtype=float).ravel()
         if targets.size != n:
             raise ValueError("target length does not match the dictionary size")
+        if chol is None:
+            chol = np.zeros((0, 0))
+            if n:
+                try:
+                    chol = np.linalg.cholesky(gram_matrix(spec, dictionary))
+                except np.linalg.LinAlgError as exc:
+                    raise ValueError("the dictionary's Gram matrix is not positive definite") from exc
         model.dictionary = dictionary
         model._targets = [float(t) for t in targets]
         model._mu = mu.copy()
         model._sigma = sigma.copy()
-        model._q_inv = q_inv.copy()
+        model._chol = _checked_chol(chol, n)
         return model
 
     # -- prediction -----------------------------------------------------
@@ -148,15 +192,20 @@ class OnlineGP:
             m = X.shape[0]
             lat = np.full(m, kss)
             return np.zeros(m), lat, lat + self.spec.noise_variance
-        Kx = cross_kernel(self.spec, self.dictionary, X)
-        QK = self._q_inv @ Kx
-        gamma2 = kss - np.einsum("ij,ij->j", Kx, QK)
-        SQ = self._sigma @ QK
-        sf2 = gamma2 + np.einsum("ij,ij->j", QK, SQ)
+        # B holds the transposed right-hand sides (m x n, Fortran-ordered),
+        # which the solves overwrite in place: first B = (L^-1 Kx)^T, then
+        # B = (K^-1 Kx)^T.  Every BLAS call here is scipy's: NumPy and SciPy
+        # wheels each bundle their own threaded OpenBLAS, and handing work
+        # back and forth between the two pools doubled this call's time.
+        U = self._chol.T
+        B = dtrsm(1.0, U, cross_kernel(self.spec, self.dictionary, X).T, side=1, overwrite_b=1)
+        gamma2 = kss - np.einsum("ij,ij->i", B, B)
+        B = dtrsm(1.0, U, B, side=1, trans_a=1, overwrite_b=1)
+        sf2 = gamma2 + np.einsum("ij,ij->i", B, dgemm(1.0, B, self._sigma.T))
+        means = dgemv(1.0, B, self._mu)
         if np.any(sf2 < _VARIANCE_FLOOR):
             raise NumericalError(f"negative predictive variance: {float(sf2.min())}")
         sf2 = np.maximum(sf2, 0.0)
-        means = self._mu @ QK
         return means, sf2, sf2 + self.spec.noise_variance
 
     # -- updates ----------------------------------------------------------
@@ -165,8 +214,9 @@ class OnlineGP:
         """All per-observation quantities, without touching state."""
         k = kernel_vector(self.spec, self.dictionary, x)
         kss = self.spec.signal_variance + self.spec.jitter
-        q = self._q_inv @ k
-        gamma2 = kss - float(k @ q)
+        l = solve_triangular(self._chol, k, lower=True, check_finite=False)
+        gamma2 = kss - float(l @ l)
+        q = solve_triangular(self._chol, l, lower=True, trans="T", check_finite=False)
         h = self._sigma @ q
         sigma_f2 = gamma2 + float(q @ h)
         sigma_y2 = self.spec.noise_variance + sigma_f2
@@ -174,6 +224,7 @@ class OnlineGP:
         return GpUpdateScratch(
             k_vec=k,
             k_ss=kss,
+            l=l,
             q=q,
             h=h,
             gamma2=gamma2,
@@ -209,16 +260,16 @@ class OnlineGP:
         sigma1 -= np.outer(gain, gain) / scr.sigma_y2
         sigma1 = 0.5 * (sigma1 + sigma1.T)
 
-        grow = np.append(scr.q, -1.0)
-        q1 = np.zeros((n + 1, n + 1))
-        q1[:n, :n] = self._q_inv
-        q1 += np.outer(grow, grow) / scr.gamma2
+        chol1 = np.zeros((n + 1, n + 1))
+        chol1[:n, :n] = self._chol
+        chol1[n, :n] = scr.l
+        chol1[n, n] = np.sqrt(scr.gamma2)
 
         self.dictionary.append(x)
         self._targets.append(float(y))
         self._mu = mu1
         self._sigma = sigma1
-        self._q_inv = q1
+        self._chol = chol1
 
         if self.budget is not None and self.size > self.budget:
             self._evict_oldest()
@@ -228,24 +279,33 @@ class OnlineGP:
         return scr
 
     def _evict_oldest(self) -> None:
+        """Drop the first center and repair the factor in O(n^2).
+
+        With L = [[l11, 0], [v, L22]], the reduced Gram matrix is
+        L22 L22^T + v v^T.  Deleting the first column of the upper factor
+        L^T leaves the Hessenberg matrix [v^T; L22^T]; ``qr_delete`` restores
+        it to triangular form with n - 1 Givens rotations.  Rotations may
+        leave negative diagonal entries, and flipping the sign of those
+        rows keeps the product and makes the factor the unique one again.
+        """
         self.dictionary.drop(0)
         self._targets.pop(0)
         self._mu = self._mu[1:].copy()
         self._sigma = self._sigma[1:, 1:].copy()
-        try:
-            Q = np.linalg.inv(gram_matrix(self.spec, self.dictionary))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("Gram matrix inversion failed after eviction") from exc
-        self._q_inv = 0.5 * (Q + Q.T)
+        n = self._chol.shape[0]
+        _, R = qr_delete(np.eye(n), self._chol.T, 0, 1, which="col", overwrite_qr=True, check_finite=False)
+        R = R[:-1]
+        R[np.diag(R) < 0] *= -1.0
+        self._chol = np.ascontiguousarray(R.T)
 
     # -- bridges ----------------------------------------------------------
 
     def krls_weights(self) -> np.ndarray:
-        """Ridge-regression weight vector implied by the posterior: q_inv @ mu.
+        """Ridge-regression weight vector implied by the posterior: K^-1 @ mu.
 
         With every point admitted and no eviction this equals the batch
         solve (K + noise_variance * I)^{-1} y on the dictionary.
         """
         if self.size == 0:
             raise ValueError("weights of an empty model are undefined")
-        return self._q_inv @ self._mu
+        return cho_solve((self._chol, True), self._mu)

@@ -1,10 +1,20 @@
 """Flat text snapshots of model state.
 
-Layout: a ``# okreg-state v1`` banner, ``key=value`` scalar lines
+Layout: a ``# okreg-state v2`` banner, ``key=value`` scalar lines
 (kernel spec first, then model parameters), then array blocks opened by
 ``[name]`` with one comma-separated row per line.  Floats are written
 with repr(), which round-trips exactly, so load(dump(model)) reproduces
 every array bit for bit.
+
+A GP snapshot stores the lower Cholesky factor of its Gram matrix as the
+``[chol]`` block.  Version 1 stored the inverse Gram matrix as ``[q_inv]``
+instead; such snapshots still load, with the factor recomputed from the
+dictionary (``[q_inv]`` is checked for its shape and otherwise ignored).
+The loader raises ValueError, and only ValueError, for any malformed
+text: a missing banner, key or block, an unparsable number, a block
+whose shape does not match the dictionary, or a ``[chol]`` that is not
+lower-triangular with a positive diagonal.  It does not check the factor
+against the dictionary's Gram matrix, which would cost O(n^3).
 """
 
 from __future__ import annotations
@@ -19,7 +29,8 @@ from .online_gp import OnlineGP
 
 __all__ = ["dump_state", "load_state", "save_state", "load_state_file", "fingerprint"]
 
-_BANNER = "# okreg-state v1"
+_BANNER = "# okreg-state v2"
+_READABLE_BANNERS = {"# okreg-state v1": 1, _BANNER: 2}
 
 
 def _f(v) -> str:
@@ -70,7 +81,7 @@ def dump_state(model) -> str:
         lines += _vector_block("targets", model.targets)
         lines += _vector_block("mu", model.mu)
         lines += _matrix_block("sigma", model.sigma)
-        lines += _matrix_block("q_inv", model.q_inv)
+        lines += _matrix_block("chol", model.chol)
         return "\n".join(lines) + "\n"
     if isinstance(model, KlmsModel):
         lines = [_BANNER, "model=klms", f"variant={model.variant}"]
@@ -120,20 +131,35 @@ def _require(table: dict, key: str, what: str):
     return table[key]
 
 
-def _block_matrix(blocks, name: str, n: int) -> np.ndarray:
+def _block_array(blocks, name: str, shape: tuple) -> np.ndarray:
     rows = _require(blocks, name, f"[{name}] block")
-    if n == 0:
-        return np.zeros((0, 0))
-    return np.asarray(rows, dtype=float).reshape(n, n)
+    if shape[0] == 0 and not rows:
+        return np.zeros(shape)
+    arr = np.asarray(rows, dtype=float)
+    if arr.shape != shape:
+        raise ValueError(f"[{name}] block has shape {arr.shape}, expected {shape}")
+    return arr
 
 
 def _block_vector(blocks, name: str) -> np.ndarray:
     rows = _require(blocks, name, f"[{name}] block")
+    if any(len(r) != 1 for r in rows):
+        raise ValueError(f"[{name}] block needs one value per line")
     return np.asarray([r[0] for r in rows], dtype=float)
+
+
+def _as_int(value: float, what: str) -> int:
+    if not (np.isfinite(value) and value == int(value)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def load_state(text: str):
     """Inverse of dump_state; raises ValueError on malformed input."""
+    banner = text.split("\n", 1)[0].strip()
+    if banner not in _READABLE_BANNERS:
+        raise ValueError(f"not an okreg snapshot: the first line is {banner[:40]!r}")
+    version = _READABLE_BANNERS[banner]
     scalars, blocks = _parse(text)
     if "model" not in scalars:
         raise ValueError("snapshot is missing the model line")
@@ -151,7 +177,7 @@ def load_state(text: str):
         jitter=float(scalar("jitter")),
     )
     dict_rows = _require(blocks, "dict", "[dict] block")
-    ids = [int(r[0]) for r in dict_rows]
+    ids = [_as_int(r[0], "a dictionary id") for r in dict_rows]
     points = [r[1:] for r in dict_rows]
     next_id = int(scalars.get("next_id", len(ids)))
     if points:
@@ -164,12 +190,17 @@ def load_state(text: str):
     if kind == "online_gp":
         n = len(dictionary)
         budget = scalars.get("budget", "none")
+        if version == 1:
+            _block_array(blocks, "q_inv", (n, n))
+            chol = None  # factored from the dictionary's Gram matrix
+        else:
+            chol = _block_array(blocks, "chol", (n, n))
         return OnlineGP.from_components(
             spec,
             dictionary,
             _block_vector(blocks, "mu"),
-            _block_matrix(blocks, "sigma", n),
-            _block_matrix(blocks, "q_inv", n),
+            _block_array(blocks, "sigma", (n, n)),
+            chol=chol,
             targets=_block_vector(blocks, "targets"),
             budget=None if budget == "none" else int(budget),
             admission_threshold=float(scalar("admission_threshold")),

@@ -1,10 +1,13 @@
 """Incremental GP state: exactness against batch, admission, and budget."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import okreg.online_gp
 from okreg import (
     DEFAULT_ADMISSION_THRESHOLD,
     Dictionary,
@@ -13,6 +16,8 @@ from okreg import (
     OnlineGP,
     batch_fit,
     batch_predict,
+    batch_predict_grid,
+    gen_kinematics_like,
     gram_matrix,
 )
 
@@ -192,6 +197,159 @@ def test_budget_long_stream_stays_bounded():
     assert np.all(np.isfinite(gp.predict([0.0, 0.0])))
 
 
+def _evicting_stream(n, seed=3):
+    # 3-D points spread over many lengthscales: almost every point is admitted
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-3.0, 3.0, size=(n, 3))
+    return X, np.sin(X.sum(axis=1)) + 0.1 * rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("budget", [1, 50])
+def test_eviction_repair_matches_refactoring_reference(budget):
+    # the reference replaces the repaired factor by cholesky(gram_matrix(...))
+    # of the reduced dictionary after every eviction
+    spec = KernelSpec(lengthscale=0.5, noise_variance=0.1)
+    X, y = _evicting_stream(1100)
+    probes = np.random.default_rng(4).uniform(-3.0, 3.0, size=(40, 3))
+    gp = OnlineGP(spec, budget=budget)
+    ref = OnlineGP(spec, budget=budget)
+    evictions = 0
+    worst_state = worst_pred = 0.0
+    for i, (xi, yi) in enumerate(zip(X, y)):
+        first = ref.dictionary.ids[:1]
+        gp.update(xi, yi)
+        ref.update(xi, yi)
+        if first and ref.dictionary.ids[:1] != first:
+            evictions += 1
+            ref = OnlineGP.from_components(
+                spec, ref.dictionary, ref.mu, ref.sigma, targets=ref.targets, budget=budget
+            )
+        assert gp.dictionary.ids == ref.dictionary.ids
+        worst_state = max(
+            worst_state,
+            float(np.max(np.abs(gp.mu - ref.mu))),
+            float(np.max(np.abs(gp.sigma - ref.sigma))),
+        )
+        if i % 25 == 0:
+            for a, b in zip(gp.predict_batch(probes), ref.predict_batch(probes)):
+                worst_pred = max(worst_pred, float(np.max(np.abs(a - b))))
+    assert evictions >= 1000
+    assert worst_state < 1e-9
+    assert worst_pred < 1e-9
+    np.testing.assert_allclose(gp.chol, ref.chol, rtol=0, atol=1e-9)
+
+
+def test_budget_updates_never_rebuild_or_refactor(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an O(n^3) rebuild ran on the update path")
+
+    X, y = _evicting_stream(200)
+    gp = OnlineGP(KernelSpec(lengthscale=0.5, noise_variance=0.1), budget=20)
+    monkeypatch.setattr(okreg.online_gp, "gram_matrix", forbidden)
+    monkeypatch.setattr(np.linalg, "inv", forbidden)
+    monkeypatch.setattr(np.linalg, "cholesky", forbidden)
+    for xi, yi in zip(X, y):
+        gp.update(xi, yi)
+    monkeypatch.undo()
+    assert gp.size == 20
+    assert gp.dictionary.ids[0] > 150  # evictions happened
+    K = gram_matrix(gp.spec, gp.dictionary)
+    np.testing.assert_allclose(gp.chol @ gp.chol.T, K, rtol=0, atol=1e-12)
+
+
+# -- ill-conditioned streams ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "lengthscale, n, dim",
+    [(0.7, 1000, 4), (1.5, 400, 2)],
+    ids=["l0.7-d4-n1000", "l1.5-d2-n400"],
+)
+def test_online_equals_batch_on_ill_conditioned_stream(lengthscale, n, dim):
+    # with the default admission threshold, nearly collinear points are
+    # admitted and cond(K) reaches about 1e10; a running explicit inverse
+    # drifted to mean errors of 2.5e-6 and 9.5e-5 on these two streams
+    spec = KernelSpec(lengthscale=lengthscale, noise_variance=0.1)
+    train, test = gen_kinematics_like(0, n, n, d=dim)
+    gp = OnlineGP(spec)
+    for x, y in zip(train.inputs, train.targets):
+        gp.update(x, y)
+    fit = batch_fit(spec, gp.dictionary, gp.targets)
+    bm, _, bv = batch_predict_grid(fit, test.inputs)
+    om, _, ov = gp.predict_batch(test.inputs)
+    assert float(np.max(np.abs(bm - om))) < 1e-8
+    assert float(np.max(np.abs(bv - ov))) < 1e-8
+
+
+# -- the Cholesky factor --------------------------------------------------------
+
+
+def test_chol_is_the_read_only_gram_factor():
+    gp = _feed(OnlineGP(_spec()), [(0.0, 0.0, 1.0), (1.0, -1.0, 0.5), (0.3, 0.8, -1.0)])
+    L = gp.chol
+    assert not np.any(np.triu(L, 1))
+    assert np.all(np.diag(L) > 0)
+    np.testing.assert_allclose(L @ L.T, gram_matrix(gp.spec, gp.dictionary), rtol=0, atol=1e-14)
+    with pytest.raises(ValueError):
+        L[0, 0] = 2.0
+
+
+def test_compute_scratch_returns_the_new_factor_row_without_storing_it():
+    gp = _feed(OnlineGP(_spec()), [(0.0, 0.0, 1.0), (1.0, -1.0, 0.5)])
+    before = {key: np.copy(value) for key, value in vars(gp).items() if isinstance(value, np.ndarray)}
+    keys = set(vars(gp))
+    scr = gp.compute_scratch([0.4, 0.1], 2.0)
+    assert set(vars(gp)) == keys
+    for key, value in before.items():
+        np.testing.assert_array_equal(getattr(gp, key), value)
+    np.testing.assert_allclose(gp.chol @ scr.l, scr.k_vec, rtol=0, atol=1e-15)
+    assert scr.gamma2 == pytest.approx(scr.k_ss - float(scr.l @ scr.l), abs=1e-15)
+    gp.update([0.4, 0.1], 2.0)
+    np.testing.assert_array_equal(gp.chol[-1, :-1], scr.l)
+    assert gp.chol[-1, -1] == np.sqrt(scr.gamma2)
+
+
+def test_from_components_factors_the_gram_matrix_when_chol_is_omitted():
+    d = Dictionary([[0.0], [1.0], [2.5]])
+    gp = OnlineGP.from_components(_spec(), d, np.zeros(3), np.eye(3))
+    np.testing.assert_array_equal(gp.chol, np.linalg.cholesky(gram_matrix(_spec(), d)))
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda L: L[:2, :2],
+        lambda L: L.T,
+        lambda L: L * np.array([1.0, -1.0, 1.0]),
+        lambda L: L * np.array([1.0, 1.0, 0.0]),
+        lambda L: np.where(L == L[1, 0], np.nan, L),
+    ],
+    ids=["shape", "upper", "negative-diagonal", "zero-diagonal", "nan"],
+)
+def test_from_components_rejects_a_bad_factor(corrupt):
+    d = Dictionary([[0.0], [1.0], [2.5]])
+    L = np.linalg.cholesky(gram_matrix(_spec(), d))
+    with pytest.raises(ValueError):
+        OnlineGP.from_components(_spec(), d, np.zeros(3), np.eye(3), chol=corrupt(L))
+
+
+def test_predict_batch_keeps_at_most_three_n_by_m_arrays_live():
+    rng = np.random.default_rng(2)
+    gp = OnlineGP(KernelSpec(lengthscale=0.5, noise_variance=0.1))
+    for xi in rng.uniform(-2.0, 2.0, size=(300, 3)):
+        gp.update(xi, float(np.sin(xi.sum())))
+    X = rng.uniform(-2.0, 2.0, size=(400, 3))
+    n_by_m = gp.size * X.shape[0] * 8
+    gp.predict_batch(X)
+    tracemalloc.start()
+    try:
+        gp.predict_batch(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * n_by_m + 64 * 1024
+
+
 # -- weights bridge ------------------------------------------------------------
 
 
@@ -218,7 +376,7 @@ def test_krls_weights_empty_model_rejected():
 def test_from_components_round_trip():
     gp = _feed(OnlineGP(_spec()), [(0.0, 0.0, 1.0), (1.0, -1.0, 0.5)])
     clone = OnlineGP.from_components(
-        gp.spec, gp.dictionary.copy(), gp.mu, gp.sigma, gp.q_inv, targets=gp.targets
+        gp.spec, gp.dictionary.copy(), gp.mu, gp.sigma, chol=gp.chol, targets=gp.targets
     )
     p1 = gp.predict([0.2, 0.2])
     p2 = clone.predict([0.2, 0.2])
@@ -228,19 +386,16 @@ def test_from_components_round_trip():
 def test_from_components_shape_validation():
     d = Dictionary([[0.0], [1.0]])
     with pytest.raises(ValueError):
-        OnlineGP.from_components(_spec(), d, np.zeros(3), np.eye(2), np.eye(2))
+        OnlineGP.from_components(_spec(), d, np.zeros(3), np.eye(2))
     with pytest.raises(ValueError):
         OnlineGP.from_components(
-            _spec(), d, np.zeros(2), np.eye(2), np.eye(2), targets=np.zeros(5)
+            _spec(), d, np.zeros(2), np.eye(2), targets=np.zeros(5)
         )
 
 
 def test_corrupted_covariance_raises_on_predict():
     d = Dictionary([[0.0], [1.0]])
-    K = gram_matrix(_spec(), d)
-    gp = OnlineGP.from_components(
-        _spec(), d, np.zeros(2), -10.0 * np.eye(2), np.linalg.inv(K)
-    )
+    gp = OnlineGP.from_components(_spec(), d, np.zeros(2), -10.0 * np.eye(2))
     with pytest.raises(NumericalError, match="negative predictive variance"):
         gp.predict([0.0])
     with pytest.raises(NumericalError, match="negative predictive variance"):
@@ -249,9 +404,6 @@ def test_corrupted_covariance_raises_on_predict():
 
 def test_corrupted_covariance_raises_on_update():
     d = Dictionary([[0.0], [1.0]])
-    K = gram_matrix(_spec(), d)
-    gp = OnlineGP.from_components(
-        _spec(), d, np.zeros(2), -1e-3 * np.eye(2), np.linalg.inv(K)
-    )
+    gp = OnlineGP.from_components(_spec(), d, np.zeros(2), -1e-3 * np.eye(2))
     with pytest.raises(NumericalError, match="positive semidefiniteness"):
         gp.update([5.0], 1.0)

@@ -16,6 +16,7 @@ from okreg import (
     Qklms,
     dump_state,
     fingerprint,
+    gram_matrix,
     load_state,
     load_state_file,
     save_state,
@@ -42,7 +43,7 @@ def _fed_gp(budget=None):
 def test_gp_round_trip_is_bit_exact():
     gp = _fed_gp()
     text = dump_state(gp)
-    assert text.startswith("# okreg-state v1\nmodel=online_gp\n")
+    assert text.startswith("# okreg-state v2\nmodel=online_gp\n")
     clone = load_state(text)
     assert dump_state(clone) == text
     np.testing.assert_array_equal(clone.mu, gp.mu)
@@ -231,7 +232,7 @@ def test_load_rejects_missing_scalar(kind, key):
         ("gp", "targets"),
         ("gp", "mu"),
         ("gp", "sigma"),
-        ("gp", "q_inv"),
+        ("gp", "chol"),
     ],
 )
 def test_load_rejects_missing_block(kind, name):
@@ -253,3 +254,134 @@ def test_load_accepts_only_the_gaussian_family():
     assert fingerprint(load_state(text)) == fingerprint(load_state(_without_scalar(text, "family")))
     with pytest.raises(ValueError, match="kernel family"):
         load_state(text.replace("family=gaussian", "family=laplace"))
+
+
+# -- format v1 ------------------------------------------------------------------------
+
+# written by the v1 format (explicit inverse Gram matrix): budget 3 after
+# four updates, so the oldest center was evicted
+_V1_GP = """\
+# okreg-state v1
+model=online_gp
+family=gaussian
+lengthscale=0.7
+signal_variance=2.0
+noise_variance=0.05
+jitter=2e-10
+budget=3
+admission_threshold=1e-08
+next_id=4
+[dict]
+1,0.5
+2,1.5
+3,-1.0
+[targets]
+-0.5
+0.25
+0.75
+[mu]
+-0.40722861876811955
+0.22045942631774967
+0.755549342588007
+[sigma]
+0.046214803547406286,0.0010375457600917835,-0.00068506680528755
+0.0010375457600917835,0.04848267644938683,0.00014152251849899444
+-0.00068506680528755,0.00014152251849899444,0.04848267644938686
+[q_inv]
+0.5813506794305766,-0.20944772305829115,-0.05816802308073098
+-0.20944772305829115,0.5754608011300685,0.020107003173161334
+-0.05816802308073098,0.020107003173161334,0.5058215434193243
+"""
+
+
+def test_v1_gp_snapshot_loads_with_a_fresh_factor():
+    gp = load_state(_V1_GP)
+    assert gp.budget == 3 and gp.dictionary.ids == (1, 2, 3) and gp.dictionary.next_id == 4
+    np.testing.assert_array_equal(gp.mu, [-0.40722861876811955, 0.22045942631774967, 0.755549342588007])
+    np.testing.assert_array_equal(gp.targets, [-0.5, 0.25, 0.75])
+    np.testing.assert_array_equal(gp.chol, np.linalg.cholesky(gram_matrix(gp.spec, gp.dictionary)))
+    q_inv_rows = _V1_GP.split("[q_inv]\n")[1].splitlines()
+    q_inv_v1 = np.array([[float(v) for v in row.split(",")] for row in q_inv_rows])
+    np.testing.assert_allclose(gp.q_inv, q_inv_v1, rtol=0, atol=1e-12)
+
+    # the same stream through the current code gives the same posterior
+    fresh = OnlineGP(gp.spec, budget=3)
+    for x, y in [(0.0, 1.0), (0.5, -0.5), (1.5, 0.25), (-1.0, 0.75)]:
+        fresh.update([x], y)
+    np.testing.assert_allclose(gp.mu, fresh.mu, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gp.sigma, fresh.sigma, rtol=0, atol=1e-12)
+
+    text = dump_state(gp)
+    assert text.startswith("# okreg-state v2\n") and "[chol]" in text and "[q_inv]" not in text
+    assert dump_state(load_state(text)) == text
+
+
+def test_v1_gp_snapshot_still_needs_a_well_shaped_q_inv_block():
+    with pytest.raises(ValueError, match=re.escape("[q_inv]")):
+        load_state(_without_block(_V1_GP, "q_inv"))
+    with pytest.raises(ValueError, match=re.escape("[q_inv]")):
+        load_state(_V1_GP.rstrip("\n").rpartition("\n")[0] + "\n")
+
+
+@pytest.mark.parametrize("banner", ["", "# okreg-state v3", "okreg-state v2", "# something else"])
+def test_load_rejects_a_missing_or_unknown_banner(banner):
+    body = _fed_text("klms").split("\n", 1)[1]
+    with pytest.raises(ValueError, match="not an okreg snapshot"):
+        load_state(f"{banner}\n{body}" if banner else body)
+
+
+# -- fuzzed snapshots ------------------------------------------------------------------
+
+_GARBAGE = ["", "nan", "inf", "-inf", "1e999", "-1e999", "abc", "1.5", "-3", "0", "1,2", "[x]", "=", "9" * 40]
+_TEXTS = {**{kind: _fed_text(kind) for kind in _MAKERS}, "gp-v1": _V1_GP}
+
+
+@st.composite
+def _mutated_snapshot(draw):
+    """(text, must_fail): one mutation of a valid snapshot of any model kind."""
+    kind = draw(st.sampled_from(sorted(_TEXTS)))
+    text = _TEXTS[kind]
+    lines = text.splitlines()
+    ops = ["truncate", "drop-line", "garble", "reshape"] + (["chol-upper", "chol-diagonal"] if kind == "gp" else [])
+    op = draw(st.sampled_from(ops))
+    if op == "truncate":
+        return text[: draw(st.integers(0, len(text) - 1))], False
+    if op.startswith("chol"):
+        first = lines.index("[chol]") + 1
+        n = len(lines) - first
+        r = draw(st.integers(0, n - 1 if op == "chol-diagonal" else n - 2))
+        row = lines[first + r].split(",")
+        if op == "chol-upper":
+            row[draw(st.integers(r + 1, n - 1))] = draw(st.sampled_from(["1e-300", "0.5", "-2.0"]))
+        else:
+            row[r] = draw(st.sampled_from(["0.0", "-0.0", "-1.0", "-1e-300"]))
+        lines[first + r] = ",".join(row)
+        return "\n".join(lines) + "\n", True
+    i = draw(st.integers(1, len(lines) - 1))
+    if op == "drop-line":
+        del lines[i]
+    elif op == "garble":
+        key, eq, _ = lines[i].partition("=")
+        if eq:
+            lines[i] = f"{key}={draw(st.sampled_from(_GARBAGE))}"
+        else:
+            fields = lines[i].split(",")
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(_GARBAGE))
+            lines[i] = ",".join(fields)
+    elif draw(st.booleans()):
+        lines.insert(i, lines[i])  # a repeated row or key
+    else:
+        head, comma, _ = lines[i].rpartition(",")
+        lines[i] = head if comma else lines[i] + ",0.25"  # one value fewer or more
+    return "\n".join(lines) + "\n", False
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_mutated_snapshot())
+def test_load_raises_only_value_error_on_mutated_snapshots(case):
+    text, must_fail = case
+    try:
+        load_state(text)
+    except ValueError:
+        return
+    assert not must_fail, "a [chol] block that is not a Cholesky factor loaded"
