@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .base import ConfigError, CsvFormatError, NumericalError
+from .base import ConfigError, NumericalError
 from .datasets import (
     RegressionSet,
     default_switch_scenario,
@@ -163,11 +163,10 @@ def _build_model(token: str, spec: KernelSpec, args):
                 quant_radius=args.quant_radius,
             )
         if name == "knlms":
-            eps = args.eps_reg if args.eps_reg is not None else spec.noise_variance
             return Knlms(
                 spec,
                 eta=_resolve_eta(args.eta, spec, 1.0),
-                eps_reg=eps,
+                eps_reg=args.eps_reg,
                 coherence_mu0=args.coherence_mu0,
             )
         if name == "beta":
@@ -495,21 +494,15 @@ def main(argv=None) -> int:
         argv = _merge_config(argv)
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CsvFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except np.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:  # a ValueError subclass: keep it before ValueError
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
+    except ValueError as exc:  # includes ConfigError and CsvFormatError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

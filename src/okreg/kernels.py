@@ -77,13 +77,22 @@ class Dictionary:
 
     @classmethod
     def restore(cls, points, ids, next_id) -> "Dictionary":
-        """Rebuild a dictionary with explicit ids (snapshot loading)."""
+        """Rebuild a dictionary with explicit ids (snapshot loading).
+
+        The ids must be non-negative and strictly increasing, and
+        ``next_id`` must exceed the last of them (or be >= 0 when there
+        are none), so that later appends never reuse an id.
+        """
         d = cls(points)
         ids = [int(i) for i in ids]
+        next_id = int(next_id)
         if len(ids) != len(d._ids):
             raise ValueError("id list does not match the number of points")
+        bounds = [-1, *ids, next_id]
+        if any(a >= b for a, b in zip(bounds, bounds[1:])):
+            raise ValueError("dictionary ids must be non-negative and increasing, and below next_id")
         d._ids = ids
-        d._next_id = int(next_id)
+        d._next_id = next_id
         return d
 
     def __len__(self) -> int:
@@ -156,6 +165,15 @@ def _vector(x) -> np.ndarray:
     return v
 
 
+def _gaussian(spec: KernelSpec, d2: np.ndarray) -> np.ndarray:
+    """The kernel of squared distances d2, computed in place over d2."""
+    np.negative(d2, out=d2)
+    d2 /= 2.0 * spec.lengthscale**2
+    np.exp(d2, out=d2)
+    d2 *= spec.signal_variance
+    return d2
+
+
 def eval_kernel(spec: KernelSpec, x, x2) -> float:
     """k(x, x2): symmetric, positive, equal to signal_variance at x == x2."""
     a = _vector(x)
@@ -176,8 +194,7 @@ def kernel_vector(spec: KernelSpec, dictionary: Dictionary, x) -> np.ndarray:
             f"dimension mismatch: dictionary is {dictionary.dim}-dimensional, "
             f"query has dimension {v.size}"
         )
-    d2 = np.sum((dictionary.points - v) ** 2, axis=1)
-    return spec.signal_variance * np.exp(-d2 / (2.0 * spec.lengthscale**2))
+    return _gaussian(spec, np.sum((dictionary.points - v) ** 2, axis=1))
 
 
 def gram_matrix(spec: KernelSpec, dictionary: Dictionary) -> np.ndarray:
@@ -185,8 +202,7 @@ def gram_matrix(spec: KernelSpec, dictionary: Dictionary) -> np.ndarray:
     if len(dictionary) == 0:
         raise ValueError("gram matrix of an empty dictionary is undefined")
     P = dictionary.points
-    d2 = cdist(P, P, "sqeuclidean")
-    K = spec.signal_variance * np.exp(-d2 / (2.0 * spec.lengthscale**2))
+    K = _gaussian(spec, cdist(P, P, "sqeuclidean"))
     if spec.jitter:
         K[np.diag_indices_from(K)] += spec.jitter
     return K
@@ -202,5 +218,4 @@ def cross_kernel(spec: KernelSpec, dictionary: Dictionary, X) -> np.ndarray:
             f"dimension mismatch: dictionary is {dictionary.dim}-dimensional, "
             f"queries have dimension {Q.shape[1]}"
         )
-    d2 = cdist(dictionary.points, Q, "sqeuclidean")
-    return spec.signal_variance * np.exp(-d2 / (2.0 * spec.lengthscale**2))
+    return _gaussian(spec, cdist(dictionary.points, Q, "sqeuclidean"))

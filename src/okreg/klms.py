@@ -82,6 +82,18 @@ class KlmsModel:
         self.dictionary.append(x)
         self.alpha = np.append(self.alpha, weight)
 
+    def _coherent(self, k: np.ndarray, mu0: float) -> bool:
+        """The coherence gate: x may join when no kernel value exceeds mu0 * k(x, x)."""
+        return self.size == 0 or float(np.max(k)) <= mu0 * self.spec.signal_variance
+
+    def _spend(self, x, coef: float, spread: np.ndarray, new_weight: float, admit: bool) -> None:
+        """Add coef * spread to the weights; an admitted x also gets coef * new_weight."""
+        if admit:
+            self.alpha = np.append(self.alpha, 0.0) + coef * np.append(spread, new_weight)
+            self.dictionary.append(x)
+        else:
+            self.alpha = self.alpha + coef * spread
+
 
 class Klms(KlmsModel):
     """Growing LMS in kernel space: the whole correction lands on a new weight."""
@@ -169,14 +181,10 @@ class Knlms(KlmsModel):
     def update(self, x, y) -> Step:
         k, step = self._a_priori(x, y)
         kss = self.spec.signal_variance
-        admit = self.size == 0 or float(np.max(k)) <= self.coherence_mu0 * kss
-        if admit:
-            denom = self.eps_reg + kss * kss + float(k @ k)
-            self.alpha = np.append(self.alpha, 0.0) + (self.eta * step.e / denom) * np.append(k, kss)
-            self.dictionary.append(x)
-        else:
-            denom = self.eps_reg + float(k @ k)
-            self.alpha = self.alpha + (self.eta * step.e / denom) * k
+        admit = self._coherent(k, self.coherence_mu0)
+        kk = float(k @ k)
+        denom = self.eps_reg + kss * kss + kk if admit else self.eps_reg + kk
+        self._spend(x, self.eta * step.e / denom, k, kss, admit)
         return step
 
 
@@ -209,19 +217,9 @@ class BetaKlms(KlmsModel):
 
     def update(self, x, y) -> Step:
         k, step = self._a_priori(x, y)
-        kss = self.spec.signal_variance
-        denom = self.spec.noise_variance + kss + self.beta * float(k @ k)
-        coef = step.e / denom
-        admit = (
-            self.coherence_mu0 is None
-            or self.size == 0
-            or float(np.max(k)) <= self.coherence_mu0 * kss
-        )
-        if admit:
-            self.alpha = np.append(self.alpha, 0.0) + coef * np.append(self.beta * k, 1.0)
-            self.dictionary.append(x)
-        else:
-            self.alpha = self.alpha + coef * (self.beta * k)
+        denom = self.spec.noise_variance + self.spec.signal_variance + self.beta * float(k @ k)
+        admit = self.coherence_mu0 is None or self._coherent(k, self.coherence_mu0)
+        self._spend(x, step.e / denom, self.beta * k, 1.0, admit)
         return step
 
     def variance(self, x) -> tuple[float, float]:

@@ -6,6 +6,13 @@ Layout: a ``# okreg-state v2`` banner, ``key=value`` scalar lines
 with repr(), which round-trips exactly, so load(dump(model)) reproduces
 every array bit for bit.
 
+Each model class has one entry in ``_KINDS``: its ``model=`` line (and
+``variant=`` line for the filters), its parameter lines in file order
+with the parser that reads each back, and its array blocks after
+``[dict]``.  Every parameter line is required; ``family=`` defaults to
+gaussian and ``next_id=`` to the dictionary size.  Dictionary ids must be
+non-negative and strictly increasing, below ``next_id``.
+
 A GP snapshot stores the lower Cholesky factor of its Gram matrix as the
 ``[chol]`` block.  Version 1 stored the inverse Gram matrix as ``[q_inv]``
 instead; such snapshots still load, with the factor recomputed from the
@@ -20,11 +27,13 @@ against the dictionary's Gram matrix, which would cost O(n^3).
 from __future__ import annotations
 
 import hashlib
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .kernels import Dictionary, KernelSpec
-from .klms import BetaKlms, Klms, KlmsModel, Knlms, Qklms
+from .klms import BetaKlms, Klms, Knlms, Qklms
 from .online_gp import OnlineGP
 
 __all__ = ["dump_state", "load_state", "save_state", "load_state_file", "fingerprint"]
@@ -47,61 +56,76 @@ def _scalar_lines(spec: KernelSpec) -> list[str]:
     ]
 
 
-def _matrix_block(name: str, arr: np.ndarray) -> list[str]:
-    lines = [f"[{name}]"]
-    arr = np.atleast_2d(np.asarray(arr, dtype=float))
-    for row in arr:
-        lines.append(",".join(_f(v) for v in row))
-    return lines
-
-
-def _vector_block(name: str, arr) -> list[str]:
-    lines = [f"[{name}]"]
-    for v in np.asarray(arr, dtype=float).ravel():
-        lines.append(_f(v))
-    return lines
+def _block(name: str, arr, ndim: int) -> list[str]:
+    """A vector (ndim 1) one value per line, or an n x n matrix one row per line."""
+    arr = np.asarray(arr, dtype=float)
+    rows = arr.reshape(-1, 1) if ndim == 1 else arr
+    return [f"[{name}]", *(",".join(_f(v) for v in row) for row in rows)]
 
 
 def _dict_block(d: Dictionary) -> list[str]:
-    lines = ["[dict]"]
-    for i in range(len(d)):
-        coords = ",".join(_f(v) for v in d.point(i))
-        lines.append(f"{d.ids[i]},{coords}")
-    return lines
+    rows = (",".join([str(i), *(_f(v) for v in p)]) for i, p in zip(d.ids, d.points))
+    return ["[dict]", *rows]
+
+
+def _or_none(parse):
+    return lambda text: None if text == "none" else parse(text)
+
+
+def _text(value) -> str:
+    """A parameter as written: ``none``, an integer, or a repr() float."""
+    if value is None:
+        return "none"
+    return str(value) if isinstance(value, int) else _f(value)
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """How one model class is written: its ``model=`` and ``variant=`` lines,
+    its parameter lines in file order, each with the parser that reads it
+    back, and its array blocks after ``[dict]`` as (name, ndim) pairs."""
+
+    model: str
+    variant: str | None
+    params: tuple[tuple[str, Callable[[str], object]], ...]
+    blocks: tuple[tuple[str, int], ...]
+
+
+_ALPHA = (("alpha", 1),)
+
+_KINDS: dict[type, _Kind] = {
+    OnlineGP: _Kind(
+        "online_gp",
+        None,
+        (("budget", _or_none(int)), ("admission_threshold", float)),
+        (("targets", 1), ("mu", 1), ("sigma", 2), ("chol", 2)),
+    ),
+    Klms: _Kind("klms", Klms.variant, (("eta", float),), _ALPHA),
+    Qklms: _Kind("klms", Qklms.variant, (("eta", float), ("quant_radius", float)), _ALPHA),
+    Knlms: _Kind(
+        "klms", Knlms.variant, (("eta", float), ("eps_reg", float), ("coherence_mu0", float)), _ALPHA
+    ),
+    BetaKlms: _Kind(
+        "klms", BetaKlms.variant, (("beta", float), ("coherence_mu0", _or_none(float))), _ALPHA
+    ),
+}
+_BY_LINES = {(kind.model, kind.variant): cls for cls, kind in _KINDS.items()}
 
 
 def dump_state(model) -> str:
-    if isinstance(model, OnlineGP):
-        lines = [_BANNER, "model=online_gp"]
-        lines += _scalar_lines(model.spec)
-        lines.append(f"budget={'none' if model.budget is None else model.budget}")
-        lines.append(f"admission_threshold={_f(model.admission_threshold)}")
-        lines.append(f"next_id={model.dictionary.next_id}")
-        lines += _dict_block(model.dictionary)
-        lines += _vector_block("targets", model.targets)
-        lines += _vector_block("mu", model.mu)
-        lines += _matrix_block("sigma", model.sigma)
-        lines += _matrix_block("chol", model.chol)
-        return "\n".join(lines) + "\n"
-    if isinstance(model, KlmsModel):
-        lines = [_BANNER, "model=klms", f"variant={model.variant}"]
-        lines += _scalar_lines(model.spec)
-        if isinstance(model, (Klms, Qklms, Knlms)):
-            lines.append(f"eta={_f(model.eta)}")
-        if isinstance(model, Qklms):
-            lines.append(f"quant_radius={_f(model.quant_radius)}")
-        if isinstance(model, Knlms):
-            lines.append(f"eps_reg={_f(model.eps_reg)}")
-            lines.append(f"coherence_mu0={_f(model.coherence_mu0)}")
-        if isinstance(model, BetaKlms):
-            lines.append(f"beta={_f(model.beta)}")
-            mu0 = model.coherence_mu0
-            lines.append(f"coherence_mu0={'none' if mu0 is None else _f(mu0)}")
-        lines.append(f"next_id={model.dictionary.next_id}")
-        lines += _dict_block(model.dictionary)
-        lines += _vector_block("alpha", model.alpha)
-        return "\n".join(lines) + "\n"
-    raise TypeError(f"cannot snapshot object of type {type(model).__name__}")
+    kind = _KINDS.get(type(model))
+    if kind is None:
+        raise TypeError(f"cannot snapshot object of type {type(model).__name__}")
+    lines = [_BANNER, f"model={kind.model}"]
+    if kind.variant is not None:
+        lines.append(f"variant={kind.variant}")
+    lines += _scalar_lines(model.spec)
+    lines += [f"{name}={_text(getattr(model, name))}" for name, _ in kind.params]
+    lines.append(f"next_id={model.dictionary.next_id}")
+    lines += _dict_block(model.dictionary)
+    for name, ndim in kind.blocks:
+        lines += _block(name, getattr(model, name), ndim)
+    return "\n".join(lines) + "\n"
 
 
 def _parse(text: str):
@@ -141,10 +165,12 @@ def _block_array(blocks, name: str, shape: tuple) -> np.ndarray:
     return arr
 
 
-def _block_vector(blocks, name: str) -> np.ndarray:
+def _block_vector(blocks, name: str, n: int) -> np.ndarray:
     rows = _require(blocks, name, f"[{name}] block")
     if any(len(r) != 1 for r in rows):
         raise ValueError(f"[{name}] block needs one value per line")
+    if len(rows) != n:
+        raise ValueError(f"{name} length does not match the dictionary size")
     return np.asarray([r[0] for r in rows], dtype=float)
 
 
@@ -161,8 +187,7 @@ def load_state(text: str):
         raise ValueError(f"not an okreg snapshot: the first line is {banner[:40]!r}")
     version = _READABLE_BANNERS[banner]
     scalars, blocks = _parse(text)
-    if "model" not in scalars:
-        raise ValueError("snapshot is missing the model line")
+    model_line = _require(scalars, "model", "model line")
 
     def scalar(key: str) -> str:
         return _require(scalars, key, f"{key}= line")
@@ -178,65 +203,36 @@ def load_state(text: str):
     )
     dict_rows = _require(blocks, "dict", "[dict] block")
     ids = [_as_int(r[0], "a dictionary id") for r in dict_rows]
-    points = [r[1:] for r in dict_rows]
     next_id = int(scalars.get("next_id", len(ids)))
-    if points:
-        dictionary = Dictionary.restore(points, ids, next_id)
-    else:
-        dictionary = Dictionary()
-        dictionary._next_id = next_id
+    dictionary = Dictionary.restore([r[1:] for r in dict_rows], ids, next_id)
+    n = len(dictionary)
 
-    kind = scalars["model"]
-    if kind == "online_gp":
-        n = len(dictionary)
-        budget = scalars.get("budget", "none")
-        if version == 1:
+    variants = {variant for model, variant in _BY_LINES if model == model_line}
+    if not variants:
+        raise ValueError(f"unknown model kind: {model_line}")
+    variant = None if variants == {None} else scalar("variant")
+    cls = _BY_LINES.get((model_line, variant))
+    if cls is None:
+        raise ValueError(f"unknown {model_line} variant: {variant}")
+    kind = _KINDS[cls]
+    params = {name: parse(scalar(name)) for name, parse in kind.params}
+    arrays = {}
+    for name, ndim in kind.blocks:
+        if name == "chol" and version == 1:
             _block_array(blocks, "q_inv", (n, n))
-            chol = None  # factored from the dictionary's Gram matrix
+            arrays[name] = None  # v1 stored K^-1; the factor is recomputed from the dictionary
+        elif ndim == 1:
+            arrays[name] = _block_vector(blocks, name, n)
         else:
-            chol = _block_array(blocks, "chol", (n, n))
-        return OnlineGP.from_components(
-            spec,
-            dictionary,
-            _block_vector(blocks, "mu"),
-            _block_array(blocks, "sigma", (n, n)),
-            chol=chol,
-            targets=_block_vector(blocks, "targets"),
-            budget=None if budget == "none" else int(budget),
-            admission_threshold=float(scalar("admission_threshold")),
-        )
-    if kind == "klms":
-        variant = scalar("variant")
-        if variant == "klms":
-            model = Klms(spec, eta=float(scalar("eta")))
-        elif variant == "qklms":
-            model = Qklms(
-                spec,
-                eta=float(scalar("eta")),
-                quant_radius=float(scalar("quant_radius")),
-            )
-        elif variant == "knlms":
-            model = Knlms(
-                spec,
-                eta=float(scalar("eta")),
-                eps_reg=float(scalar("eps_reg")),
-                coherence_mu0=float(scalar("coherence_mu0")),
-            )
-        elif variant == "beta":
-            mu0 = scalars.get("coherence_mu0", "none")
-            model = BetaKlms(
-                spec,
-                beta=float(scalar("beta")),
-                coherence_mu0=None if mu0 == "none" else float(mu0),
-            )
-        else:
-            raise ValueError(f"unknown klms variant: {variant}")
-        model.dictionary = dictionary
-        model.alpha = _block_vector(blocks, "alpha")
-        if model.alpha.size != len(dictionary):
-            raise ValueError("alpha length does not match the dictionary size")
-        return model
-    raise ValueError(f"unknown model kind: {kind}")
+            arrays[name] = _block_array(blocks, name, (n, n))
+
+    if cls is OnlineGP:
+        return OnlineGP.from_components(spec, dictionary, **arrays, **params)
+    model = cls(spec, **params)
+    model.dictionary = dictionary
+    for name, value in arrays.items():
+        setattr(model, name, value)
+    return model
 
 
 def save_state(model, path) -> None:

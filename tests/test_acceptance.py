@@ -19,21 +19,19 @@ from okreg import (
     OnlineGP,
     Qklms,
     batch_fit,
-    batch_predict_grid,
-    default_switch_scenario,
-    gen_kinematics_like,
     general_alpha_update,
-    gram_matrix,
     matched_eta,
-    nmse_db,
 )
+from okreg.batch_gp import batch_predict_grid
 from okreg.cli import main
+from okreg.datasets import default_switch_scenario, gen_kinematics_like
 from okreg.evaluation import (
+    nmse_db,
     run_online_experiment,
     run_reconvergence,
     run_uncertainty_trace,
 )
-from okreg.kernels import Dictionary
+from okreg.kernels import Dictionary, gram_matrix
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:

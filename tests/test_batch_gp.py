@@ -5,14 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from okreg import (
-    Dictionary,
-    KernelSpec,
-    batch_fit,
-    batch_predict,
-    batch_predict_grid,
-    gram_matrix,
-)
+from okreg import Dictionary, KernelSpec, batch_fit, batch_predict
+from okreg.batch_gp import batch_predict_grid
+from okreg.kernels import gram_matrix
 
 coord = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 target = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)

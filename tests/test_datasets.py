@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from okreg import (
-    CsvFormatError,
+from okreg.base import CsvFormatError
+from okreg.datasets import (
+    KINEMATICS_NOISE_STD,
     RegressionSet,
     SwitchScenario,
     default_switch_scenario,
@@ -17,7 +18,6 @@ from okreg import (
     random_channel,
     standardize_inputs,
 )
-from okreg.datasets import KINEMATICS_NOISE_STD
 
 
 # -- RegressionSet ------------------------------------------------------------

@@ -12,14 +12,16 @@ from okreg import (
     KernelSpec,
     Klms,
     Knlms,
-    LearningCurve,
     OnlineGP,
     Qklms,
-    UncertaintyTrace,
-    default_switch_scenario,
     fingerprint,
-    gen_kinematics_like,
     matched_eta,
+)
+from okreg.datasets import default_switch_scenario, gen_kinematics_like
+from okreg.evaluation import (
+    LearningCurve,
+    ReconvergenceCurve,
+    UncertaintyTrace,
     moving_average,
     nmse_db,
     run_online_experiment,
@@ -29,7 +31,6 @@ from okreg import (
     write_reconvergence_curves,
     write_uncertainty_traces,
 )
-from okreg.evaluation import ReconvergenceCurve
 
 SPEC = KernelSpec(lengthscale=0.5, noise_variance=0.1)
 

@@ -1,11 +1,13 @@
 """Kernel evaluation, Gram matrices, and the center dictionary."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from okreg import (
+from okreg.kernels import (
     Dictionary,
     KernelSpec,
     cross_kernel,
@@ -135,6 +137,19 @@ def test_cross_kernel_empty_dictionary():
     assert cross_kernel(SPEC, Dictionary(), np.zeros((4, 3))).shape == (0, 4)
 
 
+def test_cross_kernel_peak_memory_is_about_one_result():
+    rng = np.random.default_rng(0)
+    d = Dictionary(rng.standard_normal((1000, 4)))
+    X = rng.standard_normal((1000, 4))
+    tracemalloc.start()
+    try:
+        K = cross_kernel(SPEC, d, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * K.nbytes
+
+
 # -- gram_matrix ------------------------------------------------------------
 
 
@@ -231,3 +246,21 @@ def test_dictionary_restore_round_trip():
 def test_dictionary_restore_id_length_mismatch():
     with pytest.raises(ValueError):
         Dictionary.restore([[0.0], [1.0]], [0], 2)
+
+
+@pytest.mark.parametrize(
+    "ids, next_id",
+    [([0, 1, 2], 1), ([0, 1, 2], 2), ([0, 1, 2], -5), ([0, 0, 2], 3), ([-1, 0, 1], 2), ([0, 2, 1], 3)],
+    ids=["next-id-reused", "next-id-equals-last", "next-id-negative", "repeated", "negative", "decreasing"],
+)
+def test_dictionary_restore_rejects_inconsistent_ids(ids, next_id):
+    with pytest.raises(ValueError, match="id"):
+        Dictionary.restore([[0.0], [1.0], [2.0]], ids, next_id)
+
+
+def test_dictionary_restore_without_points():
+    d = Dictionary.restore([], [], 7)
+    assert len(d) == 0 and d.dim is None and d.next_id == 7
+    assert d.append([1.0]) == 7
+    with pytest.raises(ValueError, match="id"):
+        Dictionary.restore([], [], -1)

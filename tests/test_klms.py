@@ -14,9 +14,9 @@ from okreg import (
     OnlineGP,
     Qklms,
     general_alpha_update,
-    gram_matrix,
     matched_eta,
 )
+from okreg.kernels import gram_matrix
 
 SPEC = KernelSpec(lengthscale=1.0, signal_variance=1.0, noise_variance=0.1)
 

@@ -9,17 +9,17 @@ from hypothesis import strategies as st
 
 import okreg.online_gp
 from okreg import (
-    DEFAULT_ADMISSION_THRESHOLD,
     Dictionary,
     KernelSpec,
     NumericalError,
     OnlineGP,
     batch_fit,
     batch_predict,
-    batch_predict_grid,
-    gen_kinematics_like,
-    gram_matrix,
 )
+from okreg.batch_gp import batch_predict_grid
+from okreg.datasets import gen_kinematics_like
+from okreg.kernels import gram_matrix
+from okreg.online_gp import DEFAULT_ADMISSION_THRESHOLD
 
 coord = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 target = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)

@@ -11,16 +11,17 @@ from okreg import (
     BetaKlms,
     KernelSpec,
     Klms,
+    KlmsModel,
     Knlms,
     OnlineGP,
     Qklms,
     dump_state,
     fingerprint,
-    gram_matrix,
     load_state,
     load_state_file,
     save_state,
 )
+from okreg.kernels import gram_matrix
 
 SPEC = KernelSpec(lengthscale=0.7, signal_variance=2.0, noise_variance=0.05)
 
@@ -93,6 +94,207 @@ def test_klms_variants_round_trip(make):
     np.testing.assert_array_equal(clone.alpha, model.alpha)
 
 
+# -- golden v2 texts -----------------------------------------------------------------
+# Written by the v2 writer after feeding _GOLDEN_STREAM (1-D, three updates).  A
+# round trip alone cannot catch a format change that the writer and the loader
+# share, so dump_state must reproduce each text byte for byte.
+
+_GOLDEN_STREAM = [(0.0, 1.0), (0.5, -0.5), (1.5, 0.25)]
+
+_GOLDEN = {
+    "gp": (lambda: OnlineGP(SPEC), _GOLDEN_STREAM, """\
+# okreg-state v2
+model=online_gp
+family=gaussian
+lengthscale=0.7
+signal_variance=2.0
+noise_variance=0.05
+jitter=2e-10
+budget=none
+admission_threshold=1e-08
+next_id=3
+[dict]
+0,0.0
+1,0.5
+2,1.5
+[targets]
+1.0
+-0.5
+0.25
+[mu]
+0.9102247184857977
+-0.4097341294725939
+0.220977019904662
+[sigma]
+0.04692427728084247,0.0025319358556276017,-0.000588293714955699
+0.0025319358556276017,0.04652410905282548,0.0009736487886217449
+-0.000588293714955699,0.0009736487886217449,0.048495876417998796
+[chol]
+1.4142135624438057,0.0,0.0
+1.0957856005062003,0.8940100211537151,0.0
+0.14236732336089145,0.6318626200019297,1.2571718955192055
+"""),
+    "gp-budget-evicted": (lambda: OnlineGP(SPEC, budget=2), _GOLDEN_STREAM, """\
+# okreg-state v2
+model=online_gp
+family=gaussian
+lengthscale=0.7
+signal_variance=2.0
+noise_variance=0.05
+jitter=2e-10
+budget=2
+admission_threshold=1e-08
+next_id=3
+[dict]
+1,0.5
+2,1.5
+[targets]
+-0.5
+0.25
+[mu]
+-0.4097341294725939
+0.220977019904662
+[sigma]
+0.04652410905282548,0.0009736487886217449
+0.0009736487886217449,0.048495876417998796
+[chol]
+1.4142135624438057,0.0
+0.5097501511369411,1.3191492651007564
+"""),
+    "gp-empty": (lambda: OnlineGP(SPEC, budget=4, admission_threshold=1e-6), [], """\
+# okreg-state v2
+model=online_gp
+family=gaussian
+lengthscale=0.7
+signal_variance=2.0
+noise_variance=0.05
+jitter=2e-10
+budget=4
+admission_threshold=1e-06
+next_id=0
+[dict]
+[targets]
+[mu]
+[sigma]
+[chol]
+"""),
+    "klms": (lambda: Klms(SPEC, eta=0.25), _GOLDEN_STREAM, """\
+# okreg-state v2
+model=klms
+variant=klms
+family=gaussian
+lengthscale=0.7
+signal_variance=2.0
+noise_variance=0.05
+jitter=2e-10
+eta=0.25
+next_id=3
+[dict]
+0,0.0
+1,0.5
+2,1.5
+[alpha]
+0.25
+-0.22185467861040614
+0.08989990167598837
+"""),
+    "qklms-merged": (lambda: Qklms(SPEC, eta=0.25, quant_radius=0.6), _GOLDEN_STREAM, """\
+# okreg-state v2
+model=klms
+variant=qklms
+family=gaussian
+lengthscale=0.7
+signal_variance=2.0
+noise_variance=0.05
+jitter=2e-10
+eta=0.25
+quant_radius=0.6
+next_id=2
+[dict]
+0,0.0
+1,1.5
+[alpha]
+0.028145321389593858
+0.06108332073097749
+"""),
+    "knlms-gated": (lambda: Knlms(SPEC, eta=0.8, eps_reg=0.02, coherence_mu0=0.5), _GOLDEN_STREAM, """\
+# okreg-state v2
+model=klms
+variant=knlms
+family=gaussian
+lengthscale=0.7
+signal_variance=2.0
+noise_variance=0.05
+jitter=2e-10
+eta=0.8
+eps_reg=0.02
+coherence_mu0=0.5
+next_id=2
+[dict]
+0,0.0
+1,1.5
+[alpha]
+-0.1624504220783406
+0.11229389237695077
+"""),
+    "beta": (lambda: BetaKlms(SPEC, beta=1.5), _GOLDEN_STREAM, """\
+# okreg-state v2
+model=klms
+variant=beta
+family=gaussian
+lengthscale=0.7
+signal_variance=2.0
+noise_variance=0.05
+jitter=2e-10
+beta=1.5
+coherence_mu0=none
+next_id=3
+[dict]
+0,0.0
+1,0.5
+2,1.5
+[alpha]
+0.014756844290689977
+-0.06658023991123677
+0.14391526337702826
+"""),
+    "beta-gated": (lambda: BetaKlms(SPEC, beta=0.5, coherence_mu0=0.7), _GOLDEN_STREAM, """\
+# okreg-state v2
+model=klms
+variant=beta
+family=gaussian
+lengthscale=0.7
+signal_variance=2.0
+noise_variance=0.05
+jitter=2e-10
+beta=0.5
+coherence_mu0=0.7
+next_id=2
+[dict]
+0,0.0
+1,1.5
+[alpha]
+0.19875488503101488
+0.102430794536038
+"""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_dump_reproduces_the_golden_text(name):
+    make, stream, golden = _GOLDEN[name]
+    model = make()
+    for x, y in stream:
+        model.update([x], y)
+    assert dump_state(model) == golden
+    assert dump_state(load_state(golden)) == golden
+
+
+@pytest.mark.parametrize("cls", [OnlineGP, *KlmsModel.__subclasses__()], ids=lambda cls: cls.__name__)
+def test_every_model_kind_has_a_golden_text(cls):
+    assert any(type(make()) is cls for make, _, _ in _GOLDEN.values())
+
+
 def test_beta_none_coherence_round_trips_as_none():
     model = BetaKlms(SPEC, beta=1.0)
     model.update([0.0], 1.0)
@@ -160,6 +362,26 @@ def test_load_rejects_alpha_length_mismatch():
         load_state("\n".join(lines[:-1]) + "\n")  # drop the final alpha row
 
 
+@pytest.mark.parametrize(
+    "name, old, new",
+    [
+        ("klms", "next_id=3", "next_id=1"),
+        ("klms", "next_id=3", "next_id=-5"),
+        ("klms", "1,0.5", "0,0.5"),
+        ("klms", "0,0.0", "-1,0.0"),
+        ("klms", "2,1.5", "0,1.5"),
+        ("gp-budget-evicted", "next_id=3", "next_id=2"),
+        ("gp-empty", "next_id=0", "next_id=-1"),
+    ],
+    ids=["next-id-reused", "next-id-negative", "repeated", "negative", "decreasing", "gp-next-id", "empty"],
+)
+def test_load_rejects_inconsistent_dictionary_ids(name, old, new):
+    text = _GOLDEN[name][2]
+    assert text.count(old) == 1
+    with pytest.raises(ValueError, match="id"):
+        load_state(text.replace(old, new))
+
+
 def test_dump_rejects_foreign_objects():
     with pytest.raises(TypeError):
         dump_state(object())
@@ -206,6 +428,7 @@ def _without_block(text, name):
         ("gp", "lengthscale"),
         ("gp", "jitter"),
         ("gp", "admission_threshold"),
+        ("gp", "budget"),
         ("klms", "variant"),
         ("klms", "signal_variance"),
         ("klms", "eta"),
@@ -214,6 +437,7 @@ def _without_block(text, name):
         ("knlms", "coherence_mu0"),
         ("beta", "noise_variance"),
         ("beta", "beta"),
+        ("beta", "coherence_mu0"),
     ],
 )
 def test_load_rejects_missing_scalar(kind, key):

@@ -1,6 +1,6 @@
 """The consistency-check battery behind the verify subcommand."""
 
-from okreg import CheckResult, format_results, run_all_checks
+from okreg.verify import CheckResult, format_results, run_all_checks
 
 
 def test_battery_passes_at_default_tolerances():
