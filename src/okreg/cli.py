@@ -43,7 +43,7 @@ from .evaluation import (
 )
 from .kernels import KernelSpec
 from .klms import BetaKlms, Klms, Knlms, Qklms, matched_eta
-from .online_gp import OnlineGP
+from .online_gp import DEFAULT_ADMISSION_THRESHOLD, OnlineGP
 from .snapshot import save_state
 from .verify import format_results, run_all_checks
 
@@ -400,8 +400,8 @@ def _alg_parent(default_algs: str) -> argparse.ArgumentParser:
                         "variance; 1.0 admits everything (default 1.0)")
     g.add_argument("--budget", type=int, default=None,
                    help="gp dictionary budget; oldest centers are evicted")
-    g.add_argument("--admission-threshold", type=float, default=1e-8,
-                   help="gp novelty gate on gamma2 (default 1e-8)")
+    g.add_argument("--admission-threshold", type=float, default=DEFAULT_ADMISSION_THRESHOLD,
+                   help=f"gp novelty gate on gamma2 (default {DEFAULT_ADMISSION_THRESHOLD:g})")
     return p
 
 

@@ -40,6 +40,9 @@ __all__ = [
     "write_uncertainty_traces",
 ]
 
+# the uncertainty GP's novelty gate: below the default jitter, so every point is admitted
+UNCERTAINTY_ADMISSION_THRESHOLD = 1e-12
+
 
 def nmse_db(predictions, targets) -> float:
     """10 log10 of mean squared error over population target variance.
@@ -217,7 +220,6 @@ def run_uncertainty_trace(
     spec,
     grid,
     prefix_sizes=(3, 8, 25),
-    admission_threshold: float = 1e-12,
 ):
     """Predictive bands on a 1-D grid after fitting growing prefixes.
 
@@ -239,7 +241,7 @@ def run_uncertainty_trace(
             raise ValueError(f"prefix size {m} exceeds the {len(observations)} observations")
     grid_rows = grid[:, np.newaxis]
     models = {
-        "gp": OnlineGP(spec, admission_threshold=admission_threshold),
+        "gp": OnlineGP(spec, admission_threshold=UNCERTAINTY_ADMISSION_THRESHOLD),
         "beta:0": BetaKlms(spec, 0.0),
         "beta:1": BetaKlms(spec, 1.0),
     }

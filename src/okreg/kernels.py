@@ -165,13 +165,21 @@ def _vector(x) -> np.ndarray:
     return v
 
 
-def _gaussian(spec: KernelSpec, d2: np.ndarray) -> np.ndarray:
-    """The kernel of squared distances d2, computed in place over d2."""
-    np.negative(d2, out=d2)
-    d2 /= 2.0 * spec.lengthscale**2
-    np.exp(d2, out=d2)
-    d2 *= spec.signal_variance
-    return d2
+def _kernel_matrix(spec: KernelSpec, dictionary: Dictionary, Q: np.ndarray) -> np.ndarray:
+    """k(c_i, q_j) for the dictionary centers c_i (rows) and the rows q_j of Q (columns)."""
+    if len(dictionary) == 0:
+        return np.zeros((0, Q.shape[0]))
+    if dictionary.dim != Q.shape[1]:
+        raise ValueError(
+            f"dimension mismatch: dictionary is {dictionary.dim}-dimensional, "
+            f"queries have dimension {Q.shape[1]}"
+        )
+    K = cdist(dictionary.points, Q, "sqeuclidean")  # the Gaussian is evaluated in place
+    np.negative(K, out=K)
+    K /= 2.0 * spec.lengthscale**2
+    np.exp(K, out=K)
+    K *= spec.signal_variance
+    return K
 
 
 def eval_kernel(spec: KernelSpec, x, x2) -> float:
@@ -186,23 +194,14 @@ def eval_kernel(spec: KernelSpec, x, x2) -> float:
 
 def kernel_vector(spec: KernelSpec, dictionary: Dictionary, x) -> np.ndarray:
     """k(c_i, x) for every dictionary center c_i, in insertion order."""
-    v = _vector(x)
-    if len(dictionary) == 0:
-        return np.zeros(0)
-    if dictionary.dim != v.size:
-        raise ValueError(
-            f"dimension mismatch: dictionary is {dictionary.dim}-dimensional, "
-            f"query has dimension {v.size}"
-        )
-    return _gaussian(spec, np.sum((dictionary.points - v) ** 2, axis=1))
+    return _kernel_matrix(spec, dictionary, _vector(x)[np.newaxis])[:, 0]
 
 
 def gram_matrix(spec: KernelSpec, dictionary: Dictionary) -> np.ndarray:
     """Pairwise kernel matrix of the dictionary with jitter on the diagonal."""
     if len(dictionary) == 0:
         raise ValueError("gram matrix of an empty dictionary is undefined")
-    P = dictionary.points
-    K = _gaussian(spec, cdist(P, P, "sqeuclidean"))
+    K = _kernel_matrix(spec, dictionary, dictionary.points)
     if spec.jitter:
         K[np.diag_indices_from(K)] += spec.jitter
     return K
@@ -210,12 +209,4 @@ def gram_matrix(spec: KernelSpec, dictionary: Dictionary) -> np.ndarray:
 
 def cross_kernel(spec: KernelSpec, dictionary: Dictionary, X) -> np.ndarray:
     """Kernel matrix between dictionary centers (rows) and query points (columns)."""
-    Q = np.atleast_2d(np.asarray(X, dtype=float))
-    if len(dictionary) == 0:
-        return np.zeros((0, Q.shape[0]))
-    if dictionary.dim != Q.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: dictionary is {dictionary.dim}-dimensional, "
-            f"queries have dimension {Q.shape[1]}"
-        )
-    return _gaussian(spec, cdist(dictionary.points, Q, "sqeuclidean"))
+    return _kernel_matrix(spec, dictionary, np.atleast_2d(np.asarray(X, dtype=float)))

@@ -150,7 +150,8 @@ class OnlineGP:
 
         ``chol`` is the lower Cholesky factor of the dictionary's jittered
         Gram matrix; when omitted it is computed from that matrix.  Raises
-        ValueError when a piece does not fit the dictionary.
+        ValueError when a piece does not fit the dictionary, or when
+        ``sigma`` is not exactly symmetric (``update`` keeps it so).
         """
         model = cls(spec, budget=budget, admission_threshold=admission_threshold)
         n = len(dictionary)
@@ -158,6 +159,8 @@ class OnlineGP:
         sigma = np.asarray(sigma, dtype=float)
         if mu.size != n or sigma.shape != (n, n):
             raise ValueError("component shapes do not match the dictionary size")
+        if not np.array_equal(sigma, sigma.T):
+            raise ValueError("the posterior covariance is not exactly symmetric")
         if targets is None:
             targets = np.zeros(n)
         targets = np.asarray(targets, dtype=float).ravel()
@@ -252,13 +255,12 @@ class OnlineGP:
 
         mu1 = np.append(self._mu, scr.y_hat) + (scr.e / scr.sigma_y2) * gain
 
+        # an entry and its mirror take the same float operations: sigma1 is exactly symmetric
         sigma1 = np.empty((n + 1, n + 1))
         sigma1[:n, :n] = self._sigma
-        sigma1[:n, n] = scr.h
-        sigma1[n, :n] = scr.h
-        sigma1[n, n] = scr.sigma_f2
+        sigma1[:, n] = gain
+        sigma1[n] = gain
         sigma1 -= np.outer(gain, gain) / scr.sigma_y2
-        sigma1 = 0.5 * (sigma1 + sigma1.T)
 
         chol1 = np.zeros((n + 1, n + 1))
         chol1[:n, :n] = self._chol

@@ -18,8 +18,9 @@ A GP snapshot stores the lower Cholesky factor of its Gram matrix as the
 instead; such snapshots still load, with the factor recomputed from the
 dictionary (``[q_inv]`` is checked for its shape and otherwise ignored).
 The loader raises ValueError, and only ValueError, for any malformed
-text: a missing banner, key or block, an unparsable number, a block
-whose shape does not match the dictionary, or a ``[chol]`` that is not
+text: a missing banner, a missing or repeated key or block, an
+unparsable number, a block whose shape does not match the dictionary, a
+``[sigma]`` that is not exactly symmetric, or a ``[chol]`` that is not
 lower-triangular with a positive diagonal.  It does not check the factor
 against the dictionary's Gram matrix, which would cost O(n^3).
 """
@@ -138,12 +139,17 @@ def _parse(text: str):
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1]
+            if name in blocks:
+                raise ValueError(f"snapshot repeats the [{name}] block")
             current = []
             blocks[name] = current
             continue
         if current is None:
             key, _, value = line.partition("=")
-            scalars[key.strip()] = value.strip()
+            key = key.strip()
+            if key in scalars:
+                raise ValueError(f"snapshot repeats the {key}= line")
+            scalars[key] = value.strip()
         else:
             current.append([float(p) for p in line.split(",")])
     return scalars, blocks

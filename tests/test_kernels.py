@@ -121,6 +121,14 @@ def test_kernel_vector_dimension_mismatch():
         kernel_vector(SPEC, d, [1.0])
 
 
+@pytest.mark.parametrize("dim", [1, 2, 4, 9])
+def test_kernel_vector_is_bitwise_a_cross_kernel_column(dim):
+    rng = np.random.default_rng(dim)
+    d = Dictionary(rng.uniform(-3.0, 3.0, size=(40, dim)))
+    for x in rng.uniform(-3.0, 3.0, size=(20, dim)):
+        np.testing.assert_array_equal(kernel_vector(SPEC, d, x), cross_kernel(SPEC, d, x[None])[:, 0])
+
+
 def test_cross_kernel_shape_and_values():
     d = Dictionary([[0.0], [1.0]])
     X = np.array([[0.0], [0.5], [2.0]])

@@ -239,6 +239,32 @@ def test_eviction_repair_matches_refactoring_reference(budget):
     np.testing.assert_allclose(gp.chol, ref.chol, rtol=0, atol=1e-9)
 
 
+def _ill_conditioned_stream():
+    train, _ = gen_kinematics_like(0, 400, 400, d=2)
+    return train.inputs, train.targets
+
+
+@pytest.mark.parametrize(
+    "lengthscale, budget, stream, min_evictions",
+    [
+        (0.5, None, lambda: _evicting_stream(400), 0),
+        (0.5, 1, lambda: _evicting_stream(1100), 1000),
+        (0.5, 50, lambda: _evicting_stream(1100), 1000),
+        (1.5, None, _ill_conditioned_stream, 0),
+    ],
+    ids=["no-budget", "budget-1", "budget-50", "ill-conditioned-d2"],
+)
+def test_sigma_is_exactly_symmetric_after_every_update(lengthscale, budget, stream, min_evictions):
+    gp = OnlineGP(KernelSpec(lengthscale=lengthscale, noise_variance=0.1), budget=budget)
+    evictions = 0
+    for xi, yi in zip(*stream()):
+        before = gp.size
+        scr = gp.update(xi, yi)
+        evictions += scr.gamma2 > gp.admission_threshold and gp.size == before
+        assert np.array_equal(gp.sigma, gp.sigma.T)
+    assert evictions >= min_evictions
+
+
 def test_budget_updates_never_rebuild_or_refactor(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("an O(n^3) rebuild ran on the update path")
@@ -391,6 +417,15 @@ def test_from_components_shape_validation():
         OnlineGP.from_components(
             _spec(), d, np.zeros(2), np.eye(2), targets=np.zeros(5)
         )
+
+
+@pytest.mark.parametrize("i, j", [(0, 1), (2, 0)])
+def test_from_components_rejects_a_sigma_one_ulp_from_symmetric(i, j):
+    gp = _feed(OnlineGP(_spec()), [(0.0, 0.0, 1.0), (1.0, -1.0, 0.5), (0.3, 0.8, -1.0)])
+    sigma = gp.sigma.copy()
+    sigma[i, j] = np.nextafter(sigma[i, j], np.inf)
+    with pytest.raises(ValueError, match="symmetric"):
+        OnlineGP.from_components(gp.spec, gp.dictionary.copy(), gp.mu, sigma, chol=gp.chol)
 
 
 def test_corrupted_covariance_raises_on_predict():

@@ -472,6 +472,41 @@ def test_load_rejects_snapshot_cut_before_the_arrays(kind):
         load_state(text[: text.index("[dict]")])
 
 
+@pytest.mark.parametrize(
+    "line, repeated, named",
+    [
+        ("eta=0.25\n", "eta=0.25\neta=9.0\n", "eta="),
+        ("lengthscale=0.7\n", "lengthscale=0.7\nlengthscale=3.0\n", "lengthscale="),
+        ("[dict]\n", "[alpha]\n1.0\n2.0\n[dict]\n", "[alpha]"),
+    ],
+    ids=["parameter", "kernel", "stray-block"],
+)
+def test_load_rejects_a_repeated_line_or_block(line, repeated, named):
+    model = Klms(SPEC, eta=0.25)
+    model.update([0.0, 1.0], 0.5)
+    model.update([1.0, -1.0], -0.25)
+    text = dump_state(model)
+    assert line in text
+    with pytest.raises(ValueError, match=re.escape(named)):
+        load_state(text.replace(line, repeated))
+
+
+def _sigma_bumped(text, i, j):
+    """The GP snapshot with sigma[i, j] moved up by one ulp."""
+    lines = text.splitlines()
+    row = lines.index("[sigma]") + 1 + i
+    fields = lines[row].split(",")
+    fields[j] = repr(float(np.nextafter(float(fields[j]), np.inf)))
+    lines[row] = ",".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+def test_load_rejects_a_sigma_one_ulp_from_symmetric():
+    text = _fed_text("gp")
+    with pytest.raises(ValueError, match="symmetric"):
+        load_state(_sigma_bumped(text, 1, 4))
+
+
 def test_load_accepts_only_the_gaussian_family():
     text = _fed_text("klms")
     assert "family=gaussian\n" in text
@@ -566,10 +601,23 @@ def _mutated_snapshot(draw):
     kind = draw(st.sampled_from(sorted(_TEXTS)))
     text = _TEXTS[kind]
     lines = text.splitlines()
-    ops = ["truncate", "drop-line", "garble", "reshape"] + (["chol-upper", "chol-diagonal"] if kind == "gp" else [])
+    ops = ["truncate", "drop-line", "garble", "reshape", "repeat-key"]
+    ops += ["chol-upper", "chol-diagonal"] if kind == "gp" else []
+    ops += ["sigma-asymmetric"] if kind.startswith("gp") else []
     op = draw(st.sampled_from(ops))
     if op == "truncate":
         return text[: draw(st.integers(0, len(text) - 1))], False
+    if op == "repeat-key":
+        keys = [i for i, line in enumerate(lines[: lines.index("[dict]")]) if "=" in line]
+        i = draw(st.sampled_from(keys))
+        key = lines[i].partition("=")[0]
+        at = draw(st.integers(i + 1, lines.index("[dict]")))
+        lines.insert(at, f"{key}={draw(st.sampled_from(_GARBAGE))}")
+        return "\n".join(lines) + "\n", True
+    if op == "sigma-asymmetric":
+        n = len(lines[lines.index("[sigma]") + 1].split(","))
+        i, j = draw(st.sampled_from([(i, j) for i in range(n) for j in range(n) if i != j]))
+        return _sigma_bumped(text, i, j), True
     if op.startswith("chol"):
         first = lines.index("[chol]") + 1
         n = len(lines) - first
@@ -608,4 +656,4 @@ def test_load_raises_only_value_error_on_mutated_snapshots(case):
         load_state(text)
     except ValueError:
         return
-    assert not must_fail, "a [chol] block that is not a Cholesky factor loaded"
+    assert not must_fail, "a repeated key, an asymmetric [sigma] or a bad [chol] loaded"
