@@ -142,13 +142,11 @@ def _resolve_eta(value, spec: KernelSpec, default):
 
 
 def _build_model(token: str, spec: KernelSpec, args):
-    name, _, param = token.partition(":")
-    name = name.strip()
-    param = param.strip()
+    name, sep, param = (part.strip() for part in token.partition(":"))
+    if sep and name != "beta":
+        raise ConfigError(f"only beta takes a ':value' parameter, got {token!r}")
     try:
         if name == "gp":
-            if param:
-                raise ConfigError(f"gp takes no parameter, got {token!r}")
             return OnlineGP(
                 spec,
                 budget=args.budget,
@@ -370,11 +368,12 @@ def _kernel_parent(lengthscale: float, noise_var: float) -> argparse.ArgumentPar
     return p
 
 
-def _common_parent() -> argparse.ArgumentParser:
+def _common_parent(outputs: bool = True) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--out", default="okreg-out", help="output directory")
-    p.add_argument("--dump-state", action="store_true",
-                   help="also write model state snapshots into --out")
+    if outputs:
+        p.add_argument("--out", default="okreg-out", help="output directory")
+        p.add_argument("--dump-state", action="store_true",
+                       help="also write model state snapshots into --out")
     p.add_argument("--config", default=None,
                    help="key=value file of flag defaults; explicit flags override")
     return p
@@ -474,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "verify",
         help="consistency checks between paired formulations",
-        parents=[_common_parent()],
+        parents=[_common_parent(outputs=False)],
     )
     p.add_argument("--tol", type=float, default=None,
                    help="override every check's tolerance")

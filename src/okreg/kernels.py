@@ -165,16 +165,16 @@ def _vector(x) -> np.ndarray:
     return v
 
 
-def _kernel_matrix(spec: KernelSpec, dictionary: Dictionary, Q: np.ndarray) -> np.ndarray:
-    """k(c_i, q_j) for the dictionary centers c_i (rows) and the rows q_j of Q (columns)."""
-    if len(dictionary) == 0:
+def _kernel_matrix(spec: KernelSpec, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """k(p_i, q_j) for the rows p_i of P (rows) and the rows q_j of Q (columns)."""
+    if P.shape[0] == 0:
         return np.zeros((0, Q.shape[0]))
-    if dictionary.dim != Q.shape[1]:
+    if P.shape[1] != Q.shape[1]:
         raise ValueError(
-            f"dimension mismatch: dictionary is {dictionary.dim}-dimensional, "
+            f"dimension mismatch: centers are {P.shape[1]}-dimensional, "
             f"queries have dimension {Q.shape[1]}"
         )
-    K = cdist(dictionary.points, Q, "sqeuclidean")  # the Gaussian is evaluated in place
+    K = cdist(P, Q, "sqeuclidean")  # the Gaussian is evaluated in place
     np.negative(K, out=K)
     K /= 2.0 * spec.lengthscale**2
     np.exp(K, out=K)
@@ -184,24 +184,19 @@ def _kernel_matrix(spec: KernelSpec, dictionary: Dictionary, Q: np.ndarray) -> n
 
 def eval_kernel(spec: KernelSpec, x, x2) -> float:
     """k(x, x2): symmetric, positive, equal to signal_variance at x == x2."""
-    a = _vector(x)
-    b = _vector(x2)
-    if a.size != b.size:
-        raise ValueError(f"dimension mismatch: {a.size} vs {b.size}")
-    d2 = float(np.sum((a - b) ** 2))
-    return float(spec.signal_variance * np.exp(-d2 / (2.0 * spec.lengthscale**2)))
+    return float(_kernel_matrix(spec, _vector(x)[np.newaxis], _vector(x2)[np.newaxis])[0, 0])
 
 
 def kernel_vector(spec: KernelSpec, dictionary: Dictionary, x) -> np.ndarray:
     """k(c_i, x) for every dictionary center c_i, in insertion order."""
-    return _kernel_matrix(spec, dictionary, _vector(x)[np.newaxis])[:, 0]
+    return _kernel_matrix(spec, dictionary.points, _vector(x)[np.newaxis])[:, 0]
 
 
 def gram_matrix(spec: KernelSpec, dictionary: Dictionary) -> np.ndarray:
     """Pairwise kernel matrix of the dictionary with jitter on the diagonal."""
     if len(dictionary) == 0:
         raise ValueError("gram matrix of an empty dictionary is undefined")
-    K = _kernel_matrix(spec, dictionary, dictionary.points)
+    K = _kernel_matrix(spec, dictionary.points, dictionary.points)
     if spec.jitter:
         K[np.diag_indices_from(K)] += spec.jitter
     return K
@@ -209,4 +204,4 @@ def gram_matrix(spec: KernelSpec, dictionary: Dictionary) -> np.ndarray:
 
 def cross_kernel(spec: KernelSpec, dictionary: Dictionary, X) -> np.ndarray:
     """Kernel matrix between dictionary centers (rows) and query points (columns)."""
-    return _kernel_matrix(spec, dictionary, np.atleast_2d(np.asarray(X, dtype=float)))
+    return _kernel_matrix(spec, dictionary.points, np.atleast_2d(np.asarray(X, dtype=float)))

@@ -21,16 +21,17 @@ Scalar ``predict`` and ``BetaKlms.variance`` are one-row calls of
 ``predict_batch`` and ``variance_batch``.
 
 ``general_alpha_update`` is the exact one-step weight recursion driven
-by a full posterior state; it is the reference the closed-form BetaKlms
-rule is checked against.
+by a full posterior state and solved on its Cholesky factor; it is the
+reference the closed-form BetaKlms rule is checked against.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import cho_solve
 
 from .base import Step
-from .kernels import Dictionary, KernelSpec, _vector, cross_kernel, eval_kernel, kernel_vector
+from .kernels import Dictionary, KernelSpec, _vector, cross_kernel, kernel_vector
 
 __all__ = [
     "KlmsModel",
@@ -241,24 +242,27 @@ def general_alpha_update(state, x, y, sigma_override=None) -> np.ndarray:
     """One exact weight-vector step computed from full posterior state.
 
     ``state`` is an OnlineGP (or anything exposing spec, dictionary, mu,
-    sigma, q_inv).  The implied weights are q_inv @ mu; the step rescales
-    the innovation by the modeled output variance, spreads
-    (q_inv @ sigma @ q_inv - q_inv) k over the existing weights, and
-    appends the scaled innovation.  ``sigma_override`` substitutes the
-    posterior covariance, which is how parametric covariance models
-    (for example K (beta K + I) for BetaKlms) are exercised against it.
+    sigma and chol, the lower Cholesky factor of the jittered Gram K).
+    The implied weights are K^-1 mu; the step rescales the innovation by
+    the modeled output variance, spreads (K^-1 sigma K^-1 - K^-1) k over
+    the existing weights, and appends the scaled innovation.  Each K^-1
+    product is a solve on ``chol``.  k(x, x) includes the jitter, the
+    diagonal the factor gains when x is admitted, so the step equals the
+    GP's own next ``krls_weights()``.  ``sigma_override`` substitutes the
+    posterior covariance, which is how parametric covariance models (for
+    example K (beta K + I) for BetaKlms) are exercised against it.
     """
     n = len(state.dictionary)
     sigma = state.sigma if sigma_override is None else np.asarray(sigma_override, dtype=float)
     if sigma.shape != (n, n):
         raise ValueError(f"covariance shape {sigma.shape} does not match size {n}")
     k = kernel_vector(state.spec, state.dictionary, x)
-    kss = eval_kernel(state.spec, x, x)
-    q_inv = state.q_inv
-    alpha = q_inv @ state.mu
+    kss = state.spec.signal_variance + state.spec.jitter
+    factor = (state.chol, True)
+    alpha = cho_solve(factor, state.mu)
     e = float(y) - float(k @ alpha)
-    qk = q_inv @ k
-    spread = q_inv @ (sigma @ qk) - qk
+    qk = cho_solve(factor, k)
+    spread = cho_solve(factor, sigma @ qk) - qk
     sf2 = kss + float(k @ spread)
     sy2 = state.spec.noise_variance + sf2
     return np.append(alpha + (e / sy2) * spread, e / sy2)

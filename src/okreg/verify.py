@@ -176,7 +176,7 @@ def run_all_checks(seed: int = 0, tol: float | None = None, noise_mismatch: floa
         ("online vs batch: predictive mean", mean_err, 1e-8),
         ("online vs batch: predictive variance", var_err, 1e-8),
         ("online vs batch: ill-conditioned stream", _check_online_vs_batch_ill_conditioned(), 1e-8),
-        ("krls weight bridge (q_inv @ mu)", bridge_err, 1e-8),
+        ("krls weight bridge (K^-1 mu)", bridge_err, 1e-8),
         ("inverse from the factor (QK - I)", inv_err, 1e-7),
         ("identity A: matched-eta klms = beta 0", _check_identity_a(rng), 1e-12),
         (

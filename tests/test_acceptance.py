@@ -110,7 +110,7 @@ def test_02_weight_bridge_holds_after_every_step():
     ok = worst < 1e-8
     _report(
         2,
-        "q_inv @ mu equals the batch weight vector at all 100 steps",
+        "K^-1 mu equals the batch weight vector at all 100 steps",
         ok,
         f"max weight diff {worst:.2e} (tol 1e-8)",
     )

@@ -33,6 +33,13 @@ def test_bad_algorithm_tokens_exit_config(tmp_path, algs):
     assert main(["compare", "--algs", algs, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("algs", ["klms:0.5", "qklms:7", "knlms:x", "gp:1", "klms,klms:0.5"])
+def test_only_beta_takes_a_parameter(tmp_path, capsys, algs):
+    code = main(["compare", "--algs", algs, "--n", "20", "--n-test", "5", "--out", str(tmp_path)])
+    assert code == 2
+    assert repr(algs.split(",")[-1]) in capsys.readouterr().err
+
+
 def test_bad_kernel_exits_config(tmp_path, capsys):
     code = main(
         ["compare", "--kernel-lengthscale", "-1", "--out", str(tmp_path)]
@@ -301,6 +308,13 @@ def test_verify_passes_by_default(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("flags", [["--out", "somewhere"], ["--dump-state"]])
+def test_verify_takes_no_output_flags(flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *flags])
+    assert exc.value.code == 2
 
 
 def test_verify_negative_control_fails(capsys):

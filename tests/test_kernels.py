@@ -115,6 +115,15 @@ def test_kernel_vector_matches_scalar_kernel():
     np.testing.assert_array_equal(kv, expected)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 4, 9, 16])
+def test_kernel_vector_matches_scalar_kernel_on_random_points(dim):
+    rng = np.random.default_rng(dim)
+    d = Dictionary(rng.uniform(-3.0, 3.0, size=(40, dim)))
+    for x in rng.uniform(-3.0, 3.0, size=(20, dim)):
+        expected = [eval_kernel(SPEC, c, x) for c in d.points]
+        np.testing.assert_array_equal(kernel_vector(SPEC, d, x), expected)
+
+
 def test_kernel_vector_dimension_mismatch():
     d = Dictionary([[0.0, 0.0]])
     with pytest.raises(ValueError, match="dimension mismatch"):

@@ -328,3 +328,33 @@ def test_general_update_rejects_bad_covariance_shape():
     state, _ = _oracle_state(spec, model)
     with pytest.raises(ValueError, match="covariance shape"):
         general_alpha_update(state, [1.0], 1.0, sigma_override=np.eye(3))
+
+
+@pytest.mark.parametrize("jitter", [0.0, None, 1e-6])
+def test_general_update_is_the_gps_own_step(jitter):
+    # acceptance 09's stream: well separated in 3-D, so all 100 points are admitted
+    spec = KernelSpec(lengthscale=0.5, noise_variance=0.1, jitter=jitter)
+    rng = np.random.default_rng([0, 17])
+    X = rng.uniform(-2.0, 2.0, size=(100, 3))
+    y = np.sin(X.sum(axis=1)) + 0.1 * rng.standard_normal(100)
+    gp = OnlineGP(spec, admission_threshold=1e-12)
+    for xi, yi in zip(X, y):
+        expected = general_alpha_update(gp, xi, yi)
+        gp.update(xi, yi)
+        np.testing.assert_allclose(gp.krls_weights(), expected, rtol=0, atol=1e-12)
+    assert gp.size == 100
+
+
+def test_general_update_forms_no_inverse(monkeypatch):
+    spec = KernelSpec(lengthscale=0.5, noise_variance=0.1)
+    rng = np.random.default_rng(3)
+    gp = OnlineGP(spec)
+    for xi in rng.uniform(-2.0, 2.0, size=(20, 2)):
+        gp.update(xi, float(np.sin(xi.sum())))
+
+    def no_inverse(*args, **kwargs):
+        raise AssertionError("general_alpha_update formed an inverse")
+
+    monkeypatch.setattr(OnlineGP, "q_inv", property(no_inverse))
+    monkeypatch.setattr(np.linalg, "inv", no_inverse)
+    assert general_alpha_update(gp, [0.3, -0.2], 0.5).shape == (gp.size + 1,)
