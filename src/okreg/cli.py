@@ -178,13 +178,21 @@ def _build_model(token: str, spec: KernelSpec, args):
     raise ConfigError(f"unknown algorithm: {token!r}")
 
 
-def _parse_tokens(algs: str) -> list[str]:
+def _model_factories(algs: str, spec: KernelSpec, args) -> dict:
+    """One fresh-model factory per ``--algs`` token, in order.
+
+    Every token is built once here, so a bad one is a config error
+    before any data is generated or loaded, not after the models before
+    it have run.
+    """
     tokens = [t.strip() for t in algs.split(",") if t.strip()]
     if not tokens:
         raise ConfigError("--algs must name at least one algorithm")
     if len(set(tokens)) != len(tokens):
         raise ConfigError("--algs contains duplicates")
-    return tokens
+    for tok in tokens:
+        _build_model(tok, spec, args)
+    return {tok: (lambda tok=tok: _build_model(tok, spec, args)) for tok in tokens}
 
 
 def _state_path(out: Path, token: str) -> Path:
@@ -234,7 +242,7 @@ def _compare_data(args, seed: int):
 
 def cmd_compare(args) -> int:
     spec = _build_spec(args)
-    tokens = _parse_tokens(args.algs)
+    factories = _model_factories(args.algs, spec, args)
     if args.seeds < 1:
         raise ConfigError("--seeds must be >= 1")
     out = Path(args.out)
@@ -244,8 +252,8 @@ def cmd_compare(args) -> int:
     final_models: dict = {}
     for seed in range(args.seeds):
         train, test = _compare_data(args, seed)
-        for tok in tokens:
-            model = _build_model(tok, spec, args)
+        for tok, make in factories.items():
+            model = make()
             curve = run_online_experiment(
                 model, train, test, args.eval_every, label=tok
             )
@@ -259,7 +267,7 @@ def cmd_compare(args) -> int:
                 final_models[tok] = model
     curves = []
     with np.errstate(divide="ignore"):
-        for tok in tokens:
+        for tok in factories:
             db = 10.0 * np.log10(linear[tok] / args.seeds)
             curves.append(
                 LearningCurve(tok, list(zip(steps[tok].tolist(), db.tolist())))
@@ -275,7 +283,7 @@ def cmd_compare(args) -> int:
 
 def cmd_reconverge(args) -> int:
     spec = _build_spec(args)
-    tokens = _parse_tokens(args.algs)
+    factories = _model_factories(args.algs, spec, args)
     try:
         scenario = default_switch_scenario(
             seed=0,
@@ -287,7 +295,6 @@ def cmd_reconverge(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    factories = {tok: (lambda tok=tok: _build_model(tok, spec, args)) for tok in tokens}
     curves, last_models = run_reconvergence(
         scenario, factories, n_seeds=args.seeds, smooth_window=args.smooth_window
     )

@@ -58,15 +58,30 @@ class KernelSpec:
             raise ValueError("jitter must be non-negative")
 
 
+def _with_room(buf: np.ndarray, n: int) -> np.ndarray:
+    """``buf`` when it has a free row past its first n, else a copy of
+    those rows in a buffer of twice the capacity, so that n appends copy
+    O(n) rows in total."""
+    if n < buf.shape[0]:
+        return buf
+    grown = np.empty((max(2 * n, 1),) + buf.shape[1:])
+    grown[:n] = buf[:n]
+    return grown
+
+
 class Dictionary:
     """Ordered collection of kernel centers.
 
     Points keep insertion order and each gets a stable integer id, so
-    evicting old centers never renumbers the survivors.
+    evicting old centers never renumbers the survivors.  They live in
+    the leading rows of a buffer with spare capacity; ``points`` is a
+    read-only view of them.  Appends write past every view already
+    handed out, and ``drop`` moves the survivors to a new buffer, so a
+    view never changes after it is taken.
     """
 
     def __init__(self, points=None):
-        self._points: np.ndarray | None = None
+        self._buf: np.ndarray | None = None
         self._ids: list[int] = []
         self._next_id = 0
         if points is not None:
@@ -101,13 +116,15 @@ class Dictionary:
     @property
     def dim(self) -> int | None:
         """Point dimension, or None while the dictionary has never held a point."""
-        return None if self._points is None else int(self._points.shape[1])
+        return None if self._buf is None else int(self._buf.shape[1])
 
     @property
     def points(self) -> np.ndarray:
-        if self._points is None:
+        if self._buf is None:
             return np.zeros((0, 0))
-        return self._points
+        view = self._buf[: len(self._ids)]
+        view.flags.writeable = False
+        return view
 
     @property
     def ids(self) -> tuple[int, ...]:
@@ -126,15 +143,16 @@ class Dictionary:
             raise ValueError("a dictionary point must be a 1-D vector")
         if p.size == 0:
             raise ValueError("a dictionary point needs dimension >= 1")
-        if self._points is None:
-            self._points = p[np.newaxis, :].copy()
-        else:
-            if p.size != self._points.shape[1]:
-                raise ValueError(
-                    f"dimension mismatch: dictionary holds "
-                    f"{self._points.shape[1]}-dimensional points, got {p.size}"
-                )
-            self._points = np.vstack([self._points, p])
+        n = len(self._ids)
+        if self._buf is None:
+            self._buf = np.empty((1, p.size))
+        elif p.size != self._buf.shape[1]:
+            raise ValueError(
+                f"dimension mismatch: dictionary holds "
+                f"{self._buf.shape[1]}-dimensional points, got {p.size}"
+            )
+        self._buf = _with_room(self._buf, n)
+        self._buf[n] = p
         new_id = self._next_id
         self._next_id += 1
         self._ids.append(new_id)
@@ -146,13 +164,16 @@ class Dictionary:
             raise IndexError(f"index {index} out of range for {n} points")
         if index < 0:
             index += n
-        self._points = np.delete(self._points, index, axis=0)
+        buf = np.empty_like(self._buf)
+        buf[:index] = self._buf[:index]
+        buf[index : n - 1] = self._buf[index + 1 : n]
+        self._buf = buf
         del self._ids[index]
 
     def copy(self) -> "Dictionary":
         d = Dictionary()
-        if self._points is not None:
-            d._points = self._points.copy()
+        if self._buf is not None:
+            d._buf = self._buf[: len(self._ids)].copy()
         d._ids = list(self._ids)
         d._next_id = self._next_id
         return d

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from .base import Step
-from .kernels import Dictionary, KernelSpec, _vector, cross_kernel, kernel_vector
+from .kernels import Dictionary, KernelSpec, _vector, _with_room, cross_kernel, kernel_vector
 
 __all__ = [
     "KlmsModel",
@@ -61,6 +61,17 @@ class KlmsModel:
         self.alpha = np.zeros(0)
 
     @property
+    def alpha(self) -> np.ndarray:
+        """The weights: a writable view of the leading entries of a buffer
+        with spare capacity, so appending a weight is amortized O(1)."""
+        return self._alpha[: self._n]
+
+    @alpha.setter
+    def alpha(self, value) -> None:
+        self._alpha = np.array(value, dtype=float)
+        self._n = len(self._alpha)
+
+    @property
     def size(self) -> int:
         return len(self.dictionary)
 
@@ -81,7 +92,9 @@ class KlmsModel:
 
     def _grow(self, x, weight: float) -> None:
         self.dictionary.append(x)
-        self.alpha = np.append(self.alpha, weight)
+        self._alpha = _with_room(self._alpha, self._n)
+        self._alpha[self._n] = weight
+        self._n += 1
 
     def _coherent(self, k: np.ndarray, mu0: float) -> bool:
         """The coherence gate: x may join when no kernel value exceeds mu0 * k(x, x)."""
@@ -89,11 +102,10 @@ class KlmsModel:
 
     def _spend(self, x, coef: float, spread: np.ndarray, new_weight: float, admit: bool) -> None:
         """Add coef * spread to the weights; an admitted x also gets coef * new_weight."""
+        self._alpha[: self._n] += coef * spread
         if admit:
-            self.alpha = np.append(self.alpha, 0.0) + coef * np.append(spread, new_weight)
-            self.dictionary.append(x)
-        else:
-            self.alpha = self.alpha + coef * spread
+            # the new weight is the sum 0.0 + coef * new_weight: a -0.0 product stores +0.0
+            self._grow(x, 0.0 + coef * new_weight)
 
 
 class Klms(KlmsModel):

@@ -10,6 +10,16 @@ state.  ``update`` returns the per-step scratch, whose ``y_hat`` and
 ``e`` are the a-priori prediction and innovation, and scalar
 ``predict`` is a one-row ``predict_batch``.
 
+The O(n^2) work of a step is four level-2 BLAS calls from SciPy, each
+on an F-ordered view of a stored C-ordered array, so none copies it:
+two ``dtrsv`` solves against L give ``l = L^-1 k`` and ``q = L^-T l``,
+``dsymv`` gives ``h = sigma q``, and on admission ``dger`` downdates
+the bordered covariance in place.  The downdate subtracts
+``gs_i * gs_j`` with ``gs = gain / sqrt(sigma_y2)``; an entry and its
+mirror take the same product and one rounding, so ``sigma`` stays
+exactly symmetric.  Apart from the new state arrays, admitting a point
+allocates nothing of size n^2; an eviction (below) still does.
+
 Admission is gated on ``gamma2 = k(x, x) - ||L^-1 k||^2``, the squared
 residual of the new input's feature after projecting onto the span of
 the dictionary.  Points that add less than ``admission_threshold`` of
@@ -27,8 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, qr_delete, solve_triangular
-from scipy.linalg.blas import dgemm, dgemv, dtrsm
+from scipy.linalg import cho_solve, qr_delete
+from scipy.linalg.blas import ddot, dgemm, dgemv, dger, dsymv, dtrsm, dtrsv
 
 from .base import NumericalError, PredictiveDistribution
 from .kernels import Dictionary, KernelSpec, _vector, cross_kernel, gram_matrix, kernel_vector
@@ -217,13 +227,21 @@ class OnlineGP:
         """All per-observation quantities, without touching state."""
         k = kernel_vector(self.spec, self.dictionary, x)
         kss = self.spec.signal_variance + self.spec.jitter
-        l = solve_triangular(self._chol, k, lower=True, check_finite=False)
-        gamma2 = kss - float(l @ l)
-        q = solve_triangular(self._chol, l, lower=True, trans="T", check_finite=False)
-        h = self._sigma @ q
-        sigma_f2 = gamma2 + float(q @ h)
+        if self.size == 0:  # the BLAS wrappers reject an empty factor
+            l = q = h = k
+            gamma2 = sigma_f2 = kss
+            y_hat = 0.0
+        else:
+            # U = L^T is the F-ordered view of the C-ordered factor, so the
+            # wrappers pass it to BLAS without a copy: l = U^-T k, q = U^-1 l.
+            U = self._chol.T
+            l = dtrsv(U, k, trans=1)
+            gamma2 = kss - ddot(l, l)
+            q = dtrsv(U, l)
+            h = dsymv(1.0, self._sigma.T, q)
+            sigma_f2 = gamma2 + ddot(q, h)
+            y_hat = ddot(q, self._mu)
         sigma_y2 = self.spec.noise_variance + sigma_f2
-        y_hat = float(q @ self._mu)
         return GpUpdateScratch(
             k_vec=k,
             k_ss=kss,
@@ -255,15 +273,23 @@ class OnlineGP:
 
         mu1 = np.append(self._mu, scr.y_hat) + (scr.e / scr.sigma_y2) * gain
 
-        # an entry and its mirror take the same float operations: sigma1 is exactly symmetric
+        # sigma1 -= gain gain^T / sigma_y2 in place: one dger on the F-ordered
+        # view of sigma1 with x = y = gs and alpha = -1.  Entry (i, j) and its
+        # mirror both become s_ij - gs_i * gs_j, the same product rounded
+        # once, so sigma1 stays exactly symmetric.  (BLAS folds alpha into one
+        # operand, so alpha = -1 / sigma_y2 could round the two apart.)
+        # dger's return value is kept: f2py silently works on a copy of an
+        # operand that is not F-contiguous.
         sigma1 = np.empty((n + 1, n + 1))
         sigma1[:n, :n] = self._sigma
         sigma1[:, n] = gain
         sigma1[n] = gain
-        sigma1 -= np.outer(gain, gain) / scr.sigma_y2
+        gs = gain / np.sqrt(scr.sigma_y2)
+        sigma1 = dger(-1.0, gs, gs, a=sigma1.T, overwrite_a=1).T
 
-        chol1 = np.zeros((n + 1, n + 1))
+        chol1 = np.empty((n + 1, n + 1))
         chol1[:n, :n] = self._chol
+        chol1[:n, n] = 0.0
         chol1[n, :n] = scr.l
         chol1[n, n] = np.sqrt(scr.gamma2)
 

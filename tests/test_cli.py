@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import okreg.cli
 from okreg import load_state_file
 from okreg.cli import main
 
@@ -38,6 +39,17 @@ def test_only_beta_takes_a_parameter(tmp_path, capsys, algs):
     code = main(["compare", "--algs", algs, "--n", "20", "--n-test", "5", "--out", str(tmp_path)])
     assert code == 2
     assert repr(algs.split(",")[-1]) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, generator", [("compare", "gen_kinematics_like"), ("reconverge", "default_switch_scenario")]
+)
+def test_every_token_is_checked_before_data_is_made(tmp_path, monkeypatch, command, generator):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data was made before every --algs token was checked")
+
+    monkeypatch.setattr(okreg.cli, generator, no_data)
+    assert main([command, "--algs", "gp,beta:1,klms:0.5", "--out", str(tmp_path)]) == 2
 
 
 def test_bad_kernel_exits_config(tmp_path, capsys):

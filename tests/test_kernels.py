@@ -251,6 +251,24 @@ def test_dictionary_copy_is_independent():
     assert c.next_id == 3
 
 
+def test_dictionary_points_are_a_read_only_view_that_later_steps_leave_alone():
+    d = Dictionary([[0.0], [1.0]])
+    before = d.points
+    with pytest.raises(ValueError):
+        before[0, 0] = 5.0
+    for i in range(2, 40):
+        d.append([float(i)])
+    d.drop(0)
+    np.testing.assert_array_equal(before.ravel(), [0.0, 1.0])
+    np.testing.assert_array_equal(d.points.ravel(), np.arange(1.0, 40.0))
+    while len(d):
+        d.drop(-1)
+    emptied = d.copy()
+    assert emptied.points.shape == (0, 1)
+    emptied.append([7.0])
+    np.testing.assert_array_equal(emptied.points, [[7.0]])
+
+
 def test_dictionary_restore_round_trip():
     d = Dictionary([[0.0], [1.0], [2.0]])
     d.drop(1)

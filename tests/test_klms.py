@@ -51,6 +51,15 @@ def test_predict_batch_matches_pointwise():
         assert preds[i] == pytest.approx(model.predict(x), abs=1e-14)
 
 
+@pytest.mark.parametrize("make", [lambda: Knlms(SPEC), lambda: BetaKlms(SPEC, 1.0)], ids=["knlms", "beta"])
+def test_a_negative_zero_step_stores_a_positive_zero_weight(make):
+    # an admitted weight is the sum 0.0 + coef * new_weight, and 0.0 + (-0.0) is +0.0
+    model = make()
+    model.update([0.0], -0.0)
+    assert model.alpha.tolist() == [0.0]
+    assert not np.signbit(model.alpha[0])
+
+
 # -- Klms ------------------------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 import okreg.online_gp
 from okreg import (
@@ -281,6 +282,62 @@ def test_budget_updates_never_rebuild_or_refactor(monkeypatch):
     assert gp.dictionary.ids[0] > 150  # evictions happened
     K = gram_matrix(gp.spec, gp.dictionary)
     np.testing.assert_allclose(gp.chol @ gp.chol.T, K, rtol=0, atol=1e-12)
+
+
+# -- the BLAS step ----------------------------------------------------------------
+
+
+def _grown(n, budget=None):
+    """A model that has admitted n points of the evicting stream, and the next point."""
+    X, y = _evicting_stream(2 * n + 1)
+    gp = OnlineGP(KernelSpec(lengthscale=0.5, noise_variance=0.1), budget=budget)
+    i = 0
+    while gp.size < n:
+        gp.update(X[i], y[i])
+        i += 1
+    return gp, X[i], y[i]
+
+
+@pytest.mark.parametrize("n", [0, 1, 50, 400])
+def test_compute_scratch_matches_a_solve_triangular_reference(n):
+    gp, x, y = _grown(n)
+    scr = gp.compute_scratch(x, y)
+    l = solve_triangular(gp.chol, scr.k_vec, lower=True)
+    q = solve_triangular(gp.chol, l, lower=True, trans="T")
+    expected = {
+        "l": l,
+        "q": q,
+        "h": gp.sigma @ q,
+        "gamma2": scr.k_ss - float(l @ l),
+        "y_hat": float(q @ gp.mu),
+    }
+    for name, want in expected.items():
+        np.testing.assert_allclose(getattr(scr, name), want, rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("budget", [None, 20], ids=["no-budget", "budget-20"])
+def test_admitted_update_downdates_sigma_by_the_gain(budget):
+    # the reference is the bordered block minus outer(gain, gain) / sigma_y2;
+    # a downdate written to a discarded copy of sigma would miss it by that outer product
+    X, y = _evicting_stream(80)
+    gp = OnlineGP(KernelSpec(lengthscale=0.5, noise_variance=0.1), budget=budget)
+    admitted = 0
+    for xi, yi in zip(X, y):
+        n, sigma = gp.size, gp.sigma
+        scr = gp.update(xi, yi)
+        if scr.gamma2 <= gp.admission_threshold:
+            continue
+        gain = np.append(scr.h, scr.sigma_f2)
+        want = np.empty((n + 1, n + 1))
+        want[:n, :n] = sigma
+        want[:, n] = gain
+        want[n] = gain
+        want -= np.outer(gain, gain) / scr.sigma_y2
+        if gp.size == n:  # the oldest center was evicted
+            want = want[1:, 1:]
+        np.testing.assert_allclose(gp.sigma, want, rtol=0, atol=1e-14)
+        admitted += 1
+    assert admitted >= 70
 
 
 # -- ill-conditioned streams ---------------------------------------------------

@@ -122,13 +122,13 @@ next_id=3
 -0.5
 0.25
 [mu]
-0.9102247184857977
--0.4097341294725939
+0.910224718485798
+-0.4097341294725937
 0.220977019904662
 [sigma]
-0.04692427728084247,0.0025319358556276017,-0.000588293714955699
-0.0025319358556276017,0.04652410905282548,0.0009736487886217449
--0.000588293714955699,0.0009736487886217449,0.048495876417998796
+0.046924277280842204,0.0025319358556275917,-0.0005882937149556954
+0.0025319358556275917,0.04652410905282554,0.0009736487886217479
+-0.0005882937149556954,0.0009736487886217479,0.04849587641799885
 [chol]
 1.4142135624438057,0.0,0.0
 1.0957856005062003,0.8940100211537151,0.0
@@ -152,11 +152,11 @@ next_id=3
 -0.5
 0.25
 [mu]
--0.4097341294725939
+-0.4097341294725937
 0.220977019904662
 [sigma]
-0.04652410905282548,0.0009736487886217449
-0.0009736487886217449,0.048495876417998796
+0.04652410905282554,0.0009736487886217479
+0.0009736487886217479,0.04849587641799885
 [chol]
 1.4142135624438057,0.0
 0.5097501511369411,1.3191492651007564
