@@ -11,8 +11,13 @@ Exit codes: 0 success, 1 verification failure, 2 usage or config error,
 3 I/O error, 4 numerical error.
 
 Every flag can also come from a ``--config`` file of ``key=value``
-lines (keys are the flag names without the leading dashes); explicit
-flags override the file.
+lines (keys are the flag names without the leading dashes, with ``_``
+or ``-``); explicit flags override the file.  A key the subcommand has
+no flag for is a config error naming the file and line, and every value
+passes through its flag's type.
+
+``compare``, ``reconverge`` and ``uncertainty`` check every flag, then
+create ``--out``, before any data is read or any model runs.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -53,15 +59,27 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 
-_BOOL_FLAGS = {"--dump-state", "--header", "--standardize"}
+
+# -- config files ---------------------------------------------------------
+
+# keys of a parsed namespace that are not flags a config file may set
+_NOT_FLAGS = {"command", "func", "config"}
 
 
-# -- config-file merging ------------------------------------------------
+def _config_flags(args) -> list[str]:
+    """The ``--config`` file of a first parse as flags of its subcommand.
 
-
-def _config_flags(path: str) -> list[str]:
+    A key names a flag of ``args``' subcommand, spelled with ``_`` or
+    ``-``; a flag whose parsed value is a bool is a switch and takes
+    1/true/yes/on or 0/false/no/off.  Any other key is a ConfigError
+    naming the file and line.
+    """
+    path = args.config
+    if not path:
+        raise ConfigError("--config needs a path")
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
+    known = vars(args)
     flags: list[str] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -70,48 +88,18 @@ def _config_flags(path: str) -> list[str]:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            flag = "--" + key.strip().replace("_", "-")
-            value = value.strip()
-            if flag in _BOOL_FLAGS:
-                if value.lower() in ("1", "true", "yes", "on"):
-                    flags.append(flag)
-                elif value.lower() in ("0", "false", "no", "off"):
-                    pass
-                else:
-                    raise ConfigError(
-                        f"{path}:{lineno}: boolean flag {flag} got {value!r}"
-                    )
-            else:
+            key, value = (part.strip() for part in line.split("=", 1))
+            dest = key.replace("-", "_")
+            if dest not in known or dest in _NOT_FLAGS:
+                raise ConfigError(f"{path}:{lineno}: {key!r} is not a config key of {args.command}")
+            flag = "--" + dest.replace("_", "-")
+            if not isinstance(known[dest], bool):
                 flags.extend([flag, value])
+            elif value.lower() in ("1", "true", "yes", "on"):
+                flags.append(flag)
+            elif value.lower() not in ("0", "false", "no", "off"):
+                raise ConfigError(f"{path}:{lineno}: boolean flag {flag} got {value!r}")
     return flags
-
-
-def _merge_config(argv: list[str]) -> list[str]:
-    """Expand --config FILE into flags placed before the explicit ones."""
-    if not argv:
-        return argv
-    cmd, rest = argv[0], argv[1:]
-    path = None
-    cleaned: list[str] = []
-    i = 0
-    while i < len(rest):
-        a = rest[i]
-        if a == "--config":
-            if i + 1 >= len(rest):
-                raise ConfigError("--config needs a path")
-            path = rest[i + 1]
-            i += 2
-            continue
-        if a.startswith("--config="):
-            path = a.split("=", 1)[1]
-            i += 1
-            continue
-        cleaned.append(a)
-        i += 1
-    if path is None:
-        return argv
-    return [cmd] + _config_flags(path) + cleaned
 
 
 # -- model construction ---------------------------------------------------
@@ -195,10 +183,6 @@ def _model_factories(algs: str, spec: KernelSpec, args) -> dict:
     return {tok: (lambda tok=tok: _build_model(tok, spec, args)) for tok in tokens}
 
 
-def _state_path(out: Path, token: str) -> Path:
-    return out / f"state_{token.replace(':', '-')}.txt"
-
-
 # -- data sourcing --------------------------------------------------------
 
 
@@ -211,30 +195,46 @@ def _load_csv_checked(args, d: int) -> RegressionSet:
     return data
 
 
-def _compare_data(args, seed: int):
+def _compare_data(args, data: RegressionSet | None, seed: int):
+    """One seed's (train, test) pair: a shuffle of the --csv rows, or generated."""
     n = args.n
     n_test = args.n_test if args.n_test is not None else n
-    if args.csv is not None:
-        if args.dim is None:
-            raise ConfigError("--csv requires --dim")
-        data = _load_csv_checked(args, args.dim)
-        if len(data) < n + n_test:
-            raise ConfigError(
-                f"csv has {len(data)} usable rows, need {n + n_test}"
-            )
-        perm = np.random.default_rng([seed, 3]).permutation(len(data))
-        train = RegressionSet(
-            data.inputs[perm[:n]], data.targets[perm[:n]], name=data.name, seed=seed
-        )
-        test = RegressionSet(
-            data.inputs[perm[n : n + n_test]],
-            data.targets[perm[n : n + n_test]],
-            name=data.name,
-            seed=seed,
-        )
-        return train, test
-    d = args.dim if args.dim is not None else 4
-    return gen_kinematics_like(seed, n, n_test, d=d)
+    if data is None:
+        return gen_kinematics_like(seed, n, n_test, d=args.dim if args.dim is not None else 4)
+    if len(data) < n + n_test:
+        raise ConfigError(f"csv has {len(data)} usable rows, need {n + n_test}")
+    perm = np.random.default_rng([seed, 3]).permutation(len(data))
+    train = RegressionSet(
+        data.inputs[perm[:n]], data.targets[perm[:n]], name=data.name, seed=seed
+    )
+    test = RegressionSet(
+        data.inputs[perm[n : n + n_test]],
+        data.targets[perm[n : n + n_test]],
+        name=data.name,
+        seed=seed,
+    )
+    return train, test
+
+
+# -- outputs ----------------------------------------------------------------
+
+
+def _make_out(args) -> None:
+    """Create --out once every flag is checked, before any data or model."""
+    Path(args.out).mkdir(parents=True, exist_ok=True)
+
+
+def _write_results(args, filename: str, write, models: dict) -> int:
+    """Write a subcommand's CSV through ``write(path)``, then with
+    --dump-state one ``state_<token>.txt`` snapshot per model."""
+    out = Path(args.out)
+    csv_path = out / filename
+    write(csv_path)
+    if args.dump_state:
+        for token, model in models.items():
+            save_state(model, out / f"state_{token.replace(':', '-')}.txt")
+    print(f"wrote {csv_path}")
+    return EXIT_OK
 
 
 # -- subcommands ------------------------------------------------------------
@@ -245,40 +245,27 @@ def cmd_compare(args) -> int:
     factories = _model_factories(args.algs, spec, args)
     if args.seeds < 1:
         raise ConfigError("--seeds must be >= 1")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    linear: dict[str, np.ndarray] = {}
-    steps: dict[str, np.ndarray] = {}
+    if args.csv is not None and args.dim is None:
+        raise ConfigError("--csv requires --dim")
+    _make_out(args)
+    data = _load_csv_checked(args, args.dim) if args.csv is not None else None
+    linear = dict.fromkeys(factories, 0.0)
     final_models: dict = {}
     for seed in range(args.seeds):
-        train, test = _compare_data(args, seed)
+        train, test = _compare_data(args, data, seed)
         for tok, make in factories.items():
             model = make()
-            curve = run_online_experiment(
-                model, train, test, args.eval_every, label=tok
-            )
-            lin = 10.0 ** (curve.values / 10.0)
-            if tok not in linear:
-                linear[tok] = lin
-                steps[tok] = curve.steps
-            else:
-                linear[tok] += lin
-            if seed == args.seeds - 1:
-                final_models[tok] = model
-    curves = []
+            curve = run_online_experiment(model, train, test, args.eval_every, label=tok)
+            linear[tok] += 10.0 ** (curve.values / 10.0)
+            final_models[tok] = model
+    steps = curve.steps.tolist()  # the same for every seed and token
     with np.errstate(divide="ignore"):
-        for tok in factories:
-            db = 10.0 * np.log10(linear[tok] / args.seeds)
-            curves.append(
-                LearningCurve(tok, list(zip(steps[tok].tolist(), db.tolist())))
-            )
-    csv_path = out / "learning_curve.csv"
-    write_learning_curves(curves, csv_path)
-    if args.dump_state:
-        for tok, model in final_models.items():
-            save_state(model, _state_path(out, tok))
-    print(f"wrote {csv_path}")
-    return EXIT_OK
+        curves = [
+            LearningCurve(tok, list(zip(steps, (10.0 * np.log10(lin / args.seeds)).tolist())))
+            for tok, lin in linear.items()
+        ]
+    write = partial(write_learning_curves, curves)
+    return _write_results(args, "learning_curve.csv", write, final_models)
 
 
 def cmd_reconverge(args) -> int:
@@ -295,38 +282,25 @@ def cmd_reconverge(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    _make_out(args)
     curves, last_models = run_reconvergence(
         scenario, factories, n_seeds=args.seeds, smooth_window=args.smooth_window
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "reconvergence.csv"
-    write_reconvergence_curves(
-        curves,
-        csv_path,
-        metadata={
-            "switch_at": scenario.switch_at,
-            "n_total": scenario.n_total,
-            "seeds": args.seeds,
-            "smooth_window": args.smooth_window,
-            "noise_std": scenario.noise_std,
-            "embedding_dim": scenario.embedding_dim,
-            "channel_len": args.channel_len,
-        },
-    )
-    if args.dump_state:
-        for tok, model in last_models.items():
-            save_state(model, _state_path(out, tok))
-    print(f"wrote {csv_path}")
-    return EXIT_OK
+    metadata = {
+        "switch_at": scenario.switch_at,
+        "n_total": scenario.n_total,
+        "seeds": args.seeds,
+        "smooth_window": args.smooth_window,
+        "noise_std": scenario.noise_std,
+        "embedding_dim": scenario.embedding_dim,
+        "channel_len": args.channel_len,
+    }
+    write = partial(write_reconvergence_curves, curves, metadata=metadata)
+    return _write_results(args, "reconvergence.csv", write, last_models)
 
 
 def cmd_uncertainty(args) -> int:
     spec = _build_spec(args)
-    if args.csv is not None:
-        data = _load_csv_checked(args, 1)
-    else:
-        data, _ = gen_kinematics_like(0, args.n, 1, d=1)
     try:
         prefixes = tuple(int(p) for p in args.prefixes.split(",") if p.strip())
     except ValueError:
@@ -335,17 +309,15 @@ def cmd_uncertainty(args) -> int:
         raise ConfigError("--prefixes must name at least one prefix size")
     if args.grid_size < 2 or args.grid_max <= args.grid_min:
         raise ConfigError("grid must span a positive range with >= 2 points")
+    _make_out(args)
+    if args.csv is not None:
+        data = _load_csv_checked(args, 1)
+    else:
+        data, _ = gen_kinematics_like(0, args.n, 1, d=1)
     grid = np.linspace(args.grid_min, args.grid_max, args.grid_size)
     traces, models = run_uncertainty_trace(data, spec, grid, prefixes)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "uncertainty.csv"
-    write_uncertainty_traces(traces, csv_path)
-    if args.dump_state:
-        for label, model in models.items():
-            save_state(model, _state_path(out, label))
-    print(f"wrote {csv_path}")
-    return EXIT_OK
+    write = partial(write_uncertainty_traces, traces)
+    return _write_results(args, "uncertainty.csv", write, models)
 
 
 def cmd_verify(args) -> int:
@@ -381,7 +353,8 @@ def _common_parent(outputs: bool = True) -> argparse.ArgumentParser:
         p.add_argument("--out", default="okreg-out", help="output directory")
         p.add_argument("--dump-state", action="store_true",
                        help="also write model state snapshots into --out")
-    p.add_argument("--config", default=None,
+    # nargs="?" so that a bare --config reaches main as "" and is a config error
+    p.add_argument("--config", nargs="?", const="", default=None,
                    help="key=value file of flag defaults; explicit flags override")
     return p
 
@@ -497,13 +470,11 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     try:
-        argv = _merge_config(argv)
         args = parser.parse_args(argv)
+        if args.config is not None:
+            args = parser.parse_args(argv[:1] + _config_flags(args) + argv[1:])
         return args.func(args)
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except np.linalg.LinAlgError as exc:  # a ValueError subclass: keep it before ValueError
+    except (NumericalError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

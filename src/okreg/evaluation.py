@@ -180,6 +180,8 @@ def run_reconvergence(
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
+    if smooth_window < 1:
+        raise ValueError("smooth_window must be >= 1")
     if not model_factories:
         raise ValueError("need at least one model factory")
     names = list(model_factories)
@@ -271,14 +273,18 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
+def _write_lines(lines, path) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def write_learning_curves(curves, path) -> None:
     """Schema: algorithm,step,nmse_db; rows sorted by algorithm then step."""
     lines = ["algorithm,step,nmse_db"]
     for curve in sorted(curves, key=lambda c: c.algorithm):
         for step, value in curve.points:
             lines.append(f"{curve.algorithm},{_fmt(step)},{_fmt(value)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(lines, path)
 
 
 def write_reconvergence_curves(curves, path, metadata: dict | None = None) -> None:
@@ -291,8 +297,7 @@ def write_reconvergence_curves(curves, path, metadata: dict | None = None) -> No
     for curve in sorted(curves, key=lambda c: c.algorithm):
         for step, value in zip(curve.steps, curve.mse_db):
             lines.append(f"{curve.algorithm},{_fmt(step)},{_fmt(value)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(lines, path)
 
 
 def write_uncertainty_traces(traces, path) -> None:
@@ -301,5 +306,4 @@ def write_uncertainty_traces(traces, path) -> None:
     for tr in sorted(traces, key=lambda t: (t.algorithm, t.prefix)):
         for x, m, s in zip(tr.grid, tr.mean, tr.std):
             lines.append(f"{tr.algorithm},{_fmt(tr.prefix)},{_fmt(x)},{_fmt(m)},{_fmt(s)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(lines, path)

@@ -18,7 +18,9 @@ A GP snapshot stores the lower Cholesky factor of its Gram matrix as the
 instead; such snapshots still load, with the factor recomputed from the
 dictionary (``[q_inv]`` is checked for its shape and otherwise ignored).
 The loader raises ValueError, and only ValueError, for any malformed
-text: a missing banner, a missing or repeated key or block, an
+text: a missing banner, a missing or repeated key or block, a line
+before ``[dict]`` that is not ``key=value``, a key or block the model
+kind does not write (``[q_inv]`` only under the v1 banner), an
 unparsable number, a block whose shape does not match the dictionary, a
 ``[sigma]`` that is not exactly symmetric, or a ``[chol]`` that is not
 lower-triangular with a positive diagonal.  It does not check the factor
@@ -40,6 +42,10 @@ from .online_gp import OnlineGP
 __all__ = ["dump_state", "load_state", "save_state", "load_state_file", "fingerprint"]
 
 _BANNER = "# okreg-state v2"
+# the lines every model kind may write besides its own parameters
+_SHARED_KEYS = (
+    "model", "family", "lengthscale", "signal_variance", "noise_variance", "jitter", "next_id"
+)
 _READABLE_BANNERS = {"# okreg-state v1": 1, _BANNER: 2}
 
 
@@ -145,7 +151,9 @@ def _parse(text: str):
             blocks[name] = current
             continue
         if current is None:
-            key, _, value = line.partition("=")
+            key, eq, value = line.partition("=")
+            if not eq:
+                raise ValueError(f"snapshot line {line!r} is not key=value")
             key = key.strip()
             if key in scalars:
                 raise ValueError(f"snapshot repeats the {key}= line")
@@ -221,6 +229,14 @@ def load_state(text: str):
     if cls is None:
         raise ValueError(f"unknown {model_line} variant: {variant}")
     kind = _KINDS[cls]
+    keys = {*_SHARED_KEYS, *(name for name, _ in kind.params)}
+    if variant is not None:
+        keys.add("variant")
+    names = {"dict", *("q_inv" if version == 1 and name == "chol" else name for name, _ in kind.blocks)}
+    unknown = [f"{k}=" for k in sorted(scalars.keys() - keys)]
+    unknown += [f"[{b}]" for b in sorted(blocks.keys() - names)]
+    if unknown:
+        raise ValueError(f"unknown in a {cls.__name__} snapshot: {', '.join(unknown)}")
     params = {name: parse(scalar(name)) for name, parse in kind.params}
     arrays = {}
     for name, ndim in kind.blocks:

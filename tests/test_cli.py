@@ -168,6 +168,41 @@ def test_blocked_output_directory_exits_io(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "command, runner, flags",
+    [
+        ("reconverge", "run_reconvergence", ["--algs", "gp,klms", "--budget", "300"]),
+        ("uncertainty", "run_uncertainty_trace", []),
+    ],
+)
+def test_blocked_output_directory_exits_io_before_any_model_runs(tmp_path, monkeypatch, command, runner, flags):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a model ran before --out was created")
+
+    monkeypatch.setattr(okreg.cli, runner, no_run)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main([command, *flags, "--out", str(blocker / "sub")]) == 3
+
+
+@pytest.mark.parametrize(
+    "module, reader, argv",
+    [
+        ("okreg.evaluation", "gen_switch_series", ["reconverge", "--algs", "klms", "--smooth-window", "0"]),
+        ("okreg.cli", "load_csv", ["uncertainty", "--csv", "d.csv", "--prefixes", "a,b"]),
+        ("okreg.cli", "load_csv", ["uncertainty", "--csv", "d.csv", "--grid-size", "1"]),
+    ],
+)
+def test_bad_flags_exit_config_before_data_is_read(tmp_path, monkeypatch, module, reader, argv):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data was read before every flag was checked")
+
+    monkeypatch.setattr(f"{module}.{reader}", no_data)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d.csv").write_text("0.0,1.0\n")
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+
+
 # -- config files -----------------------------------------------------------------
 
 
@@ -215,6 +250,47 @@ def test_bad_boolean_in_config_exits_config(tmp_path):
 
 def test_config_without_path_exits_config():
     assert main(["compare", "--config"]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, text, lineno, key",
+    [
+        ("compare", "n=12\nbogus=1\n", 2, "bogus"),
+        ("uncertainty", "# another subcommand's flag\nbudget=5\n", 2, "budget"),
+        ("verify", "dump-state=on\n", 1, "dump-state"),
+    ],
+    ids=["unknown-key", "other-subcommand", "verify-output-switch"],
+)
+def test_config_key_without_a_flag_names_the_line(tmp_path, capsys, command, text, lineno, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:{lineno}:" in err and repr(key) in err
+
+
+def test_config_value_passes_its_flag_type_under_an_explicit_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n=abc\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--config", str(cfg), "--n", "8", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
+
+
+def test_config_switch_off_writes_no_snapshot(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n=12\nn-test=6\ndim=2\nalgs=klms\neval_every=12\ndump_state=off\n")
+    out = tmp_path / "run"
+    assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["learning_curve.csv"]
+
+
+def test_config_drives_verify(tmp_path, capsys):
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("tol=1e-16\n")
+    assert main(["verify", "--config", str(cfg)]) == 1
+    assert "FAIL" in capsys.readouterr().out
 
 
 # -- reconverge --------------------------------------------------------------------

@@ -491,6 +491,26 @@ def test_load_rejects_a_repeated_line_or_block(line, repeated, named):
         load_state(text.replace(line, repeated))
 
 
+@pytest.mark.parametrize(
+    "kind, line, edited, named",
+    [
+        ("klms", "[dict]\n", "eta 9.0\n[dict]\n", "'eta 9.0'"),
+        ("klms", "[dict]\n", "etta=9.0\n[dict]\n", "etta="),
+        ("klms", "[alpha]\n", "[foo]\n1.0\n[alpha]\n", "[foo]"),
+        ("gp", "budget=", "eta=0.25\nbudget=", "eta="),
+        ("gp", "family=", "variant=klms\nfamily=", "variant="),
+        ("gp", "[chol]\n", "[q_inv]\n[chol]\n", "[q_inv]"),
+        ("gp-v1", "[q_inv]\n", "[chol]\n[q_inv]\n", "[chol]"),
+    ],
+    ids=["not-key-value", "unknown-key", "unknown-block", "other-kinds-key", "gp-variant", "v2-q-inv", "v1-chol"],
+)
+def test_load_rejects_a_line_or_block_the_kind_does_not_write(kind, line, edited, named):
+    text = _TEXTS[kind]
+    assert text.count(line) == 1
+    with pytest.raises(ValueError, match=re.escape(named)):
+        load_state(text.replace(line, edited))
+
+
 def _sigma_bumped(text, i, j):
     """The GP snapshot with sigma[i, j] moved up by one ulp."""
     lines = text.splitlines()
