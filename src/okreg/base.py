@@ -1,7 +1,8 @@
-"""Result types and exceptions shared across the package."""
+"""Result types, exceptions and checks shared across the package."""
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 
@@ -32,9 +33,22 @@ class NumericalError(RuntimeError):
     """A factorization failed or a variance went negative beyond tolerance."""
 
 
+# Latent variances this far below zero are treated as breakdown rather
+# than rounding noise, by the online and the batch GP alike.
+VARIANCE_FLOOR = -1e-10
+
+
 class CsvFormatError(ValueError):
     """An input CSV row could not be parsed."""
 
 
 class ConfigError(ValueError):
     """A command-line flag or config-file entry is invalid."""
+
+
+def finite_target(y) -> float:
+    """An observed target as a float; ValueError when it is NaN or infinite."""
+    y = float(y)
+    if not math.isfinite(y):
+        raise ValueError(f"observation y must be finite, got {y!r}")
+    return y

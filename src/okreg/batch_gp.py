@@ -13,14 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .base import NumericalError, PredictiveDistribution
+from .base import VARIANCE_FLOOR, NumericalError, PredictiveDistribution
 from .kernels import Dictionary, KernelSpec, _vector, cross_kernel, gram_matrix
 
 __all__ = ["BatchFit", "batch_fit", "batch_predict", "batch_predict_grid"]
-
-# Latent variances this far below zero are treated as breakdown rather
-# than rounding noise.
-VARIANCE_FLOOR = -1e-10
 
 _MAX_JITTER_ESCALATIONS = 4
 

@@ -106,15 +106,12 @@ def _config_flags(args) -> list[str]:
 
 
 def _build_spec(args) -> KernelSpec:
-    try:
-        return KernelSpec(
-            lengthscale=args.kernel_lengthscale,
-            signal_variance=args.kernel_variance,
-            noise_variance=args.noise_var,
-            jitter=args.jitter,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return KernelSpec(
+        lengthscale=args.kernel_lengthscale,
+        signal_variance=args.kernel_variance,
+        noise_variance=args.noise_var,
+        jitter=args.jitter,
+    )
 
 
 def _resolve_eta(value, spec: KernelSpec, default):
@@ -271,17 +268,14 @@ def cmd_compare(args) -> int:
 def cmd_reconverge(args) -> int:
     spec = _build_spec(args)
     factories = _model_factories(args.algs, spec, args)
-    try:
-        scenario = default_switch_scenario(
-            seed=0,
-            n_total=args.n,
-            switch_at=args.switch_at,
-            channel_len=args.channel_len,
-            noise_std=args.noise_std,
-            embedding_dim=args.embedding_dim,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    scenario = default_switch_scenario(
+        seed=0,
+        n_total=args.n,
+        switch_at=args.switch_at,
+        channel_len=args.channel_len,
+        noise_std=args.noise_std,
+        embedding_dim=args.embedding_dim,
+    )
     _make_out(args)
     curves, last_models = run_reconvergence(
         scenario, factories, n_seeds=args.seeds, smooth_window=args.smooth_window

@@ -8,6 +8,7 @@ Both are deterministic functions of their seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,6 +139,12 @@ def random_channel(rng: np.random.Generator, length: int) -> np.ndarray:
     return c / np.linalg.norm(c)
 
 
+def _switch_channels(seed: int, len_a: int, len_b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Channels a and b of the replicate with this seed, drawn in that order."""
+    rng = np.random.default_rng([seed, 1])
+    return random_channel(rng, len_a), random_channel(rng, len_b)
+
+
 def default_switch_scenario(
     seed: int,
     n_total: int = 1000,
@@ -147,10 +154,10 @@ def default_switch_scenario(
     embedding_dim: int = 4,
 ) -> SwitchScenario:
     """Scenario with two independent random unit-energy channels."""
-    rng = np.random.default_rng([seed, 1])
+    channel_a, channel_b = _switch_channels(seed, channel_len, channel_len)
     return SwitchScenario(
-        channel_a=random_channel(rng, channel_len),
-        channel_b=random_channel(rng, channel_len),
+        channel_a=channel_a,
+        channel_b=channel_b,
         n_total=n_total,
         switch_at=switch_at,
         noise_std=noise_std,
@@ -186,9 +193,9 @@ def gen_switch_series(scenario: SwitchScenario) -> SwitchStream:
 def load_csv(path, d: int, header: bool = False) -> RegressionSet:
     """Read rows of d input fields plus one target field.
 
-    Blank lines are skipped; any other malformed row raises
-    CsvFormatError naming the 1-based row number.  An empty file yields
-    an empty set.
+    Blank lines are skipped; any other malformed row, including one with
+    a non-finite field such as ``nan`` or ``inf``, raises CsvFormatError
+    naming the 1-based row number.  An empty file yields an empty set.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -211,6 +218,8 @@ def load_csv(path, d: int, header: bool = False) -> RegressionSet:
                 values = [float(p) for p in parts]
             except ValueError as exc:
                 raise CsvFormatError(f"row {lineno}: non-numeric field") from exc
+            if not all(map(math.isfinite, values)):
+                raise CsvFormatError(f"row {lineno}: non-finite field")
             inputs.append(values[:d])
             targets.append(values[d])
     if not inputs:

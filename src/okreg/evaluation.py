@@ -19,8 +19,8 @@ import numpy as np
 from .datasets import (
     RegressionSet,
     SwitchScenario,
+    _switch_channels,
     gen_switch_series,
-    random_channel,
 )
 from .klms import BetaKlms
 from .online_gp import OnlineGP
@@ -189,14 +189,8 @@ def run_reconvergence(
     last_models: dict = {}
     for i in range(n_seeds):
         seed_i = scenario.seed + i
-        rng = np.random.default_rng([seed_i, 1])
-        sc = replace(
-            scenario,
-            seed=seed_i,
-            channel_a=random_channel(rng, scenario.channel_a.size),
-            channel_b=random_channel(rng, scenario.channel_b.size),
-        )
-        stream = gen_switch_series(sc)
+        a, b = _switch_channels(seed_i, scenario.channel_a.size, scenario.channel_b.size)
+        stream = gen_switch_series(replace(scenario, seed=seed_i, channel_a=a, channel_b=b))
         for name in names:
             model = model_factories[name]()
             e2 = np.empty(len(stream))

@@ -13,6 +13,7 @@ there) so that inverses stay computable when inputs nearly repeat.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,7 @@ class KernelSpec:
 
     ``jitter=None`` selects the default ``1e-10 * signal_variance``.
     Pass an explicit 0.0 to disable diagonal regularization entirely.
+    Every field must be finite; ``gram_diagonal`` is k(x, x) + jitter.
     """
 
     lengthscale: float
@@ -44,18 +46,23 @@ class KernelSpec:
     jitter: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.lengthscale > 0:
+        if not 0 < self.lengthscale < math.inf:
             raise ValueError("lengthscale must be positive")
-        if not self.signal_variance > 0:
+        if not 0 < self.signal_variance < math.inf:
             raise ValueError("signal_variance must be positive")
-        if not self.noise_variance >= 0:
+        if not 0 <= self.noise_variance < math.inf:
             raise ValueError("noise_variance must be non-negative")
         if self.jitter is None:
             object.__setattr__(
                 self, "jitter", _DEFAULT_JITTER_FACTOR * self.signal_variance
             )
-        elif not self.jitter >= 0:
+        elif not 0 <= self.jitter < math.inf:
             raise ValueError("jitter must be non-negative")
+
+    @property
+    def gram_diagonal(self) -> float:
+        """k(x, x) plus the jitter: the diagonal of every Gram matrix and factor."""
+        return self.signal_variance + self.jitter
 
 
 def _with_room(buf: np.ndarray, n: int) -> np.ndarray:
@@ -138,9 +145,7 @@ class Dictionary:
         return self.points[index]
 
     def append(self, x) -> int:
-        p = np.atleast_1d(np.asarray(x, dtype=float))
-        if p.ndim != 1:
-            raise ValueError("a dictionary point must be a 1-D vector")
+        p = _vector(x)
         if p.size == 0:
             raise ValueError("a dictionary point needs dimension >= 1")
         n = len(self._ids)
@@ -209,8 +214,15 @@ def eval_kernel(spec: KernelSpec, x, x2) -> float:
 
 
 def kernel_vector(spec: KernelSpec, dictionary: Dictionary, x) -> np.ndarray:
-    """k(c_i, x) for every dictionary center c_i, in insertion order."""
-    return _kernel_matrix(spec, dictionary.points, _vector(x)[np.newaxis])[:, 0]
+    """k(c_i, x) for every dictionary center c_i, in insertion order.
+
+    Every model's update calls this first, so a non-finite x is refused
+    here with ValueError before any state changes.
+    """
+    v = _vector(x)
+    if not all(map(math.isfinite, v.tolist())):  # for the CLI's small d, faster than np.isfinite
+        raise ValueError("input point has a non-finite entry")
+    return _kernel_matrix(spec, dictionary.points, v[np.newaxis])[:, 0]
 
 
 def gram_matrix(spec: KernelSpec, dictionary: Dictionary) -> np.ndarray:
@@ -218,8 +230,7 @@ def gram_matrix(spec: KernelSpec, dictionary: Dictionary) -> np.ndarray:
     if len(dictionary) == 0:
         raise ValueError("gram matrix of an empty dictionary is undefined")
     K = _kernel_matrix(spec, dictionary.points, dictionary.points)
-    if spec.jitter:
-        K[np.diag_indices_from(K)] += spec.jitter
+    np.fill_diagonal(K, spec.gram_diagonal)  # _kernel_matrix puts signal_variance there
     return K
 
 

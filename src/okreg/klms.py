@@ -27,10 +27,12 @@ reference the closed-form BetaKlms rule is checked against.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .base import Step
+from .base import Step, finite_target
 from .kernels import Dictionary, KernelSpec, _vector, _with_room, cross_kernel, kernel_vector
 
 __all__ = [
@@ -53,8 +55,6 @@ def matched_eta(spec: KernelSpec) -> float:
 class KlmsModel:
     """Common state and the shared prediction rule."""
 
-    variant: str = "base"
-
     def __init__(self, spec: KernelSpec):
         self.spec = spec
         self.dictionary = Dictionary()
@@ -64,12 +64,11 @@ class KlmsModel:
     def alpha(self) -> np.ndarray:
         """The weights: a writable view of the leading entries of a buffer
         with spare capacity, so appending a weight is amortized O(1)."""
-        return self._alpha[: self._n]
+        return self._alpha[: self.size]
 
     @alpha.setter
     def alpha(self, value) -> None:
         self._alpha = np.array(value, dtype=float)
-        self._n = len(self._alpha)
 
     @property
     def size(self) -> int:
@@ -81,20 +80,19 @@ class KlmsModel:
     def predict_batch(self, X) -> np.ndarray:
         return cross_kernel(self.spec, self.dictionary, X).T @ self.alpha
 
-    def update(self, x, y) -> Step:
-        raise NotImplementedError
-
     def _a_priori(self, x, y) -> tuple[np.ndarray, Step]:
-        """Kernel vector at x, and the prediction and error before the step."""
+        """Kernel vector at x, and the prediction and error before the step;
+        ValueError for a non-finite x or y."""
         k = kernel_vector(self.spec, self.dictionary, x)
+        y = finite_target(y)
         y_hat = float(k @ self.alpha)
-        return k, Step(y_hat, float(y) - y_hat)
+        return k, Step(y_hat, y - y_hat)
 
     def _grow(self, x, weight: float) -> None:
+        n = self.size
         self.dictionary.append(x)
-        self._alpha = _with_room(self._alpha, self._n)
-        self._alpha[self._n] = weight
-        self._n += 1
+        self._alpha = _with_room(self._alpha, n)
+        self._alpha[n] = weight
 
     def _coherent(self, k: np.ndarray, mu0: float) -> bool:
         """The coherence gate: x may join when no kernel value exceeds mu0 * k(x, x)."""
@@ -102,7 +100,7 @@ class KlmsModel:
 
     def _spend(self, x, coef: float, spread: np.ndarray, new_weight: float, admit: bool) -> None:
         """Add coef * spread to the weights; an admitted x also gets coef * new_weight."""
-        self._alpha[: self._n] += coef * spread
+        self._alpha[: self.size] += coef * spread
         if admit:
             # the new weight is the sum 0.0 + coef * new_weight: a -0.0 product stores +0.0
             self._grow(x, 0.0 + coef * new_weight)
@@ -115,7 +113,7 @@ class Klms(KlmsModel):
 
     def __init__(self, spec: KernelSpec, eta: float):
         super().__init__(spec)
-        if not eta > 0:
+        if not 0 < eta < math.inf:
             raise ValueError("eta must be positive")
         self.eta = float(eta)
 
@@ -140,7 +138,7 @@ class Qklms(KlmsModel):
 
     def __init__(self, spec: KernelSpec, eta: float, quant_radius: float = 0.0):
         super().__init__(spec)
-        if not eta > 0:
+        if not 0 < eta < math.inf:
             raise ValueError("eta must be positive")
         if not quant_radius >= 0:
             raise ValueError("quant_radius must be non-negative")
@@ -179,11 +177,11 @@ class Knlms(KlmsModel):
         coherence_mu0: float = 1.0,
     ):
         super().__init__(spec)
-        if not eta > 0:
+        if not 0 < eta < math.inf:
             raise ValueError("eta must be positive")
         if eps_reg is None:
             eps_reg = spec.noise_variance
-        if not eps_reg >= 0:
+        if not 0 <= eps_reg < math.inf:
             raise ValueError("eps_reg must be non-negative")
         if not 0.0 <= coherence_mu0 <= 1.0:
             raise ValueError("coherence_mu0 must lie in [0, 1]")
@@ -221,7 +219,7 @@ class BetaKlms(KlmsModel):
         coherence_mu0: float | None = None,
     ):
         super().__init__(spec)
-        if not beta >= 0:
+        if not 0 <= beta < math.inf:
             raise ValueError("beta must be non-negative")
         if coherence_mu0 is not None and not 0.0 <= coherence_mu0 <= 1.0:
             raise ValueError("coherence_mu0 must lie in [0, 1] or be None")
@@ -258,9 +256,9 @@ def general_alpha_update(state, x, y, sigma_override=None) -> np.ndarray:
     The implied weights are K^-1 mu; the step rescales the innovation by
     the modeled output variance, spreads (K^-1 sigma K^-1 - K^-1) k over
     the existing weights, and appends the scaled innovation.  Each K^-1
-    product is a solve on ``chol``.  k(x, x) includes the jitter, the
-    diagonal the factor gains when x is admitted, so the step equals the
-    GP's own next ``krls_weights()``.  ``sigma_override`` substitutes the
+    product is a solve on ``chol``.  k(x, x) is ``spec.gram_diagonal``,
+    the diagonal the factor gains when x is admitted, so the step equals
+    the GP's own next ``krls_weights()``.  ``sigma_override`` substitutes the
     posterior covariance, which is how parametric covariance models (for
     example K (beta K + I) for BetaKlms) are exercised against it.
     """
@@ -269,7 +267,7 @@ def general_alpha_update(state, x, y, sigma_override=None) -> np.ndarray:
     if sigma.shape != (n, n):
         raise ValueError(f"covariance shape {sigma.shape} does not match size {n}")
     k = kernel_vector(state.spec, state.dictionary, x)
-    kss = state.spec.signal_variance + state.spec.jitter
+    kss = state.spec.gram_diagonal
     factor = (state.chol, True)
     alpha = cho_solve(factor, state.mu)
     e = float(y) - float(k @ alpha)

@@ -40,14 +40,13 @@ import numpy as np
 from scipy.linalg import cho_solve, qr_delete
 from scipy.linalg.blas import ddot, dgemm, dgemv, dger, dsymv, dtrsm, dtrsv
 
-from .base import NumericalError, PredictiveDistribution
+from .base import VARIANCE_FLOOR, NumericalError, PredictiveDistribution, finite_target
 from .kernels import Dictionary, KernelSpec, _vector, cross_kernel, gram_matrix, kernel_vector
 
 __all__ = ["GpUpdateScratch", "OnlineGP", "DEFAULT_ADMISSION_THRESHOLD"]
 
 DEFAULT_ADMISSION_THRESHOLD = 1e-8
 
-_VARIANCE_FLOOR = -1e-10
 _SIGMA_DIAG_FLOOR = -1e-6
 
 
@@ -55,8 +54,8 @@ _SIGMA_DIAG_FLOOR = -1e-6
 class GpUpdateScratch:
     """Intermediate quantities of one observation (x, y).
 
-    ``k_ss`` carries the diagonal jitter so that the implicit Gram
-    matrix built by successive updates matches ``gram_matrix`` exactly.
+    ``k_ss`` is ``spec.gram_diagonal`` so that the implicit Gram matrix
+    built by successive updates matches ``gram_matrix`` exactly.
     ``l = L^-1 k`` is the new row of the factor if x is admitted and
     ``q = L^-T l = K^-1 k``.
     ``sigma_f2``/``sigma_y2`` are the latent/output predictive variances
@@ -73,6 +72,13 @@ class GpUpdateScratch:
     sigma_y2: float
     y_hat: float
     e: float
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A view of a stored state array that refuses writes."""
+    view = arr.view()
+    view.flags.writeable = False
+    return view
 
 
 def _checked_chol(chol, n: int) -> np.ndarray:
@@ -121,18 +127,18 @@ class OnlineGP:
 
     @property
     def mu(self) -> np.ndarray:
-        return self._mu
+        """Posterior mean of the latent function at the centers (read-only view)."""
+        return _read_only(self._mu)
 
     @property
     def sigma(self) -> np.ndarray:
-        return self._sigma
+        """Posterior covariance at the centers, exactly symmetric (read-only view)."""
+        return _read_only(self._sigma)
 
     @property
     def chol(self) -> np.ndarray:
         """Lower Cholesky factor L of the jittered Gram matrix (read-only view)."""
-        view = self._chol.view()
-        view.flags.writeable = False
-        return view
+        return _read_only(self._chol)
 
     @property
     def q_inv(self) -> np.ndarray:
@@ -216,7 +222,7 @@ class OnlineGP:
         B = dtrsm(1.0, U, B, side=1, trans_a=1, overwrite_b=1)
         sf2 = gamma2 + np.einsum("ij,ij->i", B, dgemm(1.0, B, self._sigma.T))
         means = dgemv(1.0, B, self._mu)
-        if np.any(sf2 < _VARIANCE_FLOOR):
+        if np.any(sf2 < VARIANCE_FLOOR):
             raise NumericalError(f"negative predictive variance: {float(sf2.min())}")
         sf2 = np.maximum(sf2, 0.0)
         return means, sf2, sf2 + self.spec.noise_variance
@@ -224,9 +230,13 @@ class OnlineGP:
     # -- updates ----------------------------------------------------------
 
     def compute_scratch(self, x, y) -> GpUpdateScratch:
-        """All per-observation quantities, without touching state."""
+        """All per-observation quantities, without touching state.
+
+        Raises ValueError for a non-finite x or y.
+        """
         k = kernel_vector(self.spec, self.dictionary, x)
-        kss = self.spec.signal_variance + self.spec.jitter
+        y = finite_target(y)
+        kss = self.spec.gram_diagonal
         if self.size == 0:  # the BLAS wrappers reject an empty factor
             l = q = h = k
             gamma2 = sigma_f2 = kss
@@ -252,7 +262,7 @@ class OnlineGP:
             sigma_f2=sigma_f2,
             sigma_y2=sigma_y2,
             y_hat=y_hat,
-            e=float(y) - y_hat,
+            e=y - y_hat,
         )
 
     def update(self, x, y) -> GpUpdateScratch:

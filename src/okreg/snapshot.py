@@ -21,8 +21,10 @@ The loader raises ValueError, and only ValueError, for any malformed
 text: a missing banner, a missing or repeated key or block, a line
 before ``[dict]`` that is not ``key=value``, a key or block the model
 kind does not write (``[q_inv]`` only under the v1 banner), an
-unparsable number, a block whose shape does not match the dictionary, a
-``[sigma]`` that is not exactly symmetric, or a ``[chol]`` that is not
+unparsable number, a ``nan`` or ``inf`` anywhere in a block, a parameter
+the model refuses (a non-finite kernel field, ``eta``, ``eps_reg`` or
+``beta`` among them), a block whose shape does not match the dictionary,
+a ``[sigma]`` that is not exactly symmetric, or a ``[chol]`` that is not
 lower-triangular with a positive diagonal.  It does not check the factor
 against the dictionary's Gram matrix, which would cost O(n^3).
 """
@@ -30,6 +32,7 @@ against the dictionary's Gram matrix, which would cost O(n^3).
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -159,7 +162,10 @@ def _parse(text: str):
                 raise ValueError(f"snapshot repeats the {key}= line")
             scalars[key] = value.strip()
         else:
-            current.append([float(p) for p in line.split(",")])
+            row = [float(p) for p in line.split(",")]
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"the [{name}] block holds a non-finite number")
+            current.append(row)
     return scalars, blocks
 
 

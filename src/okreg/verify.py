@@ -92,31 +92,15 @@ def _check_weight_bridge_and_inverse(rng):
     return worst_w, worst_q
 
 
-def _check_identity_a(rng, n_steps: int = 200):
-    spec = KernelSpec(lengthscale=0.7, noise_variance=0.1)
+def _check_identity(rng, a, b, n_steps: int = 200):
+    """Feed one random 2-D stream to two filters that should keep equal
+    weights; the worst gap between their weights after any step."""
     X, y = _random_stream(rng, n_steps, 2)
-    klms = Klms(spec, eta=matched_eta(spec))
-    beta0 = BetaKlms(spec, beta=0.0)
     worst = 0.0
     for xi, yi in zip(X, y):
-        klms.update(xi, yi)
-        beta0.update(xi, yi)
-        worst = max(worst, float(np.max(np.abs(klms.alpha - beta0.alpha))))
-    return worst
-
-
-def _check_identity_b(rng, n_steps: int = 200, noise_mismatch: float = 1.0):
-    spec = KernelSpec(lengthscale=0.7, signal_variance=1.0, noise_variance=0.1)
-    X, y = _random_stream(rng, n_steps, 2)
-    knlms = Knlms(
-        spec, eta=1.0, eps_reg=spec.noise_variance * noise_mismatch, coherence_mu0=1.0
-    )
-    beta1 = BetaKlms(spec, beta=1.0)
-    worst = 0.0
-    for xi, yi in zip(X, y):
-        knlms.update(xi, yi)
-        beta1.update(xi, yi)
-        worst = max(worst, float(np.max(np.abs(knlms.alpha - beta1.alpha))))
+        a.update(xi, yi)
+        b.update(xi, yi)
+        worst = max(worst, float(np.max(np.abs(a.alpha - b.alpha))))
     return worst
 
 
@@ -172,18 +156,18 @@ def run_all_checks(seed: int = 0, tol: float | None = None, noise_mismatch: floa
     rng = np.random.default_rng(seed)
     mean_err, var_err = _check_online_vs_batch(rng)
     bridge_err, inv_err = _check_weight_bridge_and_inverse(rng)
+    spec = KernelSpec(lengthscale=0.7, noise_variance=0.1)
+    identity_a = (Klms(spec, eta=matched_eta(spec)), BetaKlms(spec, beta=0.0))
+    knlms = Knlms(spec, eta=1.0, eps_reg=spec.noise_variance * noise_mismatch, coherence_mu0=1.0)
+    identity_b = (knlms, BetaKlms(spec, beta=1.0))
     raw = [
         ("online vs batch: predictive mean", mean_err, 1e-8),
         ("online vs batch: predictive variance", var_err, 1e-8),
         ("online vs batch: ill-conditioned stream", _check_online_vs_batch_ill_conditioned(), 1e-8),
         ("krls weight bridge (K^-1 mu)", bridge_err, 1e-8),
         ("inverse from the factor (QK - I)", inv_err, 1e-7),
-        ("identity A: matched-eta klms = beta 0", _check_identity_a(rng), 1e-12),
-        (
-            "identity B: knlms = beta 1",
-            _check_identity_b(rng, noise_mismatch=noise_mismatch),
-            1e-12,
-        ),
+        ("identity A: matched-eta klms = beta 0", _check_identity(rng, *identity_a), 1e-12),
+        ("identity B: knlms = beta 1", _check_identity(rng, *identity_b), 1e-12),
         ("identity C: exact step = beta rule", _check_identity_c(rng), 1e-10),
         ("covariance model: QSQ - Q = beta I", _check_covariance_model_identity(rng), 1e-8),
     ]

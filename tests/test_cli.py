@@ -67,6 +67,17 @@ def test_bad_eta_exits_config(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "algs, flag, value",
+    [("klms", "--eta", "inf"), ("klms", "--eta", "nan"), ("knlms", "--eps-reg", "inf"),
+     ("beta", "--beta", "inf"), ("beta:0", "--kernel-lengthscale", "inf"),
+     ("beta:0", "--kernel-variance", "inf"), ("beta:0", "--noise-var", "inf"), ("beta:0", "--jitter", "inf")],
+)
+def test_non_finite_parameters_exit_config(tmp_path, algs, flag, value):
+    argv = ["compare", "--algs", algs, flag, value, "--n", "20", "--n-test", "5", "--out", str(tmp_path)]
+    assert main(argv) == 2
+
+
 # -- compare -------------------------------------------------------------------
 
 
@@ -156,6 +167,14 @@ def test_compare_malformed_csv_exits_config(tmp_path, capsys):
     )
     assert code == 2
     assert "row 2" in capsys.readouterr().err
+
+
+def test_compare_non_finite_csv_field_exits_config(tmp_path, capsys):
+    p = tmp_path / "d.csv"
+    p.write_text("0.1,1.0\n0.2,2.0\n0.3,nan\n0.4,4.0\n0.5,5.0\n")
+    argv = ["compare", "--csv", str(p), "--dim", "1", "--n", "2", "--n-test", "3", "--algs", "klms,gp"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert "row 3: non-finite field" in capsys.readouterr().err
 
 
 def test_blocked_output_directory_exits_io(tmp_path):

@@ -206,6 +206,14 @@ def test_load_csv_non_numeric_error_names_row(tmp_path):
         load_csv(p, d=1)
 
 
+@pytest.mark.parametrize("field", ["nan", "inf", "-inf", "NaN", "1e999"])
+def test_load_csv_non_finite_error_names_row(tmp_path, field):
+    p = tmp_path / "data.csv"
+    p.write_text(f"1.0,2.0\n1.0,{field}\n")
+    with pytest.raises(CsvFormatError, match="row 2: non-finite field"):
+        load_csv(p, d=1)
+
+
 def test_load_csv_empty_file(tmp_path):
     p = tmp_path / "empty.csv"
     p.write_text("")

@@ -210,6 +210,32 @@ def test_update_returns_its_a_priori_prediction(make, always_grows):
     assert all(grew) is always_grows
 
 
+_MODELS = {
+    "gp": lambda: OnlineGP(SPEC),
+    "klms": lambda: Klms(SPEC, eta=0.5),
+    "qklms": lambda: Qklms(SPEC, eta=0.5, quant_radius=0.05),
+    "knlms": lambda: Knlms(SPEC, eta=1.0),
+    "beta": lambda: BetaKlms(SPEC, beta=1.0),
+}
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [([0.2, math.nan], 0.3), ([math.inf, 0.1], 0.3), ([0.2, 0.1], math.nan)],
+    ids=["nan-x", "inf-x", "nan-y"],
+)
+@pytest.mark.parametrize("name", list(_MODELS))
+def test_update_refuses_a_non_finite_observation_and_changes_nothing(name, x, y):
+    model = _MODELS[name]()
+    rng = np.random.default_rng(4)
+    for xi, yi in zip(rng.uniform(-1, 1, size=(5, 2)), rng.standard_normal(5)):
+        model.update(xi, yi)
+    before = fingerprint(model)
+    with pytest.raises(ValueError, match="finite"):
+        model.update(x, y)
+    assert fingerprint(model) == before
+
+
 def test_reconvergence_validation():
     scenario = default_switch_scenario(seed=0, n_total=10, switch_at=5)
     with pytest.raises(ValueError):

@@ -58,6 +58,21 @@ def test_spec_rejects_bad_values(kwargs):
         KernelSpec(**kwargs)
 
 
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+@pytest.mark.parametrize("field", ["lengthscale", "signal_variance", "noise_variance", "jitter"])
+def test_spec_rejects_a_non_finite_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        KernelSpec(**{"lengthscale": 1.0, field: value})
+
+
+@pytest.mark.parametrize("jitter", [None, 0.0, 1e-6])
+def test_gram_diagonal_is_the_diagonal_of_every_gram_matrix(jitter):
+    spec = KernelSpec(lengthscale=0.5, signal_variance=2.0, jitter=jitter)
+    assert spec.gram_diagonal == spec.signal_variance + spec.jitter
+    K = gram_matrix(spec, Dictionary(np.random.default_rng(1).uniform(-1, 1, size=(6, 3))))
+    assert np.all(np.diag(K) == spec.gram_diagonal)
+
+
 def test_spec_is_frozen():
     with pytest.raises(AttributeError):
         SPEC.lengthscale = 2.0

@@ -90,6 +90,32 @@ def test_klms_eta_validation():
         Klms(SPEC, eta=0.0)
 
 
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda v: Klms(SPEC, eta=v),
+        lambda v: Qklms(SPEC, eta=v),
+        lambda v: Knlms(SPEC, eta=v),
+        lambda v: Knlms(SPEC, eps_reg=v),
+        lambda v: BetaKlms(SPEC, beta=v),
+    ],
+    ids=["klms-eta", "qklms-eta", "knlms-eta", "knlms-eps_reg", "beta"],
+)
+def test_filters_reject_a_non_finite_parameter(make, value):
+    with pytest.raises(ValueError):
+        make(value)
+
+
+def test_infinite_radius_and_threshold_keep_their_limits():
+    qklms = _run(Qklms(SPEC, eta=0.5, quant_radius=np.inf), [(0.0, 0.0, 1.0), (5.0, -5.0, 0.5), (9.0, 1.0, -1.0)])
+    assert qklms.size == 1  # every point merges into the first center
+    gp = OnlineGP(SPEC, admission_threshold=np.inf)
+    for a, b, y in [(0.0, 0.0, 1.0), (5.0, -5.0, 0.5)]:
+        gp.update([a, b], y)
+    assert gp.size == 0  # no point is admitted
+
+
 def test_klms_always_grows():
     model = _run(Klms(SPEC, eta=0.1), [(0.0, 0.0, 1.0)] * 5)
     assert model.size == 5

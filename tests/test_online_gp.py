@@ -377,6 +377,15 @@ def test_chol_is_the_read_only_gram_factor():
         L[0, 0] = 2.0
 
 
+@pytest.mark.parametrize("name, index", [("mu", (0,)), ("sigma", (0, 1)), ("chol", (1, 0))])
+def test_state_arrays_are_read_only_views(name, index):
+    gp = _feed(OnlineGP(_spec()), [(0.0, 0.0, 1.0), (1.0, -1.0, 0.5), (0.3, 0.8, -1.0)])
+    before = getattr(gp, name).copy()
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(gp, name)[index] = 1.0
+    np.testing.assert_array_equal(getattr(gp, name), before)
+
+
 def test_compute_scratch_returns_the_new_factor_row_without_storing_it():
     gp = _feed(OnlineGP(_spec()), [(0.0, 0.0, 1.0), (1.0, -1.0, 0.5)])
     before = {key: np.copy(value) for key, value in vars(gp).items() if isinstance(value, np.ndarray)}

@@ -511,6 +511,41 @@ def test_load_rejects_a_line_or_block_the_kind_does_not_write(kind, line, edited
         load_state(text.replace(line, edited))
 
 
+def _with_last_field(text, block, value):
+    """The snapshot with the last field of the first row of [block] set to value."""
+    lines = text.splitlines()
+    row = lines.index(f"[{block}]") + 1
+    lines[row] = ",".join([*lines[row].split(",")[:-1], value])
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "kind, block, value",
+    [
+        ("gp", "mu", "nan"),
+        ("gp", "targets", "nan"),
+        ("gp", "dict", "nan"),
+        ("gp", "sigma", "inf"),
+        ("klms", "alpha", "inf"),
+        ("beta", "dict", "-inf"),
+    ],
+)
+def test_load_rejects_a_non_finite_number_naming_its_block(kind, block, value):
+    with pytest.raises(ValueError, match=re.escape(f"[{block}] block holds a non-finite number")):
+        load_state(_with_last_field(_TEXTS[kind], block, value))
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [("gp", "lengthscale"), ("gp", "noise_variance"), ("klms", "eta"), ("knlms", "eps_reg"), ("beta", "beta")],
+)
+def test_load_rejects_an_infinite_parameter(kind, key):
+    text = _TEXTS[kind]
+    old = next(line for line in text.splitlines() if line.startswith(f"{key}="))
+    with pytest.raises(ValueError, match=key):
+        load_state(text.replace(old + "\n", f"{key}=inf\n"))
+
+
 def _sigma_bumped(text, i, j):
     """The GP snapshot with sigma[i, j] moved up by one ulp."""
     lines = text.splitlines()
