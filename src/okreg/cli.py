@@ -301,7 +301,7 @@ def cmd_uncertainty(args) -> int:
         raise ConfigError("--prefixes must be comma-separated integers") from None
     if not prefixes:
         raise ConfigError("--prefixes must name at least one prefix size")
-    if args.grid_size < 2 or args.grid_max <= args.grid_min:
+    if args.grid_size < 2 or not -np.inf < args.grid_min < args.grid_max < np.inf:
         raise ConfigError("grid must span a positive range with >= 2 points")
     _make_out(args)
     if args.csv is not None:

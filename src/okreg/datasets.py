@@ -84,7 +84,7 @@ class SwitchScenario:
             raise ValueError("n_total must be positive")
         if not 0 <= self.switch_at < self.n_total:
             raise ValueError("switch_at must lie in [0, n_total)")
-        if not self.noise_std >= 0:
+        if not 0 <= self.noise_std < math.inf:
             raise ValueError("noise_std must be non-negative")
         if self.embedding_dim < 1:
             raise ValueError("embedding_dim must be >= 1")

@@ -9,6 +9,10 @@ is the observation-noise variance of the regression model; it rides
 along in :class:`KernelSpec` because every estimator needs the pair
 together.  ``jitter`` is added to Gram-matrix diagonals (and only
 there) so that inverses stay computable when inputs nearly repeat.
+
+Every kernel evaluation goes through ``_kernel_matrix``, which refuses a
+query point with a NaN or infinite entry, as ``Dictionary.append`` refuses
+such a center (ValueError), so every model path shares one point rule.
 """
 
 from __future__ import annotations
@@ -148,6 +152,8 @@ class Dictionary:
         p = _vector(x)
         if p.size == 0:
             raise ValueError("a dictionary point needs dimension >= 1")
+        if not all(map(math.isfinite, p.tolist())):
+            raise ValueError("input point has a non-finite entry")
         n = len(self._ids)
         if self._buf is None:
             self._buf = np.empty((1, p.size))
@@ -192,7 +198,10 @@ def _vector(x) -> np.ndarray:
 
 
 def _kernel_matrix(spec: KernelSpec, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """k(p_i, q_j) for the rows p_i of P (rows) and the rows q_j of Q (columns)."""
+    """k(p_i, q_j) for the rows p_i of P (rows) and the rows q_j of Q (columns);
+    ValueError when a q_j has a non-finite entry, even when P is empty."""
+    if not all(map(math.isfinite, Q.ravel().tolist())):  # on one row, faster than np.isfinite
+        raise ValueError("input point has a non-finite entry")
     if P.shape[0] == 0:
         return np.zeros((0, Q.shape[0]))
     if P.shape[1] != Q.shape[1]:
@@ -210,19 +219,14 @@ def _kernel_matrix(spec: KernelSpec, P: np.ndarray, Q: np.ndarray) -> np.ndarray
 
 def eval_kernel(spec: KernelSpec, x, x2) -> float:
     """k(x, x2): symmetric, positive, equal to signal_variance at x == x2."""
-    return float(_kernel_matrix(spec, _vector(x)[np.newaxis], _vector(x2)[np.newaxis])[0, 0])
+    center = Dictionary()
+    center.append(x)
+    return float(kernel_vector(spec, center, x2)[0])
 
 
 def kernel_vector(spec: KernelSpec, dictionary: Dictionary, x) -> np.ndarray:
-    """k(c_i, x) for every dictionary center c_i, in insertion order.
-
-    Every model's update calls this first, so a non-finite x is refused
-    here with ValueError before any state changes.
-    """
-    v = _vector(x)
-    if not all(map(math.isfinite, v.tolist())):  # for the CLI's small d, faster than np.isfinite
-        raise ValueError("input point has a non-finite entry")
-    return _kernel_matrix(spec, dictionary.points, v[np.newaxis])[:, 0]
+    """k(c_i, x) for every dictionary center c_i, in insertion order."""
+    return _kernel_matrix(spec, dictionary.points, _vector(x)[np.newaxis])[:, 0]
 
 
 def gram_matrix(spec: KernelSpec, dictionary: Dictionary) -> np.ndarray:

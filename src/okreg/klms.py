@@ -58,17 +58,28 @@ class KlmsModel:
     def __init__(self, spec: KernelSpec):
         self.spec = spec
         self.dictionary = Dictionary()
-        self.alpha = np.zeros(0)
+        self._alpha = np.zeros(0)
+
+    @classmethod
+    def from_components(cls, spec: KernelSpec, dictionary: Dictionary, alpha, **params):
+        """Assemble a filter from its centers and one weight per center
+        (snapshots); ``params`` go to the constructor.  ValueError when
+        ``alpha`` does not fit the dictionary or has a non-finite entry."""
+        model = cls(spec, **params)
+        alpha = np.array(alpha, dtype=float).ravel()
+        if alpha.size != len(dictionary):
+            raise ValueError("alpha length does not match the dictionary size")
+        if not np.isfinite(alpha).all():
+            raise ValueError("alpha must be finite")
+        model.dictionary = dictionary
+        model._alpha = alpha
+        return model
 
     @property
     def alpha(self) -> np.ndarray:
         """The weights: a writable view of the leading entries of a buffer
         with spare capacity, so appending a weight is amortized O(1)."""
         return self._alpha[: self.size]
-
-    @alpha.setter
-    def alpha(self, value) -> None:
-        self._alpha = np.array(value, dtype=float)
 
     @property
     def size(self) -> int:
@@ -270,7 +281,7 @@ def general_alpha_update(state, x, y, sigma_override=None) -> np.ndarray:
     kss = state.spec.gram_diagonal
     factor = (state.chol, True)
     alpha = cho_solve(factor, state.mu)
-    e = float(y) - float(k @ alpha)
+    e = finite_target(y) - float(k @ alpha)
     qk = cho_solve(factor, k)
     spread = cho_solve(factor, sigma @ qk) - qk
     sf2 = kss + float(k @ spread)

@@ -166,8 +166,9 @@ class OnlineGP:
 
         ``chol`` is the lower Cholesky factor of the dictionary's jittered
         Gram matrix; when omitted it is computed from that matrix.  Raises
-        ValueError when a piece does not fit the dictionary, or when
-        ``sigma`` is not exactly symmetric (``update`` keeps it so).
+        ValueError when a piece does not fit the dictionary or has a
+        non-finite entry, or when ``sigma`` is not exactly symmetric
+        (``update`` keeps it so).
         """
         model = cls(spec, budget=budget, admission_threshold=admission_threshold)
         n = len(dictionary)
@@ -175,13 +176,15 @@ class OnlineGP:
         sigma = np.asarray(sigma, dtype=float)
         if mu.size != n or sigma.shape != (n, n):
             raise ValueError("component shapes do not match the dictionary size")
-        if not np.array_equal(sigma, sigma.T):
-            raise ValueError("the posterior covariance is not exactly symmetric")
         if targets is None:
             targets = np.zeros(n)
         targets = np.asarray(targets, dtype=float).ravel()
         if targets.size != n:
             raise ValueError("target length does not match the dictionary size")
+        if not all(np.isfinite(a).all() for a in (mu, sigma, targets)):
+            raise ValueError("mu, sigma and targets must be finite")
+        if not np.array_equal(sigma, sigma.T):
+            raise ValueError("the posterior covariance is not exactly symmetric")
         if chol is None:
             chol = np.zeros((0, 0))
             if n:
@@ -205,10 +208,10 @@ class OnlineGP:
 
     def predict_batch(self, X):
         """Vectorized predict over rows of X: (means, latent vars, output vars)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        Kx = cross_kernel(self.spec, self.dictionary, X)
         kss = self.spec.signal_variance
         if self.size == 0:
-            m = X.shape[0]
+            m = Kx.shape[1]
             lat = np.full(m, kss)
             return np.zeros(m), lat, lat + self.spec.noise_variance
         # B holds the transposed right-hand sides (m x n, Fortran-ordered),
@@ -217,7 +220,7 @@ class OnlineGP:
         # wheels each bundle their own threaded OpenBLAS, and handing work
         # back and forth between the two pools doubled this call's time.
         U = self._chol.T
-        B = dtrsm(1.0, U, cross_kernel(self.spec, self.dictionary, X).T, side=1, overwrite_b=1)
+        B = dtrsm(1.0, U, Kx.T, side=1, overwrite_b=1)
         gamma2 = kss - np.einsum("ij,ij->i", B, B)
         B = dtrsm(1.0, U, B, side=1, trans_a=1, overwrite_b=1)
         sf2 = gamma2 + np.einsum("ij,ij->i", B, dgemm(1.0, B, self._sigma.T))

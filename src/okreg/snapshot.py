@@ -11,7 +11,9 @@ Each model class has one entry in ``_KINDS``: its ``model=`` line (and
 with the parser that reads each back, and its array blocks after
 ``[dict]``.  Every parameter line is required; ``family=`` defaults to
 gaussian and ``next_id=`` to the dictionary size.  Dictionary ids must be
-non-negative and strictly increasing, below ``next_id``.
+non-negative and strictly increasing, below ``next_id``.  ``load_state``
+rebuilds every kind with one call of its class's ``from_components``,
+which checks each block against the dictionary.
 
 A GP snapshot stores the lower Cholesky factor of its Gram matrix as the
 ``[chol]`` block.  Version 1 stored the inverse Gram matrix as ``[q_inv]``
@@ -185,12 +187,10 @@ def _block_array(blocks, name: str, shape: tuple) -> np.ndarray:
     return arr
 
 
-def _block_vector(blocks, name: str, n: int) -> np.ndarray:
+def _block_vector(blocks, name: str) -> np.ndarray:
     rows = _require(blocks, name, f"[{name}] block")
     if any(len(r) != 1 for r in rows):
         raise ValueError(f"[{name}] block needs one value per line")
-    if len(rows) != n:
-        raise ValueError(f"{name} length does not match the dictionary size")
     return np.asarray([r[0] for r in rows], dtype=float)
 
 
@@ -250,17 +250,10 @@ def load_state(text: str):
             _block_array(blocks, "q_inv", (n, n))
             arrays[name] = None  # v1 stored K^-1; the factor is recomputed from the dictionary
         elif ndim == 1:
-            arrays[name] = _block_vector(blocks, name, n)
+            arrays[name] = _block_vector(blocks, name)
         else:
             arrays[name] = _block_array(blocks, name, (n, n))
-
-    if cls is OnlineGP:
-        return OnlineGP.from_components(spec, dictionary, **arrays, **params)
-    model = cls(spec, **params)
-    model.dictionary = dictionary
-    for name, value in arrays.items():
-        setattr(model, name, value)
-    return model
+    return cls.from_components(spec, dictionary, **arrays, **params)
 
 
 def save_state(model, path) -> None:

@@ -384,11 +384,30 @@ def test_uncertainty_dump_state(tmp_path):
         ["--prefixes", "99"],
         ["--grid-size", "1"],
         ["--grid-min", "2.0", "--grid-max", "-2.0"],
+        ["--grid-min", "nan", "--prefixes", "3,10"],
+        ["--grid-max", "inf", "--prefixes", "3,10"],
     ],
 )
 def test_uncertainty_bad_flags_exit_config(tmp_path, flags):
     code = main(["uncertainty", "--n", "10", "--out", str(tmp_path), *flags])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["uncertainty", "--grid-min", "nan", "--n", "10", "--prefixes", "3,10"], "grid"),
+        (["uncertainty", "--grid-max", "inf", "--n", "10", "--prefixes", "3,10"], "grid"),
+        (["reconverge", "--noise-std", "inf", "--algs", "klms", "--n", "50", "--switch-at", "20", "--seeds", "1"],
+         "noise_std"),
+    ],
+    ids=["nan-grid-min", "inf-grid-max", "inf-noise-std"],
+)
+def test_non_finite_flag_exits_config_before_out_is_made(tmp_path, capsys, argv, named):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_uncertainty_reads_csv(tmp_path):

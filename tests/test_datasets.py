@@ -115,6 +115,8 @@ def test_scenario_validation():
         SwitchScenario(channel_a=[], channel_b=[1.0])
     with pytest.raises(ValueError):
         SwitchScenario(channel_a=[1.0], channel_b=[1.0], noise_std=-0.1)
+    with pytest.raises(ValueError, match="noise_std"):
+        SwitchScenario(channel_a=[1.0], channel_b=[1.0], noise_std=float("inf"))
     with pytest.raises(ValueError):
         SwitchScenario(channel_a=[1.0], channel_b=[1.0], embedding_dim=0)
 

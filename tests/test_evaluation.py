@@ -9,14 +9,18 @@ from hypothesis import strategies as st
 
 from okreg import (
     BetaKlms,
+    Dictionary,
     KernelSpec,
     Klms,
     Knlms,
     OnlineGP,
     Qklms,
+    batch_fit,
+    batch_predict,
     fingerprint,
     matched_eta,
 )
+from okreg.batch_gp import batch_predict_grid
 from okreg.datasets import default_switch_scenario, gen_kinematics_like
 from okreg.evaluation import (
     LearningCurve,
@@ -31,6 +35,7 @@ from okreg.evaluation import (
     write_reconvergence_curves,
     write_uncertainty_traces,
 )
+from okreg.kernels import eval_kernel
 
 SPEC = KernelSpec(lengthscale=0.5, noise_variance=0.1)
 
@@ -234,6 +239,61 @@ def test_update_refuses_a_non_finite_observation_and_changes_nothing(name, x, y)
     with pytest.raises(ValueError, match="finite"):
         model.update(x, y)
     assert fingerprint(model) == before
+
+
+_QUERIES = {
+    "gp": ("predict", "predict_batch"),
+    "klms": ("predict", "predict_batch"),
+    "beta": ("predict", "predict_batch", "variance", "variance_batch"),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "name, fed, method",
+    [(name, fed, method) for name, methods in _QUERIES.items() for fed in (False, True) for method in methods],
+)
+def test_every_query_refuses_a_non_finite_point_and_changes_nothing(name, fed, method, bad):
+    model = _MODELS[name]()
+    if fed:
+        rng = np.random.default_rng(4)
+        for xi, yi in zip(rng.uniform(-1, 1, size=(5, 2)), rng.standard_normal(5)):
+            model.update(xi, yi)
+    before = fingerprint(model)
+    with pytest.raises(ValueError, match="non-finite"):
+        getattr(model, method)([0.2, bad])
+    assert fingerprint(model) == before
+
+
+def _kernel_calls():
+    """Calls that must refuse a point p, and a reading of the state they must keep."""
+    fit = batch_fit(SPEC, Dictionary([[0.2, 0.1], [-0.3, 0.5]]), [0.3, -0.1])
+    d = Dictionary([[0.2, 0.1]])
+
+    def kept():
+        return d.ids, d.next_id, d.points.tobytes(), fit.weights.tobytes()
+
+    return {
+        "batch_predict": lambda p: batch_predict(fit, p),
+        "batch_predict_grid": lambda p: batch_predict_grid(fit, [p]),
+        "eval_kernel-x": lambda p: eval_kernel(SPEC, p, [0.2, 0.1]),
+        "eval_kernel-x2": lambda p: eval_kernel(SPEC, [0.2, 0.1], p),
+        "Dictionary": lambda p: Dictionary([[0.2, 0.1], p]),
+        "Dictionary.append": d.append,
+        "from_components": lambda p: OnlineGP.from_components(
+            SPEC, Dictionary([p]), [0.0], [[1.0]], chol=[[1.0]]
+        ),
+    }, kept
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("call", list(_kernel_calls()[0]))
+def test_every_kernel_path_refuses_a_non_finite_point(call, bad):
+    calls, kept = _kernel_calls()
+    before = kept()
+    with pytest.raises(ValueError, match="non-finite"):
+        calls[call]([0.2, bad])
+    assert kept() == before
 
 
 def test_reconvergence_validation():

@@ -105,6 +105,11 @@ def test_kernel_dimension_mismatch():
         eval_kernel(SPEC, [0.0], [0.0, 1.0])
 
 
+def test_kernel_refuses_a_zero_dimensional_point():
+    with pytest.raises(ValueError, match="dimension >= 1"):
+        eval_kernel(SPEC, [], [])
+
+
 @settings(derandomize=True, max_examples=100)
 @given(point_2d, point_2d)
 def test_kernel_symmetric_and_bounded(a, b):

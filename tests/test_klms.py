@@ -38,6 +38,15 @@ def test_empty_model_predicts_zero():
     assert Klms(SPEC, eta=0.5).predict([1.0]) == 0.0
 
 
+def test_alpha_is_a_writable_view_without_a_setter():
+    model = _run(Klms(SPEC, eta=0.5), [(0.0, 0.0, 1.0), (1.0, 1.0, -1.0)])
+    with pytest.raises(AttributeError):
+        model.alpha = [1.0]
+    second = float(model.alpha[1])
+    model.alpha[0] = 2.0
+    assert model.alpha.tolist() == [2.0, second]
+
+
 def test_matched_eta_value():
     assert matched_eta(SPEC) == pytest.approx(0.9090909090909091, abs=1e-15)
 
@@ -363,6 +372,15 @@ def test_general_update_rejects_bad_covariance_shape():
     state, _ = _oracle_state(spec, model)
     with pytest.raises(ValueError, match="covariance shape"):
         general_alpha_update(state, [1.0], 1.0, sigma_override=np.eye(3))
+
+
+def test_general_update_refuses_a_non_finite_observation():
+    spec = KernelSpec(lengthscale=1.0, jitter=0.0)
+    model = BetaKlms(spec, beta=1.0)
+    model.update([0.0], 1.0)
+    state, _ = _oracle_state(spec, model)
+    with pytest.raises(ValueError, match="finite"):
+        general_alpha_update(state, [0.3], np.nan)
 
 
 @pytest.mark.parametrize("jitter", [0.0, None, 1e-6])

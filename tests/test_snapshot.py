@@ -535,6 +535,20 @@ def test_load_rejects_a_non_finite_number_naming_its_block(kind, block, value):
         load_state(_with_last_field(_TEXTS[kind], block, value))
 
 
+@pytest.mark.parametrize("name, value", [("mu", np.nan), ("sigma", np.nan), ("targets", np.inf), ("alpha", np.inf)])
+def test_from_components_refuses_a_non_finite_component(name, value):
+    if name == "alpha":
+        model = Klms(SPEC, eta=0.25)
+        model.update([0.0, 1.0], 0.5)
+        parts = {"alpha": model.alpha.copy(), "eta": 0.25}
+    else:
+        model = _fed_gp()
+        parts = {"mu": model.mu.copy(), "sigma": model.sigma.copy(), "targets": model.targets}
+    parts[name].flat[0] = value
+    with pytest.raises(ValueError, match="finite"):
+        type(model).from_components(SPEC, model.dictionary.copy(), **parts)
+
+
 @pytest.mark.parametrize(
     "kind, key",
     [("gp", "lengthscale"), ("gp", "noise_variance"), ("klms", "eta"), ("knlms", "eps_reg"), ("beta", "beta")],
