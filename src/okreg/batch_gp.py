@@ -23,7 +23,8 @@ _MAX_JITTER_ESCALATIONS = 4
 
 @dataclass
 class BatchFit:
-    """Result of a batch solve.  Treat as frozen once constructed."""
+    """Result of a batch solve, on its own copy of the dictionary.  Treat as
+    frozen once constructed."""
 
     spec: KernelSpec
     dictionary: Dictionary
@@ -56,7 +57,7 @@ def batch_fit(spec: KernelSpec, dictionary: Dictionary, y) -> BatchFit:
             "Cholesky factorization failed even after jitter escalation"
         )
     weights = cho_solve(cho, y)
-    return BatchFit(spec, dictionary, y, weights, cho)
+    return BatchFit(spec, dictionary.copy(), y, weights, cho)
 
 
 def batch_predict(fit: BatchFit, x) -> PredictiveDistribution:

@@ -201,19 +201,21 @@ def _compare_data(args, data: RegressionSet | None, seed: int):
     if len(data) < n + n_test:
         raise ConfigError(f"csv has {len(data)} usable rows, need {n + n_test}")
     perm = np.random.default_rng([seed, 3]).permutation(len(data))
-    train = RegressionSet(
-        data.inputs[perm[:n]], data.targets[perm[:n]], name=data.name, seed=seed
-    )
-    test = RegressionSet(
-        data.inputs[perm[n : n + n_test]],
-        data.targets[perm[n : n + n_test]],
-        name=data.name,
-        seed=seed,
-    )
+    train = RegressionSet(data.inputs[perm[:n]], data.targets[perm[:n]])
+    test = RegressionSet(data.inputs[perm[n : n + n_test]], data.targets[perm[n : n + n_test]])
     return train, test
 
 
 # -- outputs ----------------------------------------------------------------
+
+
+def _check_counts(args, *dests: str) -> None:
+    """ConfigError naming the first of these count flags that is below 1;
+    a flag left at its None default is not checked."""
+    for dest in dests:
+        value = getattr(args, dest)
+        if value is not None and value < 1:
+            raise ConfigError(f"--{dest.replace('_', '-')} must be >= 1, got {value}")
 
 
 def _make_out(args) -> None:
@@ -240,8 +242,7 @@ def _write_results(args, filename: str, write, models: dict) -> int:
 def cmd_compare(args) -> int:
     spec = _build_spec(args)
     factories = _model_factories(args.algs, spec, args)
-    if args.seeds < 1:
-        raise ConfigError("--seeds must be >= 1")
+    _check_counts(args, "n", "n_test", "eval_every", "dim", "seeds")
     if args.csv is not None and args.dim is None:
         raise ConfigError("--csv requires --dim")
     _make_out(args)
@@ -276,6 +277,7 @@ def cmd_reconverge(args) -> int:
         noise_std=args.noise_std,
         embedding_dim=args.embedding_dim,
     )
+    _check_counts(args, "seeds", "smooth_window")
     _make_out(args)
     curves, last_models = run_reconvergence(
         scenario, factories, n_seeds=args.seeds, smooth_window=args.smooth_window
@@ -303,6 +305,12 @@ def cmd_uncertainty(args) -> int:
         raise ConfigError("--prefixes must name at least one prefix size")
     if args.grid_size < 2 or not -np.inf < args.grid_min < args.grid_max < np.inf:
         raise ConfigError("grid must span a positive range with >= 2 points")
+    if min(prefixes) < 1:
+        raise ConfigError(f"--prefixes must be >= 1, got {min(prefixes)}")
+    if args.csv is None:  # the rows of a --csv file are counted once it is read
+        _check_counts(args, "n")
+        if max(prefixes) > args.n:
+            raise ConfigError(f"--prefixes {max(prefixes)} exceeds --n {args.n}")
     _make_out(args)
     if args.csv is not None:
         data = _load_csv_checked(args, 1)

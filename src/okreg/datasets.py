@@ -3,7 +3,8 @@
 Two generators cover the benchmark needs: a stationary kinematics-like
 regression problem (uniform joint angles, link-chain response) and a
 nonstationary time series whose generating channel switches mid-stream.
-Both are deterministic functions of their seed.
+Both are deterministic functions of their seed.  Every data set, generated
+or read from a CSV file, is one ``RegressionSet`` of inputs and targets.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .base import CsvFormatError
 __all__ = [
     "RegressionSet",
     "SwitchScenario",
-    "SwitchStream",
     "link_chain_response",
     "gen_kinematics_like",
     "random_channel",
@@ -37,8 +37,6 @@ class RegressionSet:
 
     inputs: np.ndarray
     targets: np.ndarray
-    name: str = ""
-    seed: int = 0
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=float)
@@ -90,22 +88,6 @@ class SwitchScenario:
             raise ValueError("embedding_dim must be >= 1")
 
 
-@dataclass(eq=False)
-class SwitchStream:
-    """Realized switch series: embedded inputs, targets, and per-step regime.
-
-    ``regime[t]`` is 0 while channel_a generates the output, 1 afterward.
-    """
-
-    inputs: np.ndarray
-    targets: np.ndarray
-    regime: np.ndarray
-    scenario: SwitchScenario
-
-    def __len__(self) -> int:
-        return self.targets.size
-
-
 def link_chain_response(X) -> np.ndarray:
     """Noiseless target: sum_j cos(pi * (x_1 + ... + x_j)) per row.
 
@@ -126,9 +108,7 @@ def gen_kinematics_like(seed: int, n_train: int, n_test: int, d: int = 8):
     n = n_train + n_test
     X = rng.uniform(-1.0, 1.0, size=(n, d))
     y = link_chain_response(X) + rng.normal(0.0, KINEMATICS_NOISE_STD, size=n)
-    train = RegressionSet(X[:n_train], y[:n_train], name=f"kin-like-d{d}-train", seed=seed)
-    test = RegressionSet(X[n_train:], y[n_train:], name=f"kin-like-d{d}-test", seed=seed)
-    return train, test
+    return RegressionSet(X[:n_train], y[:n_train]), RegressionSet(X[n_train:], y[n_train:])
 
 
 def random_channel(rng: np.random.Generator, length: int) -> np.ndarray:
@@ -166,7 +146,7 @@ def default_switch_scenario(
     )
 
 
-def gen_switch_series(scenario: SwitchScenario) -> SwitchStream:
+def gen_switch_series(scenario: SwitchScenario) -> RegressionSet:
     """Realize a scenario into embedded regression pairs.
 
     Output index t covers 0..n_total-1; the input at t embeds the
@@ -186,8 +166,7 @@ def gen_switch_series(scenario: SwitchScenario) -> SwitchStream:
     vpad = np.concatenate([np.zeros(emb), v])
     # column j holds v_{t-1-j}; vpad[i] is v_{i-emb}
     X = np.column_stack([vpad[emb - 1 - j : emb - 1 - j + n] for j in range(emb)])
-    regime = (t >= scenario.switch_at).astype(int)
-    return SwitchStream(inputs=X, targets=v, regime=regime, scenario=scenario)
+    return RegressionSet(X, v)
 
 
 def load_csv(path, d: int, header: bool = False) -> RegressionSet:
@@ -223,8 +202,8 @@ def load_csv(path, d: int, header: bool = False) -> RegressionSet:
             inputs.append(values[:d])
             targets.append(values[d])
     if not inputs:
-        return RegressionSet(np.zeros((0, d)), np.zeros(0), name=str(path))
-    return RegressionSet(np.asarray(inputs), np.asarray(targets), name=str(path))
+        return RegressionSet(np.zeros((0, d)), np.zeros(0))
+    return RegressionSet(np.asarray(inputs), np.asarray(targets))
 
 
 def standardize_inputs(data: RegressionSet) -> RegressionSet:
@@ -233,6 +212,4 @@ def standardize_inputs(data: RegressionSet) -> RegressionSet:
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     std = np.where(std > 0, std, 1.0)
-    return RegressionSet(
-        (X - mean) / std, data.targets, name=data.name + "+std", seed=data.seed
-    )
+    return RegressionSet((X - mean) / std, data.targets)

@@ -128,7 +128,7 @@ def predict_means(model, X) -> np.ndarray:
 
 
 def run_online_experiment(
-    model, train: RegressionSet, test: RegressionSet, eval_every: int, label: str | None = None
+    model, train: RegressionSet, test: RegressionSet, eval_every: int, label: str
 ) -> LearningCurve:
     """Feed the training set in order, scoring on the test set periodically.
 
@@ -140,8 +140,6 @@ def run_online_experiment(
         raise ValueError("eval_every must be >= 1")
     if len(train) == 0 or len(test) == 0:
         raise ValueError("train and test sets must be non-empty")
-    if label is None:
-        label = getattr(model, "variant", type(model).__name__)
     n = len(train)
     points = []
     for step in range(1, n + 1):
@@ -173,10 +171,11 @@ def run_reconvergence(
 ):
     """Average instantaneous squared error across seeded replicates.
 
-    Each replicate redraws both channels and the source from its own
-    seed (scenario.seed + i); each algorithm starts fresh per replicate.
-    Returns (curves sorted by algorithm name, final models of the last
-    replicate).
+    Replicate 0 is ``scenario`` as given; replicate i >= 1 redraws both
+    channels and the source from seed scenario.seed + i, as
+    ``default_switch_scenario`` does.  Each algorithm starts fresh per
+    replicate.  Returns (curves sorted by algorithm name, final models of
+    the last replicate).
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
@@ -188,9 +187,12 @@ def run_reconvergence(
     acc = {name: np.zeros(scenario.n_total) for name in names}
     last_models: dict = {}
     for i in range(n_seeds):
-        seed_i = scenario.seed + i
-        a, b = _switch_channels(seed_i, scenario.channel_a.size, scenario.channel_b.size)
-        stream = gen_switch_series(replace(scenario, seed=seed_i, channel_a=a, channel_b=b))
+        replicate = scenario
+        if i:
+            seed_i = scenario.seed + i
+            a, b = _switch_channels(seed_i, scenario.channel_a.size, scenario.channel_b.size)
+            replicate = replace(scenario, seed=seed_i, channel_a=a, channel_b=b)
+        stream = gen_switch_series(replicate)
         for name in names:
             model = model_factories[name]()
             e2 = np.empty(len(stream))
@@ -234,7 +236,7 @@ def run_uncertainty_trace(
     sizes = [int(m) for m in prefix_sizes]
     for m in sizes:
         if not 1 <= m <= len(observations):
-            raise ValueError(f"prefix size {m} exceeds the {len(observations)} observations")
+            raise ValueError(f"prefix size {m} is not in [1, {len(observations)}]")
     grid_rows = grid[:, np.newaxis]
     models = {
         "gp": OnlineGP(spec, admission_threshold=UNCERTAINTY_ADMISSION_THRESHOLD),

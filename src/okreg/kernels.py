@@ -97,7 +97,7 @@ class Dictionary:
         self._next_id = 0
         if points is not None:
             arr = np.asarray(points, dtype=float)
-            if arr.size:
+            if arr.size or arr.ndim > 1:  # [] is no point, [[]] one empty point
                 for row in np.atleast_2d(arr):
                     self.append(row)
 

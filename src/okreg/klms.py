@@ -63,15 +63,16 @@ class KlmsModel:
     @classmethod
     def from_components(cls, spec: KernelSpec, dictionary: Dictionary, alpha, **params):
         """Assemble a filter from its centers and one weight per center
-        (snapshots); ``params`` go to the constructor.  ValueError when
-        ``alpha`` does not fit the dictionary or has a non-finite entry."""
+        (snapshots), keeping its own copy of ``dictionary``; ``params`` go
+        to the constructor.  ValueError when ``alpha`` does not fit the
+        dictionary or has a non-finite entry."""
         model = cls(spec, **params)
         alpha = np.array(alpha, dtype=float).ravel()
         if alpha.size != len(dictionary):
             raise ValueError("alpha length does not match the dictionary size")
         if not np.isfinite(alpha).all():
             raise ValueError("alpha must be finite")
-        model.dictionary = dictionary
+        model.dictionary = dictionary.copy()
         model._alpha = alpha
         return model
 

@@ -165,13 +165,16 @@ class OnlineGP:
         """Assemble a model from explicit posterior pieces (snapshots, oracles).
 
         ``chol`` is the lower Cholesky factor of the dictionary's jittered
-        Gram matrix; when omitted it is computed from that matrix.  Raises
-        ValueError when a piece does not fit the dictionary or has a
-        non-finite entry, or when ``sigma`` is not exactly symmetric
-        (``update`` keeps it so).
+        Gram matrix; when omitted it is computed from that matrix.  The
+        model keeps its own copy of ``dictionary``.  Raises ValueError when
+        a piece does not fit the dictionary or has a non-finite entry, when
+        ``sigma`` is not exactly symmetric (``update`` keeps it so), or when
+        the dictionary holds more centers than ``budget``.
         """
         model = cls(spec, budget=budget, admission_threshold=admission_threshold)
         n = len(dictionary)
+        if model.budget is not None and n > model.budget:
+            raise ValueError(f"{n} centers exceed the budget of {model.budget}")
         mu = np.asarray(mu, dtype=float).ravel()
         sigma = np.asarray(sigma, dtype=float)
         if mu.size != n or sigma.shape != (n, n):
@@ -192,7 +195,7 @@ class OnlineGP:
                     chol = np.linalg.cholesky(gram_matrix(spec, dictionary))
                 except np.linalg.LinAlgError as exc:
                     raise ValueError("the dictionary's Gram matrix is not positive definite") from exc
-        model.dictionary = dictionary
+        model.dictionary = dictionary.copy()
         model._targets = [float(t) for t in targets]
         model._mu = mu.copy()
         model._sigma = sigma.copy()
@@ -276,11 +279,15 @@ class OnlineGP:
 
         The point is admitted only when its gamma2 clears the threshold;
         a skipped point changes nothing (the innovation is dropped, not
-        folded into existing weights).
+        folded into existing weights).  An admitted point whose a-priori
+        output variance is not positive raises NumericalError and changes
+        nothing.
         """
         scr = self.compute_scratch(x, y)
         if scr.gamma2 <= self.admission_threshold:
             return scr
+        if not scr.sigma_y2 > 0:
+            raise NumericalError(f"non-positive a-priori output variance: {scr.sigma_y2}")
         n = self.size
         gain = np.append(scr.h, scr.sigma_f2)
 

@@ -116,7 +116,7 @@ def _check_identity_c(rng, n_steps: int = 30):
                 K = gram_matrix(spec, model.dictionary)
                 state = OnlineGP.from_components(
                     spec,
-                    model.dictionary.copy(),
+                    model.dictionary,
                     mu=K @ model.alpha,
                     sigma=np.zeros_like(K),
                 )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from okreg import Dictionary, KernelSpec, batch_fit, batch_predict
+from okreg import Dictionary, KernelSpec, OnlineGP, batch_fit, batch_predict
 from okreg.batch_gp import batch_predict_grid
 from okreg.kernels import gram_matrix
 
@@ -101,3 +101,18 @@ def test_empty_dictionary_rejected():
 def test_target_length_mismatch():
     with pytest.raises(ValueError, match="target length"):
         batch_fit(_spec(), Dictionary([[0.0]]), [1.0, 2.0])
+
+
+def test_fit_keeps_its_own_dictionary():
+    spec = _spec()
+    gp = OnlineGP(spec, budget=5)
+    rng = np.random.default_rng(4)
+    for x, y in zip(rng.uniform(-2, 2, size=(5, 2)), rng.standard_normal(5)):
+        gp.update(x, y)
+    fit = batch_fit(spec, gp.dictionary, gp.targets)
+    grid = rng.uniform(-2, 2, size=(20, 2))
+    before, _, _ = batch_predict_grid(fit, grid)
+    gp.update([3.0, 3.0], 1.0)  # admitted, so the oldest center is evicted
+    assert gp.dictionary.ids[0] == 1
+    after, _, _ = batch_predict_grid(fit, grid)
+    np.testing.assert_array_equal(after, before)

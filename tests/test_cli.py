@@ -400,8 +400,19 @@ def test_uncertainty_bad_flags_exit_config(tmp_path, flags):
         (["uncertainty", "--grid-max", "inf", "--n", "10", "--prefixes", "3,10"], "grid"),
         (["reconverge", "--noise-std", "inf", "--algs", "klms", "--n", "50", "--switch-at", "20", "--seeds", "1"],
          "noise_std"),
+        (["compare", "--n", "0"], "--n"),
+        (["compare", "--n-test", "0"], "--n-test"),
+        (["compare", "--eval-every", "0"], "--eval-every"),
+        (["compare", "--dim", "0"], "--dim"),
+        (["reconverge", "--seeds", "0", "--n", "50", "--switch-at", "20"], "--seeds"),
+        (["reconverge", "--smooth-window", "0", "--n", "50", "--switch-at", "20"], "--smooth-window"),
+        (["uncertainty", "--n", "0"], "--n"),
+        (["uncertainty", "--n", "10"], "--prefixes"),
+        (["uncertainty", "--prefixes", "0,3"], "--prefixes"),
     ],
-    ids=["nan-grid-min", "inf-grid-max", "inf-noise-std"],
+    ids=["nan-grid-min", "inf-grid-max", "inf-noise-std", "compare-n", "compare-n-test",
+         "compare-eval-every", "compare-dim", "reconverge-seeds", "reconverge-smooth-window",
+         "uncertainty-n", "uncertainty-prefix-above-n", "uncertainty-prefix-zero"],
 )
 def test_non_finite_flag_exits_config_before_out_is_made(tmp_path, capsys, argv, named):
     out = tmp_path / "out"

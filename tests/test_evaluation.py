@@ -21,7 +21,12 @@ from okreg import (
     matched_eta,
 )
 from okreg.batch_gp import batch_predict_grid
-from okreg.datasets import default_switch_scenario, gen_kinematics_like
+from okreg.datasets import (
+    SwitchScenario,
+    default_switch_scenario,
+    gen_kinematics_like,
+    gen_switch_series,
+)
 from okreg.evaluation import (
     LearningCurve,
     ReconvergenceCurve,
@@ -133,7 +138,7 @@ def test_moving_average_validation():
 
 def test_online_experiment_evaluation_grid():
     train, test = gen_kinematics_like(0, 25, 10, d=2)
-    curve = run_online_experiment(Klms(SPEC, eta=matched_eta(SPEC)), train, test, 10)
+    curve = run_online_experiment(Klms(SPEC, eta=matched_eta(SPEC)), train, test, 10, label="klms")
     np.testing.assert_array_equal(curve.steps, [10, 20, 25])
     assert curve.algorithm == "klms"
 
@@ -148,7 +153,7 @@ def test_online_experiment_eval_longer_than_stream():
 def test_online_experiment_never_trains_on_test_data():
     train, test = gen_kinematics_like(1, 15, 12, d=2)
     model = OnlineGP(SPEC)
-    run_online_experiment(model, train, test, 5)
+    run_online_experiment(model, train, test, 5, label="gp")
     fp = fingerprint(model)
     # scoring again touches only predictions; state must be unchanged
     model.predict_batch(test.inputs)
@@ -159,7 +164,7 @@ def test_online_experiment_never_trains_on_test_data():
 def test_online_experiment_validation():
     train, test = gen_kinematics_like(0, 5, 5, d=1)
     with pytest.raises(ValueError):
-        run_online_experiment(Klms(SPEC, 0.5), train, test, 0)
+        run_online_experiment(Klms(SPEC, 0.5), train, test, 0, label="klms")
 
 
 # -- reconvergence runner ----------------------------------------------------------
@@ -179,6 +184,18 @@ def test_reconvergence_curves_sorted_and_shaped():
         assert np.all(c.mean_sq_error >= 0)
     assert set(last) == {"a", "b"}
     assert last["b"].size > 0
+
+
+def test_reconvergence_runs_the_scenario_it_is_given():
+    scenario = SwitchScenario(channel_a=[1, 0, 0, 0], channel_b=[0, 0, 0, 1], n_total=200, switch_at=100)
+    factories = {"klms": lambda: Klms(SPEC, eta=matched_eta(SPEC))}
+    (curve,), _ = run_reconvergence(scenario, factories, n_seeds=1)
+    model, stream = factories["klms"](), gen_switch_series(scenario)
+    e = np.array([model.update(x, y).e for x, y in zip(stream.inputs, stream.targets)])
+    np.testing.assert_array_equal(curve.mean_sq_error, e * e)
+    same_seed = default_switch_scenario(0, n_total=200, switch_at=100)
+    (drawn,), _ = run_reconvergence(same_seed, factories, n_seeds=1)
+    assert not np.array_equal(curve.mean_sq_error, drawn.mean_sq_error)
 
 
 def _mean(prediction) -> float:

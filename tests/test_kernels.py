@@ -252,6 +252,9 @@ def test_dictionary_rejects_dimension_change():
 def test_dictionary_rejects_empty_point():
     with pytest.raises(ValueError):
         Dictionary().append([])
+    with pytest.raises(ValueError, match="dimension >= 1"):
+        Dictionary([[]])
+    assert len(Dictionary([])) == 0
 
 
 def test_dictionary_accepts_scalars():

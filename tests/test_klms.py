@@ -333,6 +333,17 @@ def test_beta_parameter_validation():
         BetaKlms(SPEC, beta=1.0, coherence_mu0=2.0)
 
 
+def test_from_components_keeps_its_own_dictionary():
+    a = Klms(SPEC, eta=0.5)
+    for x, y in ([0.0, 0.0], 1.0), ([1.0, -1.0], 0.5), ([0.3, 0.8], -1.0):
+        a.update(x, y)
+    b = Klms.from_components(SPEC, a.dictionary, a.alpha, eta=0.5)
+    before = b.predict([0.2, 0.2])
+    a.update([0.5, 0.5], 2.0)
+    assert (a.size, b.size) == (4, 3)
+    assert b.predict([0.2, 0.2]) == before
+
+
 # -- exact one-step recursion ---------------------------------------------------
 
 

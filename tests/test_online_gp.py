@@ -16,6 +16,7 @@ from okreg import (
     OnlineGP,
     batch_fit,
     batch_predict,
+    fingerprint,
 )
 from okreg.batch_gp import batch_predict_grid
 from okreg.datasets import gen_kinematics_like
@@ -501,6 +502,28 @@ def test_corrupted_covariance_raises_on_predict():
         gp.predict([0.0])
     with pytest.raises(NumericalError, match="negative predictive variance"):
         gp.predict_batch(np.array([[0.0]]))
+
+
+def test_non_positive_output_variance_raises_and_changes_nothing():
+    rng = np.random.default_rng(1)
+    X = rng.uniform(-1, 1, (60, 2))
+    y = np.sin(X.sum(1))
+    gp = OnlineGP(KernelSpec(lengthscale=3.0, noise_variance=0.0, jitter=0.0), admission_threshold=0.0)
+    with pytest.raises(NumericalError, match="output variance"):
+        for xi, yi in zip(X, y):
+            before = fingerprint(gp)
+            gp.update(xi, yi)
+    assert fingerprint(gp) == before
+    assert np.all(np.isfinite(gp.sigma))
+
+
+def test_from_components_keeps_its_own_dictionary():
+    gp = _feed(OnlineGP(_spec()), [(0.0, 0.0, 1.0), (1.0, -1.0, 0.5)])
+    clone = OnlineGP.from_components(gp.spec, gp.dictionary, gp.mu, gp.sigma, chol=gp.chol)
+    before = fingerprint(clone)
+    gp.update([0.5, 0.5], 2.0)
+    assert gp.size == 3
+    assert fingerprint(clone) == before
 
 
 def test_corrupted_covariance_raises_on_update():

@@ -65,6 +65,13 @@ def test_gp_round_trip_preserves_budget_and_ids_after_eviction():
     assert clone.dictionary.next_id == gp.dictionary.next_id
 
 
+def test_gp_snapshot_over_its_budget_is_refused():
+    text = dump_state(_fed_gp())
+    assert "budget=none\n" in text
+    with pytest.raises(ValueError, match="budget"):
+        load_state(text.replace("budget=none\n", "budget=2\n"))
+
+
 @pytest.mark.parametrize(
     "make",
     [
