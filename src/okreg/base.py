@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+import numpy as np
+
 
 class PredictiveDistribution(NamedTuple):
     """Gaussian prediction at one input.
@@ -52,3 +54,13 @@ def finite_target(y) -> float:
     if not math.isfinite(y):
         raise ValueError(f"observation y must be finite, got {y!r}")
     return y
+
+
+def block_rows(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """A block of observations as (m x d inputs, m targets); ValueError
+    when X is not 2-D or the counts differ."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float).ravel()
+    if X.ndim != 2 or X.shape[0] != y.size:
+        raise ValueError(f"a block needs one input row per target, got {X.shape} and {y.size}")
+    return X, y

@@ -17,7 +17,8 @@ no flag for is a config error naming the file and line, and every value
 passes through its flag's type.
 
 ``compare``, ``reconverge`` and ``uncertainty`` check every flag, then
-create ``--out``, before any data is read or any model runs.
+read a ``--csv`` file and check it has enough rows, then create ``--out``,
+before any model runs.
 """
 
 from __future__ import annotations
@@ -183,23 +184,24 @@ def _model_factories(algs: str, spec: KernelSpec, args) -> dict:
 # -- data sourcing --------------------------------------------------------
 
 
-def _load_csv_checked(args, d: int) -> RegressionSet:
+def _load_csv_checked(args, d: int, need: int) -> RegressionSet:
+    """The --csv rows; ConfigError when the file is missing or malformed
+    or has fewer than ``need`` rows."""
     if not os.path.exists(args.csv):
         raise ConfigError(f"csv file not found: {args.csv}")
     data = load_csv(args.csv, d, header=args.header)
+    if len(data) < need:
+        raise ConfigError(f"csv has {len(data)} usable rows, need {need}")
     if args.standardize:
         data = standardize_inputs(data)
     return data
 
 
-def _compare_data(args, data: RegressionSet | None, seed: int):
+def _compare_data(args, data: RegressionSet | None, n_test: int, seed: int):
     """One seed's (train, test) pair: a shuffle of the --csv rows, or generated."""
     n = args.n
-    n_test = args.n_test if args.n_test is not None else n
     if data is None:
         return gen_kinematics_like(seed, n, n_test, d=args.dim if args.dim is not None else 4)
-    if len(data) < n + n_test:
-        raise ConfigError(f"csv has {len(data)} usable rows, need {n + n_test}")
     perm = np.random.default_rng([seed, 3]).permutation(len(data))
     train = RegressionSet(data.inputs[perm[:n]], data.targets[perm[:n]])
     test = RegressionSet(data.inputs[perm[n : n + n_test]], data.targets[perm[n : n + n_test]])
@@ -219,7 +221,7 @@ def _check_counts(args, *dests: str) -> None:
 
 
 def _make_out(args) -> None:
-    """Create --out once every flag is checked, before any data or model."""
+    """Create --out once every flag and the --csv rows are checked, before any model runs."""
     Path(args.out).mkdir(parents=True, exist_ok=True)
 
 
@@ -245,12 +247,13 @@ def cmd_compare(args) -> int:
     _check_counts(args, "n", "n_test", "eval_every", "dim", "seeds")
     if args.csv is not None and args.dim is None:
         raise ConfigError("--csv requires --dim")
+    n_test = args.n if args.n_test is None else args.n_test
+    data = None if args.csv is None else _load_csv_checked(args, args.dim, args.n + n_test)
     _make_out(args)
-    data = _load_csv_checked(args, args.dim) if args.csv is not None else None
     linear = dict.fromkeys(factories, 0.0)
     final_models: dict = {}
     for seed in range(args.seeds):
-        train, test = _compare_data(args, data, seed)
+        train, test = _compare_data(args, data, n_test, seed)
         for tok, make in factories.items():
             model = make()
             curve = run_online_experiment(model, train, test, args.eval_every, label=tok)
@@ -307,15 +310,14 @@ def cmd_uncertainty(args) -> int:
         raise ConfigError("grid must span a positive range with >= 2 points")
     if min(prefixes) < 1:
         raise ConfigError(f"--prefixes must be >= 1, got {min(prefixes)}")
-    if args.csv is None:  # the rows of a --csv file are counted once it is read
+    if args.csv is None:
         _check_counts(args, "n")
         if max(prefixes) > args.n:
             raise ConfigError(f"--prefixes {max(prefixes)} exceeds --n {args.n}")
-    _make_out(args)
-    if args.csv is not None:
-        data = _load_csv_checked(args, 1)
-    else:
         data, _ = gen_kinematics_like(0, args.n, 1, d=1)
+    else:
+        data = _load_csv_checked(args, 1, max(prefixes))
+    _make_out(args)
     grid = np.linspace(args.grid_min, args.grid_max, args.grid_size)
     traces, models = run_uncertainty_trace(data, spec, grid, prefixes)
     write = partial(write_uncertainty_traces, traces)

@@ -5,8 +5,13 @@ absorbs an observation and returns the a-priori record of that step,
 whose ``y_hat`` is the prediction at x before the update and ``e`` the
 error y - y_hat (a ``Step`` for the KLMS filters, a ``GpUpdateScratch``
 for the GP).  ``run_reconvergence`` scores that error, so each
-observation costs one kernel-vector pass.  ``predict_batch(X)`` scores
-held-out rows; ``predict_means`` reads the means out of it.
+observation costs one kernel-vector pass.  ``update_block(X, y)``
+absorbs the rows of X in order and returns nothing; it leaves the state
+``update`` on each row would (bit for bit for the filters, which loop,
+and up to rounding for the unbudgeted GP, which takes one block step).
+``run_online_experiment`` feeds each scoring interval through it.
+``predict_batch(X)`` scores held-out rows; ``predict_means`` reads the
+means out of it.
 """
 
 from __future__ import annotations
@@ -132,9 +137,10 @@ def run_online_experiment(
 ) -> LearningCurve:
     """Feed the training set in order, scoring on the test set periodically.
 
-    The final step is always scored, so an eval_every longer than the
-    stream still yields one point.  Evaluation only predicts; the model
-    is never updated with test data.
+    Each run of eval_every training rows goes to the model in one
+    ``update_block`` call.  The final step is always scored, so an
+    eval_every longer than the stream still yields one point.
+    Evaluation only predicts; the model is never updated with test data.
     """
     if eval_every < 1:
         raise ValueError("eval_every must be >= 1")
@@ -142,11 +148,11 @@ def run_online_experiment(
         raise ValueError("train and test sets must be non-empty")
     n = len(train)
     points = []
-    for step in range(1, n + 1):
-        model.update(train.inputs[step - 1], train.targets[step - 1])
-        if step % eval_every == 0 or step == n:
-            preds = predict_means(model, test.inputs)
-            points.append((step, nmse_db(preds, test.targets)))
+    for start in range(0, n, eval_every):
+        stop = min(start + eval_every, n)
+        model.update_block(train.inputs[start:stop], train.targets[start:stop])
+        preds = predict_means(model, test.inputs)
+        points.append((stop, nmse_db(preds, test.targets)))
     return LearningCurve(label, points)
 
 

@@ -32,7 +32,7 @@ import math
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .base import Step, finite_target
+from .base import Step, block_rows, finite_target
 from .kernels import Dictionary, KernelSpec, _vector, _with_room, cross_kernel, kernel_vector
 
 __all__ = [
@@ -91,6 +91,11 @@ class KlmsModel:
 
     def predict_batch(self, X) -> np.ndarray:
         return cross_kernel(self.spec, self.dictionary, X).T @ self.alpha
+
+    def update_block(self, X, y) -> None:
+        """``update`` on each row of X with its target, in order."""
+        for x, t in zip(*block_rows(X, y)):
+            self.update(x, t)
 
     def _a_priori(self, x, y) -> tuple[np.ndarray, Step]:
         """Kernel vector at x, and the prediction and error before the step;

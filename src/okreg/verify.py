@@ -45,35 +45,59 @@ def _random_stream(rng, n: int, d: int, scale: float = 1.0):
     return X, y
 
 
-def _online_vs_batch(gp, X, y, grid):
-    """Feed (X, y) to gp, then its worst mean and variance gaps on grid
-    against a batch fit to the GP's own dictionary and targets."""
-    for xi, yi in zip(X, y):
-        gp.update(xi, yi)
-    bm, _, bv = batch_predict_grid(batch_fit(gp.spec, gp.dictionary, gp.targets), grid)
-    om, _, ov = gp.predict_batch(grid)
-    return float(np.max(np.abs(bm - om))), float(np.max(np.abs(bv - ov)))
+# rows per update_block call in the block checks
+_BLOCK = 25
 
 
-def _check_online_vs_batch(rng):
-    cases = [
+def _online_cases(rng):
+    """The streams of the online checks as (GP factory, X, y, grid): two
+    well-spread ones, then one with the default admission threshold whose
+    admitted Gram matrix is nearly singular, where an explicitly updated
+    inverse drifts to errors of about 1e-4."""
+    streams = [
         (KernelSpec(lengthscale=0.02, noise_variance=0.1), *_jittered_grid_stream(rng, 80)),
         (KernelSpec(lengthscale=0.6, noise_variance=0.1), *_random_stream(rng, 80, 4)),
     ]
-    gaps = []
-    for spec, X, y in cases:
+    cases = []
+    for spec, X, y in streams:
         grid = rng.uniform(-1.1, 1.1, size=(60, X.shape[1]))
-        gaps.append(_online_vs_batch(OnlineGP(spec, admission_threshold=1e-12), X, y, grid))
-    return tuple(max(g) for g in zip(*gaps))
-
-
-def _check_online_vs_batch_ill_conditioned():
-    """Default admission threshold on a stream whose admitted Gram matrix
-    is nearly singular, where an explicitly updated inverse drifts to
-    errors of about 1e-4."""
+        cases.append((lambda spec=spec: OnlineGP(spec, admission_threshold=1e-12), X, y, grid))
     train, test = gen_kinematics_like(0, 400, 400, d=2)
-    gp = OnlineGP(KernelSpec(lengthscale=1.5, noise_variance=0.1))
-    return max(_online_vs_batch(gp, train.inputs, train.targets, test.inputs))
+    spec = KernelSpec(lengthscale=1.5, noise_variance=0.1)
+    cases.append((lambda: OnlineGP(spec), train.inputs, train.targets, test.inputs))
+    return cases
+
+
+def _gaps(p, q):
+    """Worst (mean, output variance) gaps between two prediction triples."""
+    return float(np.max(np.abs(p[0] - q[0]))), float(np.max(np.abs(p[2] - q[2])))
+
+
+def _batch_of(gp, grid):
+    """Predictions on grid of a batch fit to the GP's own dictionary and targets."""
+    return batch_predict_grid(batch_fit(gp.spec, gp.dictionary, gp.targets), grid)
+
+
+def _check_online(rng):
+    """GPs fed each online stream point by point and in blocks.  Returns
+    the worst gaps of the loop against batch (mean and variance on the
+    well-spread streams, then both on the ill-conditioned one), of the
+    block against the loop (inf when they admitted different points), and
+    of the block against batch."""
+    loop_batch, block_loop, block_batch = [], [], []
+    for make, X, y, grid in _online_cases(rng):
+        loop, block = make(), make()
+        for xi, yi in zip(X, y):
+            loop.update(xi, yi)
+        for start in range(0, len(y), _BLOCK):
+            block.update_block(X[start : start + _BLOCK], y[start : start + _BLOCK])
+        loop_pred, block_pred = loop.predict_batch(grid), block.predict_batch(grid)
+        loop_batch.append(_gaps(loop_pred, _batch_of(loop, grid)))
+        same = block.dictionary.ids == loop.dictionary.ids
+        block_loop.append(max(_gaps(block_pred, loop_pred)) if same else np.inf)
+        block_batch.append(max(_gaps(block_pred, _batch_of(block, grid))))
+    mean_err, var_err = (max(g) for g in zip(*loop_batch[:-1]))
+    return mean_err, var_err, max(loop_batch[-1]), max(block_loop), max(block_batch)
 
 
 def _check_weight_bridge_and_inverse(rng):
@@ -154,7 +178,7 @@ def run_all_checks(seed: int = 0, tol: float | None = None, noise_mismatch: floa
     other than 1.0 must make that check fail.
     """
     rng = np.random.default_rng(seed)
-    mean_err, var_err = _check_online_vs_batch(rng)
+    mean_err, var_err, ill_err, block_loop_err, block_batch_err = _check_online(rng)
     bridge_err, inv_err = _check_weight_bridge_and_inverse(rng)
     spec = KernelSpec(lengthscale=0.7, noise_variance=0.1)
     identity_a = (Klms(spec, eta=matched_eta(spec)), BetaKlms(spec, beta=0.0))
@@ -163,7 +187,9 @@ def run_all_checks(seed: int = 0, tol: float | None = None, noise_mismatch: floa
     raw = [
         ("online vs batch: predictive mean", mean_err, 1e-8),
         ("online vs batch: predictive variance", var_err, 1e-8),
-        ("online vs batch: ill-conditioned stream", _check_online_vs_batch_ill_conditioned(), 1e-8),
+        ("online vs batch: ill-conditioned stream", ill_err, 1e-8),
+        ("online block vs sequential", block_loop_err, 1e-8),
+        ("online block vs batch", block_batch_err, 1e-8),
         ("krls weight bridge (K^-1 mu)", bridge_err, 1e-8),
         ("inverse from the factor (QK - I)", inv_err, 1e-7),
         ("identity A: matched-eta klms = beta 0", _check_identity(rng, *identity_a), 1e-12),

@@ -421,6 +421,45 @@ def test_non_finite_flag_exits_config_before_out_is_made(tmp_path, capsys, argv,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["uncertainty", "--prefixes", "2,5"], "need 5"),
+        (["compare", "--dim", "1", "--n", "2", "--n-test", "2", "--algs", "klms"], "need 4"),
+        (["compare", "--dim", "1", "--n", "3", "--algs", "klms"], "need 6"),
+    ],
+    ids=["uncertainty-prefix-above-rows", "compare-n-plus-n-test-above-rows", "compare-default-n-test"],
+)
+def test_a_short_csv_exits_config_before_out_is_made(tmp_path, capsys, argv, named):
+    p = tmp_path / "three.csv"
+    p.write_text("0.1,1.0\n0.2,2.0\n0.3,3.0\n")
+    out = tmp_path / "out"
+    assert main([*argv, "--csv", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "3 usable rows" in err and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["compare", "--dim", "1", "--n", "1", "--n-test", "1"], ["uncertainty", "--prefixes", "1"]],
+    ids=["compare", "uncertainty"],
+)
+@pytest.mark.parametrize(
+    "text, named",
+    [("0.1,1.0\n0.2\n", "row 2"), ("0.1,1.0\n0.2,nan\n", "non-finite field"), (None, "csv file not found")],
+    ids=["malformed", "non-finite", "missing"],
+)
+def test_a_bad_csv_exits_config_before_out_is_made(tmp_path, capsys, argv, text, named):
+    p = tmp_path / "d.csv"
+    if text is not None:
+        p.write_text(text)
+    out = tmp_path / "out"
+    assert main([*argv, "--csv", str(p), "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_uncertainty_reads_csv(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text(

@@ -143,6 +143,24 @@ def test_online_experiment_evaluation_grid():
     assert curve.algorithm == "klms"
 
 
+def test_online_experiment_feeds_each_scoring_interval_as_one_block():
+    class Recorder:
+        def __init__(self):
+            self.blocks = []
+
+        def update_block(self, X, y):
+            self.blocks.append((X.shape, y.shape))
+
+        def predict_batch(self, X):
+            return np.zeros(len(X))
+
+    train, test = gen_kinematics_like(0, 25, 10, d=2)
+    model = Recorder()
+    curve = run_online_experiment(model, train, test, 10, label="r")
+    assert model.blocks == [((10, 2), (10,)), ((10, 2), (10,)), ((5, 2), (5,))]
+    np.testing.assert_array_equal(curve.steps, [10, 20, 25])
+
+
 def test_online_experiment_eval_longer_than_stream():
     train, test = gen_kinematics_like(0, 8, 5, d=2)
     curve = run_online_experiment(BetaKlms(SPEC, 1.0), train, test, 100, label="b")

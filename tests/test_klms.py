@@ -34,6 +34,37 @@ def _run(model, triples):
 # -- shared behavior -----------------------------------------------------------
 
 
+FILTERS = {
+    "klms": lambda: Klms(SPEC, eta=matched_eta(SPEC)),
+    "qklms": lambda: Qklms(SPEC, eta=0.5, quant_radius=0.3),
+    "knlms": lambda: Knlms(SPEC, coherence_mu0=0.9),
+    "beta:0": lambda: BetaKlms(SPEC, 0.0),
+    "beta:1": lambda: BetaKlms(SPEC, 1.0, coherence_mu0=0.9),
+}
+
+
+@pytest.mark.parametrize("name", FILTERS)
+def test_update_block_is_the_update_loop_bit_for_bit(name):
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-2.0, 2.0, size=(120, 2))
+    y = np.sin(X.sum(axis=1)) + 0.1 * rng.standard_normal(120)
+    loop, block = FILTERS[name](), FILTERS[name]()
+    for xi, yi in zip(X, y):
+        loop.update(xi, yi)
+    for start in range(0, 120, 25):
+        block.update_block(X[start : start + 25], y[start : start + 25])
+    assert block.dictionary.ids == loop.dictionary.ids
+    np.testing.assert_array_equal(block.dictionary.points, loop.dictionary.points)
+    assert block.alpha.tobytes() == loop.alpha.tobytes()
+
+
+def test_update_block_refuses_mismatched_counts():
+    model = Klms(SPEC, eta=0.5)
+    with pytest.raises(ValueError, match="one input row per target"):
+        model.update_block(np.zeros((3, 2)), np.zeros(2))
+    assert model.size == 0
+
+
 def test_empty_model_predicts_zero():
     assert Klms(SPEC, eta=0.5).predict([1.0]) == 0.0
 

@@ -16,7 +16,9 @@ from okreg import (
     OnlineGP,
     batch_fit,
     batch_predict,
+    dump_state,
     fingerprint,
+    load_state,
 )
 from okreg.batch_gp import batch_predict_grid
 from okreg.datasets import gen_kinematics_like
@@ -531,3 +533,155 @@ def test_corrupted_covariance_raises_on_update():
     gp = OnlineGP.from_components(_spec(), d, np.zeros(2), -1e-3 * np.eye(2))
     with pytest.raises(NumericalError, match="positive semidefiniteness"):
         gp.update([5.0], 1.0)
+
+
+# -- the block step ---------------------------------------------------------------
+
+
+def _in_blocks(gp, X, y, size):
+    for start in range(0, len(y), size):
+        gp.update_block(X[start : start + size], y[start : start + size])
+    return gp
+
+
+def _in_a_loop(gp, X, y):
+    for xi, yi in zip(X, y):
+        gp.update(xi, yi)
+    return gp
+
+
+def _assert_block_matches_loop(block, loop, probes):
+    assert block.dictionary.ids == loop.dictionary.ids
+    np.testing.assert_allclose(block.mu, loop.mu, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(block.sigma, loop.sigma, rtol=0, atol=1e-10)
+    np.testing.assert_array_equal(block.targets, loop.targets)
+    for b, a in zip(block.predict_batch(probes), loop.predict_batch(probes)):
+        np.testing.assert_allclose(b, a, rtol=0, atol=1e-10)
+    # the factor is judged by what it factors: entries can differ by 1e-9
+    # where the Gram matrix is ill-conditioned
+    K = gram_matrix(block.spec, block.dictionary)
+    assert float(np.max(np.abs(block.chol @ block.chol.T - K))) < 1e-12
+    assert np.array_equal(block.sigma, block.sigma.T)
+
+
+def _kinematics(seed, n, dim):
+    train, test = gen_kinematics_like(seed, n, n, d=dim)
+    return train.inputs, train.targets, test.inputs
+
+
+@pytest.mark.parametrize("size", [1, 7, 50, 300])
+@pytest.mark.parametrize(
+    "lengthscale, dim, seed",
+    [(0.4, 4, 0), (1.0, 4, 3), (1.5, 2, 0)],
+    ids=["l0.4-d4", "l1.0-d4", "l1.5-d2-ill-conditioned"],
+)
+def test_update_block_matches_the_update_loop(lengthscale, dim, seed, size):
+    # the first block goes into an empty model; size 300 is the whole stream
+    X, y, probes = _kinematics(seed, 300, dim)
+    spec = KernelSpec(lengthscale=lengthscale, noise_variance=0.1)
+    loop = _in_a_loop(OnlineGP(spec), X, y)
+    block = _in_blocks(OnlineGP(spec), X, y, size)
+    assert 0 < loop.size <= 300
+    _assert_block_matches_loop(block, loop, probes)
+
+
+def _no_update(*args, **kwargs):
+    raise AssertionError("the block was replayed through update")
+
+
+def test_update_block_skips_what_the_loop_skips(monkeypatch):
+    # every other row repeats an earlier one, so some points of each block
+    # are skipped; replaying the first block skips all of it
+    X, y, probes = _kinematics(1, 120, 2)
+    X[1::2] = X[0:-1:2]
+    spec = KernelSpec(lengthscale=0.6, noise_variance=0.1)
+    loop = _in_a_loop(OnlineGP(spec), X, y)
+    monkeypatch.setattr(OnlineGP, "update", _no_update)
+    block = _in_blocks(OnlineGP(spec), X, y, 20)
+    assert loop.size <= 60
+    _assert_block_matches_loop(block, loop, probes)
+    before = fingerprint(block)
+    block.update_block(X[:20], y[:20])
+    assert fingerprint(block) == before
+
+
+def test_update_block_of_a_budgeted_model_is_the_update_loop():
+    X, y = _evicting_stream(200)
+    spec = KernelSpec(lengthscale=0.5, noise_variance=0.1)
+    loop = _in_a_loop(OnlineGP(spec, budget=20), X, y)
+    block = _in_blocks(OnlineGP(spec, budget=20), X, y, 50)
+    assert block.dictionary.ids[0] > 150
+    assert fingerprint(block) == fingerprint(loop)
+
+
+@pytest.mark.parametrize("where", [0, 13, 24])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["row", "target"])
+def test_update_block_refuses_a_non_finite_observation_and_changes_nothing(where, bad, field):
+    X, y, _ = _kinematics(0, 50, 2)
+    gp = OnlineGP(KernelSpec(lengthscale=0.5, noise_variance=0.1))
+    gp.update_block(X[:25], y[:25])
+    Xb, yb = X[25:].copy(), y[25:].copy()
+    if field == "row":
+        Xb[where, 1] = bad
+    else:
+        yb[where] = bad
+    before = fingerprint(gp)
+    with pytest.raises(ValueError, match="finite"):
+        gp.update_block(Xb, yb)
+    assert fingerprint(gp) == before
+
+
+def test_update_block_refuses_mismatched_counts():
+    gp = OnlineGP(_spec())
+    with pytest.raises(ValueError, match="one input row per target"):
+        gp.update_block(np.zeros((3, 2)), np.zeros(2))
+    with pytest.raises(ValueError, match="one input row per target"):
+        gp.update_block(np.zeros(3), np.zeros(3))
+    gp.update_block(np.zeros((0, 2)), np.zeros(0))
+    assert gp.size == 0
+
+
+def test_update_block_state_round_trips_through_a_snapshot():
+    X, y, probes = _kinematics(2, 200, 4)
+    spec = KernelSpec(lengthscale=0.4, noise_variance=0.1)
+    gp = _in_blocks(OnlineGP(spec), X[:100], y[:100], 50)
+    clone = load_state(dump_state(gp))
+    assert fingerprint(clone) == fingerprint(gp)
+    for model in (gp, clone):
+        _in_blocks(model, X[100:], y[100:], 50)
+    assert fingerprint(clone) == fingerprint(gp)
+    assert np.array_equal(gp.sigma, gp.sigma.T)
+
+
+def test_update_block_never_rebuilds_or_refactors(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Gram rebuild or dense factorization ran in the block step")
+
+    X, y, _ = _kinematics(0, 200, 4)
+    gp = OnlineGP(KernelSpec(lengthscale=0.4, noise_variance=0.1))
+    monkeypatch.setattr(okreg.online_gp, "gram_matrix", forbidden)
+    monkeypatch.setattr(np.linalg, "inv", forbidden)
+    monkeypatch.setattr(np.linalg, "cholesky", forbidden)
+    monkeypatch.setattr(OnlineGP, "update", _no_update)
+    _in_blocks(gp, X, y, 50)
+    assert gp.size == 200
+
+
+@pytest.mark.parametrize("size", [25, 50])
+def test_update_block_raises_where_the_loop_raises(size):
+    # the zero-noise, zero-jitter stream of
+    # test_non_positive_output_variance_raises_and_changes_nothing: the loop
+    # raises at step 48, and the block holding it is replayed through update
+    rng = np.random.default_rng(1)
+    X = rng.uniform(-1, 1, (60, 2))
+    y = np.sin(X.sum(1))
+    spec = KernelSpec(lengthscale=3.0, noise_variance=0.0, jitter=0.0)
+    loop = OnlineGP(spec, admission_threshold=0.0)
+    with pytest.raises(NumericalError, match="output variance") as in_loop:
+        _in_a_loop(loop, X, y)
+    block = OnlineGP(spec, admission_threshold=0.0)
+    with pytest.raises(NumericalError, match="output variance") as in_block:
+        _in_blocks(block, X, y, size)
+    assert str(in_block.value) == str(in_loop.value)
+    assert fingerprint(block) == fingerprint(loop)

@@ -5,7 +5,7 @@ from okreg.verify import CheckResult, format_results, run_all_checks
 
 def test_battery_passes_at_default_tolerances():
     results = run_all_checks(seed=0)
-    assert len(results) == 9
+    assert len(results) == 11
     assert all(isinstance(r, CheckResult) for r in results)
     failing = [r.name for r in results if not r.passed]
     assert failing == []
@@ -27,6 +27,6 @@ def test_format_results_is_a_readable_table():
     results = run_all_checks(seed=0)
     table = format_results(results)
     lines = table.splitlines()
-    assert len(lines) == 10
+    assert len(lines) == 12
     assert "max_error" in lines[0]
     assert all(line.endswith("PASS") for line in lines[1:])
