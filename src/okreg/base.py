@@ -58,9 +58,14 @@ def finite_target(y) -> float:
 
 def block_rows(X, y) -> tuple[np.ndarray, np.ndarray]:
     """A block of observations as (m x d inputs, m targets); ValueError
-    when X is not 2-D or the counts differ."""
+    when X is not 2-D with d >= 1, the counts differ, or any entry is NaN
+    or infinite."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     if X.ndim != 2 or X.shape[0] != y.size:
         raise ValueError(f"a block needs one input row per target, got {X.shape} and {y.size}")
+    if X.shape[1] == 0:
+        raise ValueError("a block's input rows need dimension >= 1")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("a block's inputs and targets must be finite")
     return X, y

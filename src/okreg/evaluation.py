@@ -8,7 +8,9 @@ for the GP).  ``run_reconvergence`` scores that error, so each
 observation costs one kernel-vector pass.  ``update_block(X, y)``
 absorbs the rows of X in order and returns nothing; it leaves the state
 ``update`` on each row would (bit for bit for the filters, which loop,
-and up to rounding for the unbudgeted GP, which takes one block step).
+and up to rounding for the unbudgeted GP, which takes one block step on
+blocks of four or more rows).  A malformed or non-finite block raises
+ValueError before any state changes.
 ``run_online_experiment`` feeds each scoring interval through it.
 ``predict_batch(X)`` scores held-out rows; ``predict_means`` reads the
 means out of it.

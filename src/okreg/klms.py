@@ -93,7 +93,8 @@ class KlmsModel:
         return cross_kernel(self.spec, self.dictionary, X).T @ self.alpha
 
     def update_block(self, X, y) -> None:
-        """``update`` on each row of X with its target, in order."""
+        """``update`` on each row of X with its target, in order; a
+        malformed or non-finite block raises ValueError and changes nothing."""
         for x, t in zip(*block_rows(X, y)):
             self.update(x, t)
 

@@ -40,8 +40,10 @@ of the m x m Schur complement gates each row in order on the same gamma2
 through the Cholesky factor of their a-priori output covariance, with
 one ``dsyrk`` downdate of one triangle of ``sigma`` that is then
 mirrored.  ``sigma`` and L grow once per block.  A budgeted model, a
-block with a decision within rounding of its boundary, and a block whose
-output covariance is not positive definite take the ``update`` loop.
+model whose admission threshold is within rounding of zero, a block of
+fewer than four rows, a block with a decision within rounding of its
+boundary, and a block whose output covariance is not positive definite
+take the ``update`` loop.
 """
 
 from __future__ import annotations
@@ -77,6 +79,22 @@ _SIGMA_DIAG_FLOOR = -1e-6
 # Block pivots and the loop's gamma2 from one state differed by at most
 # 4.6e-12 on the kinematics streams at lengthscales 0.4 to 1.5.
 _BLOCK_MARGIN = 1e-10
+
+# A model whose admission threshold is below this fraction of the prior
+# variance loops over ``update``: it admits pivots at rounding level, and on
+# the factor they leave, later gate and output-variance decisions turn on the
+# last bits of the state, which the block step and the loop round apart.  On
+# 168 runs (uniform and kinematics streams, 1-4 d, lengthscales 0.3 to 5,
+# noise 0 and 0.1, blocks of 4 to 50 rows) the admitted points matched the
+# loop's at relative thresholds 3e-10 and up; at 1e-10 and below they did not
+# on the noise-free lengthscale-3 streams.
+_BLOCK_MIN_THRESHOLD = 1e-9
+
+# A block of fewer rows loops over ``update``, which is then faster: the
+# block step's fixed passes over sigma and L make a one-row block take
+# 2.5-2.9x the time of one ``update``, and break even at 4 rows (100 to 800
+# centres, 2 vCPUs).
+_MIN_BLOCK_ROWS = 4
 
 
 @dataclass
@@ -365,17 +383,25 @@ class OnlineGP:
 
         The state is that of ``update`` on each row in turn, up to
         rounding: the same points are admitted, and ``sigma`` stays exactly
-        symmetric.  A budgeted model runs that loop, because a block would
-        see points the loop evicts before the later rows arrive.  Without
-        a budget a non-finite row or target raises ValueError before any
-        state changes.  When the block step cannot certify a gate
-        decision, a positive output variance or the covariance diagonal,
-        the block is replayed through ``update``, which raises
-        NumericalError where the loop would.
+        symmetric.  A malformed or non-finite block raises ValueError
+        before any state changes.  The block runs as that loop when the
+        model has a budget (a block would see points the loop evicts before
+        the later rows arrive), when its admission threshold is within
+        rounding of zero (the loop's own decisions then turn on rounding),
+        and when the block has fewer than four rows (the loop is then
+        faster); a block step that cannot certify a gate decision, a
+        positive output variance or the covariance diagonal is replayed the
+        same way.  A model all of whose blocks run the loop raises
+        NumericalError where the loop does, with its state; after a block
+        step the state, and so a later NumericalError, agrees with the
+        loop's only up to rounding.
         """
         X, y = block_rows(X, y)
-        if self.budget is None:
-            y = np.array([finite_target(t) for t in y])
+        if (
+            self.budget is None
+            and len(y) >= _MIN_BLOCK_ROWS
+            and self.admission_threshold >= _BLOCK_MIN_THRESHOLD * self.spec.gram_diagonal
+        ):
             step = self._block_step(X, y)
             if step is not None:
                 admitted, self._mu, self._sigma, self._chol = step
@@ -404,7 +430,7 @@ class OnlineGP:
         """
         n, m = self.size, X.shape[0]
         spec = self.spec
-        Kcx = cross_kernel(spec, self.dictionary, X)  # refuses a non-finite row
+        Kcx = cross_kernel(spec, self.dictionary, X)
         Kxx = _kernel_matrix(spec, X, X)
         np.fill_diagonal(Kxx, spec.gram_diagonal)
         if n:

@@ -13,6 +13,7 @@ from okreg import (
     Knlms,
     OnlineGP,
     Qklms,
+    fingerprint,
     general_alpha_update,
     matched_eta,
 )
@@ -63,6 +64,23 @@ def test_update_block_refuses_mismatched_counts():
     with pytest.raises(ValueError, match="one input row per target"):
         model.update_block(np.zeros((3, 2)), np.zeros(2))
     assert model.size == 0
+
+
+@pytest.mark.parametrize("name", FILTERS)
+def test_update_block_refuses_a_malformed_block_and_changes_nothing(name):
+    rng = np.random.default_rng(6)
+    X = rng.uniform(-2.0, 2.0, size=(30, 2))
+    y = np.sin(X.sum(axis=1))
+    model = FILTERS[name]()
+    model.update_block(X[:10], y[:10])
+    before = fingerprint(model)
+    Xb = X[10:].copy()
+    Xb[15, 0] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        model.update_block(Xb, y[10:])
+    with pytest.raises(ValueError, match="dimension >= 1"):
+        model.update_block(np.zeros((3, 0)), np.zeros(3))
+    assert fingerprint(model) == before
 
 
 def test_empty_model_predicts_zero():

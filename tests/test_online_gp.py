@@ -614,12 +614,13 @@ def test_update_block_of_a_budgeted_model_is_the_update_loop():
     assert fingerprint(block) == fingerprint(loop)
 
 
+@pytest.mark.parametrize("budget", [None, 20])
 @pytest.mark.parametrize("where", [0, 13, 24])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("field", ["row", "target"])
-def test_update_block_refuses_a_non_finite_observation_and_changes_nothing(where, bad, field):
+def test_update_block_refuses_a_non_finite_observation_and_changes_nothing(where, bad, field, budget):
     X, y, _ = _kinematics(0, 50, 2)
-    gp = OnlineGP(KernelSpec(lengthscale=0.5, noise_variance=0.1))
+    gp = OnlineGP(KernelSpec(lengthscale=0.5, noise_variance=0.1), budget=budget)
     gp.update_block(X[:25], y[:25])
     Xb, yb = X[25:].copy(), y[25:].copy()
     if field == "row":
@@ -668,11 +669,12 @@ def test_update_block_never_rebuilds_or_refactors(monkeypatch):
     assert gp.size == 200
 
 
-@pytest.mark.parametrize("size", [25, 50])
+@pytest.mark.parametrize("size", [1, 5, 10, 16, 25, 50])
 def test_update_block_raises_where_the_loop_raises(size):
     # the zero-noise, zero-jitter stream of
     # test_non_positive_output_variance_raises_and_changes_nothing: the loop
-    # raises at step 48, and the block holding it is replayed through update
+    # raises at step 48.  Its threshold of 0 admits pivots at rounding level,
+    # so every block runs as the update loop, bit for bit
     rng = np.random.default_rng(1)
     X = rng.uniform(-1, 1, (60, 2))
     y = np.sin(X.sum(1))
@@ -685,3 +687,39 @@ def test_update_block_raises_where_the_loop_raises(size):
         _in_blocks(block, X, y, size)
     assert str(in_block.value) == str(in_loop.value)
     assert fingerprint(block) == fingerprint(loop)
+
+
+def _no_block_step(*args, **kwargs):
+    raise AssertionError("the block step ran")
+
+
+@pytest.mark.parametrize(
+    "threshold, size",
+    [(0.0, 50), (1e-12, 50), (1e-8, 1), (1e-8, 3)],
+    ids=["threshold-0", "threshold-1e-12", "one-row", "three-rows"],
+)
+def test_update_block_loops_at_a_rounding_threshold_or_a_short_block(monkeypatch, threshold, size):
+    X, y, _ = _kinematics(0, 100, 2)
+    spec = KernelSpec(lengthscale=0.5, noise_variance=0.1)
+    loop = _in_a_loop(OnlineGP(spec, admission_threshold=threshold), X, y)
+    monkeypatch.setattr(OnlineGP, "_block_step", _no_block_step)
+    block = _in_blocks(OnlineGP(spec, admission_threshold=threshold), X, y, size)
+    assert fingerprint(block) == fingerprint(loop)
+
+
+def test_update_block_takes_the_block_step_from_four_rows(monkeypatch):
+    X, y, _ = _kinematics(0, 8, 2)
+    gp = OnlineGP(KernelSpec(lengthscale=0.5, noise_variance=0.1))
+    monkeypatch.setattr(OnlineGP, "update", _no_update)
+    _in_blocks(gp, X, y, 4)
+    assert gp.size == 8
+
+
+@pytest.mark.parametrize("budget", [None, 20])
+def test_update_block_refuses_zero_dimensional_rows_and_changes_nothing(budget):
+    # the kernel accepts them, so only the block check stops the block step
+    # from factoring them before the dictionary refuses the first one
+    gp = OnlineGP(_spec(), budget=budget)
+    with pytest.raises(ValueError, match="dimension >= 1"):
+        gp.update_block(np.zeros((5, 0)), np.zeros(5))
+    assert fingerprint(gp) == fingerprint(OnlineGP(_spec(), budget=budget))
