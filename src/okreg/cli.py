@@ -18,7 +18,9 @@ passes through its flag's type.
 
 ``compare``, ``reconverge`` and ``uncertainty`` check every flag, then
 read a ``--csv`` file and check it has enough rows, then create ``--out``,
-before any model runs.
+before any model runs; ``compare`` also checks, before ``--out``, that
+every seed's test split can be scored: NMSE needs at least two test
+rows and test targets that are not all equal.
 """
 
 from __future__ import annotations
@@ -249,11 +251,16 @@ def cmd_compare(args) -> int:
         raise ConfigError("--csv requires --dim")
     n_test = args.n if args.n_test is None else args.n_test
     data = None if args.csv is None else _load_csv_checked(args, args.dim, args.n + n_test)
+    if n_test < 2:
+        raise ConfigError(f"NMSE needs at least 2 test rows, got {n_test} (--n-test defaults to --n)")
+    splits = [_compare_data(args, data, n_test, seed) for seed in range(args.seeds)]
+    for seed, (_, test) in enumerate(splits):
+        if np.var(test.targets) == 0.0:  # the same test as nmse_db
+            raise ConfigError(f"the test targets of seed {seed} are all equal; NMSE is undefined")
     _make_out(args)
     linear = dict.fromkeys(factories, 0.0)
     final_models: dict = {}
-    for seed in range(args.seeds):
-        train, test = _compare_data(args, data, n_test, seed)
+    for train, test in splits:
         for tok, make in factories.items():
             model = make()
             curve = run_online_experiment(model, train, test, args.eval_every, label=tok)

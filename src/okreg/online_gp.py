@@ -17,8 +17,11 @@ two ``dtrsv`` solves against L give ``l = L^-1 k`` and ``q = L^-T l``,
 the bordered covariance in place.  The downdate subtracts
 ``gs_i * gs_j`` with ``gs = gain / sqrt(sigma_y2)``; an entry and its
 mirror take the same product and one rounding, so ``sigma`` stays
-exactly symmetric.  Apart from the new state arrays, admitting a point
-allocates nothing of size n^2; an eviction (below) still does.
+exactly symmetric.  Both ``update`` and ``update_block`` grow ``sigma``
+and L the same way: one helper copies the old array into the top-left
+block of a new one and borders it with the new rows and columns.  Apart
+from those new state arrays, admitting a point allocates nothing of size
+n^2; an eviction (below) still does.
 
 Admission is gated on ``gamma2 = k(x, x) - ||L^-1 k||^2``, the squared
 residual of the new input's feature after projecting onto the span of
@@ -131,6 +134,18 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 def _mirror_lower(M: np.ndarray) -> None:
     """Copy the strict lower triangle of the square M onto its strict upper one."""
     np.copyto(M, M.T, where=np.tri(len(M), k=-1, dtype=bool).T)
+
+
+def _bordered(A: np.ndarray, lower, corner, upper) -> np.ndarray:
+    """The block matrix [[A, upper], [lower, corner]] for a square A and the
+    rows ``lower`` below it; the other blocks may be scalars, which broadcast."""
+    n, N = len(A), len(A) + len(lower)
+    M = np.empty((N, N))
+    M[:n, :n] = A
+    M[:n, n:] = upper
+    M[n:, :n] = lower
+    M[n:, n:] = corner
+    return M
 
 
 def _checked_chol(chol, n: int) -> np.ndarray:
@@ -265,21 +280,18 @@ class OnlineGP:
         """Vectorized predict over rows of X: (means, latent vars, output vars)."""
         Kx = cross_kernel(self.spec, self.dictionary, X)
         kss = self.spec.signal_variance
-        if self.size == 0:
-            m = Kx.shape[1]
-            lat = np.full(m, kss)
-            return np.zeros(m), lat, lat + self.spec.noise_variance
         # B holds the transposed right-hand sides (m x n, Fortran-ordered),
         # which the solves overwrite in place: first B = (L^-1 Kx)^T, then
         # B = (K^-1 Kx)^T.  Every BLAS call here is scipy's: NumPy and SciPy
         # wheels each bundle their own threaded OpenBLAS, and handing work
         # back and forth between the two pools doubled this call's time.
+        # The level-3 wrappers take an empty B or L; the dgemv one does not.
         U = self._chol.T
         B = dtrsm(1.0, U, Kx.T, side=1, overwrite_b=1)
         gamma2 = kss - np.einsum("ij,ij->i", B, B)
         B = dtrsm(1.0, U, B, side=1, trans_a=1, overwrite_b=1)
         sf2 = gamma2 + np.einsum("ij,ij->i", B, dgemm(1.0, B, self._sigma.T))
-        means = dgemv(1.0, B, self._mu)
+        means = dgemv(1.0, B, self._mu) if B.size else np.zeros(len(B))
         if np.any(sf2 < VARIANCE_FLOOR):
             raise NumericalError(f"negative predictive variance: {float(sf2.min())}")
         sf2 = np.maximum(sf2, 0.0)
@@ -340,7 +352,6 @@ class OnlineGP:
             return scr
         if not scr.sigma_y2 > 0:
             raise NumericalError(f"non-positive a-priori output variance: {scr.sigma_y2}")
-        n = self.size
         gain = np.append(scr.h, scr.sigma_f2)
 
         mu1 = np.append(self._mu, scr.y_hat) + (scr.e / scr.sigma_y2) * gain
@@ -352,18 +363,11 @@ class OnlineGP:
         # operand, so alpha = -1 / sigma_y2 could round the two apart.)
         # dger's return value is kept: f2py silently works on a copy of an
         # operand that is not F-contiguous.
-        sigma1 = np.empty((n + 1, n + 1))
-        sigma1[:n, :n] = self._sigma
-        sigma1[:, n] = gain
-        sigma1[n] = gain
+        sigma1 = _bordered(self._sigma, scr.h[np.newaxis], scr.sigma_f2, scr.h[:, np.newaxis])
         gs = gain / np.sqrt(scr.sigma_y2)
         sigma1 = dger(-1.0, gs, gs, a=sigma1.T, overwrite_a=1).T
 
-        chol1 = np.empty((n + 1, n + 1))
-        chol1[:n, :n] = self._chol
-        chol1[:n, n] = 0.0
-        chol1[n, :n] = scr.l
-        chol1[n, n] = np.sqrt(scr.gamma2)
+        chol1 = _bordered(self._chol, scr.l[np.newaxis], np.sqrt(scr.gamma2), 0.0)
 
         self.dictionary.append(x)
         self._targets.append(float(y))
@@ -374,7 +378,7 @@ class OnlineGP:
         if self.budget is not None and self.size > self.budget:
             self._evict_oldest()
 
-        if self.size and float(np.min(np.diag(self._sigma))) < _SIGMA_DIAG_FLOOR:
+        if float(np.min(np.diag(self._sigma))) < _SIGMA_DIAG_FLOOR:
             raise NumericalError("posterior covariance lost positive semidefiniteness")
         return scr
 
@@ -428,19 +432,15 @@ class OnlineGP:
         T = [H; Sigma_AA] Ls^-T, the covariance [[sigma, H], [H^T, Sigma_AA]]
         - T T^T and the mean [mu; Q_A^T mu] + T Ls^-1 (y_A - Q_A^T mu).
         """
-        n, m = self.size, X.shape[0]
+        m = X.shape[0]
         spec = self.spec
         Kcx = cross_kernel(spec, self.dictionary, X)
         Kxx = _kernel_matrix(spec, X, X)
         np.fill_diagonal(Kxx, spec.gram_diagonal)
-        if n:
-            U = self._chol.T
-            Wt = dtrsm(1.0, U, Kcx.T, side=1, overwrite_b=1)
-            Qt = dtrsm(1.0, U, Wt, side=1, trans_a=1)
-            schur = dsyrk(-1.0, Wt, beta=1.0, c=Kxx.T, lower=1, overwrite_c=1)
-        else:
-            Wt = Qt = np.zeros((m, 0))
-            schur = Kxx.T
+        U = self._chol.T
+        Wt = dtrsm(1.0, U, Kcx.T, side=1, overwrite_b=1)
+        Qt = dtrsm(1.0, U, Wt, side=1, trans_a=1)
+        schur = dsyrk(-1.0, Wt, beta=1.0, c=Kxx.T, lower=1, overwrite_c=1)
         # only the lower triangle of schur is read: dsyrk fills no other
 
         R = np.zeros((m, m))
@@ -463,36 +463,26 @@ class OnlineGP:
 
         Wa, Qa = Wt[admitted], Qt[admitted]
         sigma_aa = schur[np.ix_(admitted, admitted)]
-        if n:
-            Ht = dgemm(1.0, Qa, self._sigma.T)
-            sigma_aa += dgemm(1.0, Ht, Qa, trans_b=1)
-            y_hat = dgemv(1.0, Qa, self._mu)
-        else:
-            Ht, y_hat = np.zeros((a, 0)), np.zeros(a)
+        Ht = dgemm(1.0, Qa, self._sigma.T)
+        sigma_aa += dgemm(1.0, Ht, Qa, trans_b=1)
+        y_hat = dgemv(1.0, Qa, self._mu) if Qa.size else np.zeros(a)
         _mirror_lower(sigma_aa)
         Ls, info = dpotrf(sigma_aa + spec.noise_variance * np.eye(a), lower=1)
         if info or np.min(np.diag(Ls)) ** 2 <= _BLOCK_MARGIN * (spec.gram_diagonal + spec.noise_variance):
             return None
 
-        N = n + a
-        sigma = np.empty((N, N))
-        sigma[:n, :n] = self._sigma
-        sigma[:n, n:] = Ht.T
-        sigma[n:, n:] = sigma_aa
-        T = dtrsm(1.0, Ls, sigma[:, n:], side=1, lower=1, trans_a=1)
+        sigma = _bordered(self._sigma, Ht, sigma_aa, Ht.T)
+        T = dtrsm(1.0, Ls, sigma[:, -a:], side=1, lower=1, trans_a=1)
         z = dtrsv(Ls, y[admitted] - y_hat, lower=1)
         mu = dgemv(1.0, T, z, beta=1.0, y=np.append(self._mu, y_hat))
         # one triangle of the downdate, mirrored, keeps sigma exactly symmetric
         G = dsyrk(-1.0, T, beta=1.0, c=sigma.T, lower=1, overwrite_c=1)
         _mirror_lower(G)
-        sigma = np.ascontiguousarray(G.T)
+        sigma = G.T
         if float(np.min(np.diag(sigma))) < _SIGMA_DIAG_FLOOR:
             return None
 
-        chol = np.zeros((N, N))
-        chol[:n, :n] = self._chol
-        chol[n:, :n] = Wa
-        chol[n:, n:] = R[:a, :a]
+        chol = _bordered(self._chol, Wa, R[:a, :a], 0.0)
         return admitted, mu, sigma, chol
 
     def _evict_oldest(self) -> None:

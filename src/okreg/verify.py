@@ -93,7 +93,7 @@ def _check_online(rng):
             block.update_block(X[start : start + _BLOCK], y[start : start + _BLOCK])
         loop_pred, block_pred = loop.predict_batch(grid), block.predict_batch(grid)
         loop_batch.append(_gaps(loop_pred, _batch_of(loop, grid)))
-        same = block.dictionary.ids == loop.dictionary.ids
+        same = np.array_equal(block.dictionary.points, loop.dictionary.points)
         block_loop.append(max(_gaps(block_pred, loop_pred)) if same else np.inf)
         block_batch.append(max(_gaps(block_pred, _batch_of(block, grid))))
     mean_err, var_err = (max(g) for g in zip(*loop_batch[:-1]))
@@ -175,8 +175,11 @@ def run_all_checks(seed: int = 0, tol: float | None = None, noise_mismatch: floa
 
     ``noise_mismatch`` rescales the regularizer on one side of the
     KNLMS/BetaKlms pairing and exists as a negative control: anything
-    other than 1.0 must make that check fail.
+    other than 1.0 must make that check fail.  A ``tol`` that is not
+    positive and finite raises ValueError before any check runs.
     """
+    if tol is not None and not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     rng = np.random.default_rng(seed)
     mean_err, var_err, ill_err, block_loop_err, block_batch_err = _check_online(rng)
     bridge_err, inv_err = _check_weight_bridge_and_inverse(rng)

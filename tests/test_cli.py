@@ -460,6 +460,30 @@ def test_a_bad_csv_exits_config_before_out_is_made(tmp_path, capsys, argv, text,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--n", "20", "--n-test", "1"], "at least 2 test rows, got 1"),
+        (["--n", "1"], "at least 2 test rows, got 1"),
+        (["--csv", "constant", "--dim", "1", "--n", "2", "--n-test", "3", "--seeds", "2"],
+         "test targets of seed 0 are all equal"),
+    ],
+    ids=["n-test-1", "n-1-default-n-test", "constant-csv-targets"],
+)
+def test_an_unscorable_test_split_exits_config_before_out_is_made(tmp_path, monkeypatch, capsys, argv, named):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a model ran on a test split that NMSE cannot score")
+
+    monkeypatch.setattr(okreg.cli, "run_online_experiment", no_run)
+    p = tmp_path / "constant.csv"
+    p.write_text("0.1,2.0\n0.2,2.0\n0.3,2.0\n0.4,2.0\n0.5,2.0\n")
+    argv = [str(p) if a == "constant" else a for a in argv]
+    out = tmp_path / "out"
+    assert main(["compare", "--algs", "klms", *argv, "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_uncertainty_reads_csv(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text(
@@ -501,3 +525,11 @@ def test_verify_negative_control_fails(capsys):
 def test_verify_tolerance_override_fails(capsys):
     assert main(["verify", "--tol", "1e-16"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_verify_tolerance_that_is_not_positive_and_finite_exits_config(capsys, tol):
+    assert main(["verify", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert "tol must be positive and finite" in captured.err
+    assert captured.out == ""

@@ -10,8 +10,10 @@ from scipy.linalg import solve_triangular
 
 import okreg.online_gp
 from okreg import (
+    BetaKlms,
     Dictionary,
     KernelSpec,
+    Klms,
     NumericalError,
     OnlineGP,
     batch_fit,
@@ -100,6 +102,25 @@ def test_predict_batch_matches_pointwise():
         assert means[i] == pytest.approx(p.mean, abs=1e-12)
         assert sf2[i] == pytest.approx(p.sigma_f2, abs=1e-12)
         assert sy2[i] == pytest.approx(p.sigma_y2, abs=1e-12)
+
+
+def test_zero_query_rows_predict_empty_arrays():
+    # every batch predictor, with centres or without, answers no rows with empty arrays
+    rng = np.random.default_rng(13)
+    X, y = rng.uniform(-1, 1, size=(6, 2)), rng.standard_normal(6)
+    spec = _spec()
+    gp, klms, beta = OnlineGP(spec), Klms(spec, eta=0.5), BetaKlms(spec, beta=1.0)
+    for model in (gp, klms, beta):
+        model.update_block(X, y)
+    none = np.zeros((0, 2))
+    outputs = [
+        *gp.predict_batch(none),
+        *OnlineGP(spec).predict_batch(none),
+        klms.predict_batch(none),
+        *beta.variance_batch(none),
+        *batch_predict_grid(batch_fit(spec, gp.dictionary, gp.targets), none),
+    ]
+    assert [o.shape for o in outputs] == [(0,)] * 12
 
 
 # -- admission ---------------------------------------------------------------
@@ -552,6 +573,7 @@ def _in_a_loop(gp, X, y):
 
 def _assert_block_matches_loop(block, loop, probes):
     assert block.dictionary.ids == loop.dictionary.ids
+    np.testing.assert_array_equal(block.dictionary.points, loop.dictionary.points)
     np.testing.assert_allclose(block.mu, loop.mu, rtol=0, atol=1e-10)
     np.testing.assert_allclose(block.sigma, loop.sigma, rtol=0, atol=1e-10)
     np.testing.assert_array_equal(block.targets, loop.targets)

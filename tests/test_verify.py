@@ -1,5 +1,10 @@
 """The consistency-check battery behind the verify subcommand."""
 
+import numpy as np
+import pytest
+
+import okreg.verify
+from okreg import OnlineGP
 from okreg.verify import CheckResult, format_results, run_all_checks
 
 
@@ -21,6 +26,26 @@ def test_tolerance_override_applies_to_every_check():
     results = run_all_checks(seed=0, tol=1e9)
     assert all(r.passed for r in results)
     assert all(r.tolerance == 1e9 for r in results)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
+def test_a_tolerance_that_is_not_positive_and_finite_is_refused_before_any_check(monkeypatch, tol):
+    def no_check(rng):
+        raise AssertionError("a check ran before tol was validated")
+
+    monkeypatch.setattr(okreg.verify, "_check_online", no_check)
+    with pytest.raises(ValueError, match="tol"):
+        run_all_checks(seed=0, tol=tol)
+
+
+def test_block_check_fails_when_the_block_admits_other_points(monkeypatch):
+    # shifted by 1e-12 the block admits as many points as the loop, and
+    # predicts within 1e-10 of it, but the points are not the loop's
+    update_block = OnlineGP.update_block
+    monkeypatch.setattr(OnlineGP, "update_block", lambda self, X, y: update_block(self, np.asarray(X) + 1e-12, y))
+    results = {r.name: r for r in run_all_checks(seed=0)}
+    check = results["online block vs sequential"]
+    assert check.max_error == np.inf and not check.passed
 
 
 def test_format_results_is_a_readable_table():
