@@ -13,6 +13,14 @@ there) so that inverses stay computable when inputs nearly repeat.
 Every kernel evaluation goes through ``_kernel_matrix``, which refuses a
 query point with a NaN or infinite entry, as ``Dictionary.append`` refuses
 such a center (ValueError), so every model path shares one point rule.
+
+A ``Dictionary`` keeps its centers in the leading columns of a
+coordinate-major (dim, capacity) buffer.  A query of one row
+(``kernel_vector``, and ``cross_kernel`` on one row) gets its squared
+distances by adding the squared coordinate rows of that block in
+coordinate order; a query of several rows (``cross_kernel``,
+``gram_matrix``) goes to ``scipy.spatial.distance.cdist``.  cdist sums
+each distance in the same coordinate order, so both paths give its bits.
 """
 
 from __future__ import annotations
@@ -70,13 +78,13 @@ class KernelSpec:
 
 
 def _with_room(buf: np.ndarray, n: int) -> np.ndarray:
-    """``buf`` when it has a free row past its first n, else a copy of
-    those rows in a buffer of twice the capacity, so that n appends copy
-    O(n) rows in total."""
-    if n < buf.shape[0]:
+    """``buf`` when its last axis has a free slot past its first n, else a
+    copy of those slots in a buffer of twice the capacity, so that n
+    appends copy O(n) slots in total."""
+    if n < buf.shape[-1]:
         return buf
-    grown = np.empty((max(2 * n, 1),) + buf.shape[1:])
-    grown[:n] = buf[:n]
+    grown = np.empty(buf.shape[:-1] + (max(2 * n, 1),))
+    grown[..., :n] = buf[..., :n]
     return grown
 
 
@@ -85,10 +93,11 @@ class Dictionary:
 
     Points keep insertion order and each gets a stable integer id, so
     evicting old centers never renumbers the survivors.  They live in
-    the leading rows of a buffer with spare capacity; ``points`` is a
-    read-only view of them.  Appends write past every view already
-    handed out, and ``drop`` moves the survivors to a new buffer, so a
-    view never changes after it is taken.
+    the leading columns of a (dim, capacity) buffer, so each coordinate
+    of the centers is one contiguous row; ``points`` is a read-only
+    (n, dim) view of them (the transpose).  Appends write past every
+    view already handed out, and ``drop`` moves the survivors to a new
+    buffer, so a view never changes after it is taken.
     """
 
     def __init__(self, points=None):
@@ -127,13 +136,13 @@ class Dictionary:
     @property
     def dim(self) -> int | None:
         """Point dimension, or None while the dictionary has never held a point."""
-        return None if self._buf is None else int(self._buf.shape[1])
+        return None if self._buf is None else int(self._buf.shape[0])
 
     @property
     def points(self) -> np.ndarray:
         if self._buf is None:
             return np.zeros((0, 0))
-        view = self._buf[: len(self._ids)]
+        view = self._buf[:, : len(self._ids)].T
         view.flags.writeable = False
         return view
 
@@ -156,14 +165,14 @@ class Dictionary:
             raise ValueError("input point has a non-finite entry")
         n = len(self._ids)
         if self._buf is None:
-            self._buf = np.empty((1, p.size))
-        elif p.size != self._buf.shape[1]:
+            self._buf = np.empty((p.size, 1))
+        elif p.size != self._buf.shape[0]:
             raise ValueError(
                 f"dimension mismatch: dictionary holds "
-                f"{self._buf.shape[1]}-dimensional points, got {p.size}"
+                f"{self._buf.shape[0]}-dimensional points, got {p.size}"
             )
         self._buf = _with_room(self._buf, n)
-        self._buf[n] = p
+        self._buf[:, n] = p
         new_id = self._next_id
         self._next_id += 1
         self._ids.append(new_id)
@@ -176,15 +185,15 @@ class Dictionary:
         if index < 0:
             index += n
         buf = np.empty_like(self._buf)
-        buf[:index] = self._buf[:index]
-        buf[index : n - 1] = self._buf[index + 1 : n]
+        buf[:, :index] = self._buf[:, :index]
+        buf[:, index : n - 1] = self._buf[:, index + 1 : n]
         self._buf = buf
         del self._ids[index]
 
     def copy(self) -> "Dictionary":
         d = Dictionary()
         if self._buf is not None:
-            d._buf = self._buf[: len(self._ids)].copy()
+            d._buf = self._buf[:, : len(self._ids)].copy()
         d._ids = list(self._ids)
         d._next_id = self._next_id
         return d
@@ -209,7 +218,19 @@ def _kernel_matrix(spec: KernelSpec, P: np.ndarray, Q: np.ndarray) -> np.ndarray
             f"dimension mismatch: centers are {P.shape[1]}-dimensional, "
             f"queries have dimension {Q.shape[1]}"
         )
-    K = cdist(P, Q, "sqeuclidean")  # the Gaussian is evaluated in place
+    if Q.shape[0] == 1:
+        # squared distances of one query summed coordinate by coordinate
+        # over the (d, n) block, in the order and with the bits of cdist;
+        # np.sum may add pairwise, which changes the bits
+        D = P.T - Q[0][:, np.newaxis]
+        np.square(D, out=D)
+        K = D[0]
+        for row in D[1:]:
+            K += row
+        K = K[:, np.newaxis]
+    else:
+        K = cdist(np.ascontiguousarray(P), np.ascontiguousarray(Q), "sqeuclidean")
+    # the Gaussian is evaluated in place
     np.negative(K, out=K)
     K /= 2.0 * spec.lengthscale**2
     np.exp(K, out=K)

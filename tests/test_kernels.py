@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from okreg import Klms, OnlineGP, dump_state, load_state
 from okreg.kernels import (
     Dictionary,
     KernelSpec,
@@ -158,6 +159,17 @@ def test_kernel_vector_is_bitwise_a_cross_kernel_column(dim):
         np.testing.assert_array_equal(kernel_vector(SPEC, d, x), cross_kernel(SPEC, d, x[None])[:, 0])
 
 
+@pytest.mark.parametrize("n", [1, 40, 3000])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 9, 16])
+def test_kernel_vector_is_bitwise_a_column_of_a_two_row_cross_kernel(dim, n):
+    # one query row is summed coordinate by coordinate; two rows go to cdist
+    rng = np.random.default_rng(100 * dim + n)
+    d = Dictionary(rng.uniform(-3.0, 3.0, size=(n, dim)))
+    for x in rng.uniform(-3.0, 3.0, size=(20, dim)):
+        two_rows = cross_kernel(SPEC, d, np.vstack([x, x]))
+        np.testing.assert_array_equal(kernel_vector(SPEC, d, x), two_rows[:, 0])
+
+
 def test_cross_kernel_shape_and_values():
     d = Dictionary([[0.0], [1.0]])
     X = np.array([[0.0], [0.5], [2.0]])
@@ -290,6 +302,46 @@ def test_dictionary_points_are_a_read_only_view_that_later_steps_leave_alone():
     assert emptied.points.shape == (0, 1)
     emptied.append([7.0])
     np.testing.assert_array_equal(emptied.points, [[7.0]])
+
+
+def test_three_dimensional_points_keep_their_order_and_earlier_views():
+    X = np.random.default_rng(3).uniform(-3.0, 3.0, size=(40, 3))
+    d = Dictionary(X[:2])
+    first = d.points
+    assert first.shape == (2, 3)
+    with pytest.raises(ValueError):
+        first[0, 1] = 5.0
+    for x in X[2:]:  # past the capacity several times
+        d.append(x)
+    appended = d.points
+    d.drop(0)
+    dropped_first = d.points
+    d.drop(-1)
+    np.testing.assert_array_equal(first, X[:2])
+    np.testing.assert_array_equal(appended, X)
+    np.testing.assert_array_equal(dropped_first, X[1:])
+    np.testing.assert_array_equal(d.points, X[1:-1])
+    assert d.points.shape == (38, 3) and not d.points.flags.writeable
+    assert d.ids == tuple(range(1, 39))
+    for other in (d.copy(), Dictionary.restore(d.points, d.ids, d.next_id)):
+        assert other.dim == d.dim == 3
+        np.testing.assert_array_equal(other.points, d.points)
+        assert (other.ids, other.next_id) == (d.ids, d.next_id)
+
+
+@pytest.mark.parametrize(
+    "make, size",
+    [(lambda: Klms(SPEC, eta=0.5), 30), (lambda: OnlineGP(KernelSpec(lengthscale=1.5), budget=10), 10)],
+    ids=["klms", "budgeted-gp"],
+)
+def test_four_dimensional_models_re_dump_byte_identically(make, size):
+    model = make()
+    rng = np.random.default_rng(4)
+    for x, y in zip(rng.uniform(-2.0, 2.0, size=(30, 4)), rng.standard_normal(30)):
+        model.update(x, y)
+    assert model.dictionary.dim == 4 and model.size == size  # the GP has evicted
+    text = dump_state(model)
+    assert dump_state(load_state(text)) == text
 
 
 def test_dictionary_restore_round_trip():
