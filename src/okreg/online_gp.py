@@ -21,18 +21,17 @@ exactly symmetric.  Both ``update`` and ``update_block`` grow ``sigma``
 and L the same way: one helper copies the old array into the top-left
 block of a new one and borders it with the new rows and columns.  Apart
 from those new state arrays, admitting a point allocates nothing of size
-n^2; an eviction (below) still does.
+n^2 but the factor repair of an eviction (below).
 
 Admission is gated on ``gamma2 = k(x, x) - ||L^-1 k||^2``, the squared
 residual of the new input's feature after projecting onto the span of
 the dictionary.  Points that add less than ``admission_threshold`` of
 new direction are skipped outright; an admitted point appends the row
-``[(L^-1 k)^T, sqrt(gamma2)]`` to L.  With a ``budget`` set, admitting
-past capacity evicts the oldest center: its row and column are deleted
-from ``sigma`` and ``mu``, and L is repaired in O(n^2) by a Givens
-rank-one update of its trailing block (the sliding-window state of
-KRLS-T), with no Gram rebuild.  ``q_inv`` and ``krls_weights()`` are
-derived from L on request.
+``[(L^-1 k)^T, sqrt(gamma2)]`` to L.  With a ``budget`` set, a model at
+capacity forgets its oldest center as it admits (KRLS-T's sliding window):
+leaving its row and column out of the new ``mu`` and ``sigma`` marginalises
+it out, and L is repaired in O(n^2) by a Givens rank-one update of its
+trailing block.  ``q_inv`` and ``krls_weights()`` come from L on request.
 
 ``update_block(X, y)`` absorbs m rows at once and ends in the state of
 m ``update`` calls, because the posterior does not depend on how the
@@ -146,6 +145,22 @@ def _bordered(A: np.ndarray, lower, corner, upper) -> np.ndarray:
     M[n:, :n] = lower
     M[n:, n:] = corner
     return M
+
+
+def _without_first_center(L: np.ndarray) -> np.ndarray:
+    """The Cholesky factor of L L^T with its first row and column deleted; may overwrite L.
+
+    With L = [[l11, 0], [v, L22]], the reduced Gram matrix is
+    L22 L22^T + v v^T.  Deleting the first column of the upper factor
+    L^T leaves the Hessenberg matrix [v^T; L22^T]; ``qr_delete`` restores
+    it to triangular form with n - 1 Givens rotations.  Rotations may
+    leave negative diagonal entries, and flipping the sign of those
+    rows keeps the product and makes the factor the unique one again.
+    """
+    _, R = qr_delete(np.eye(len(L)), L.T, 0, 1, which="col", overwrite_qr=True, check_finite=False)
+    R = R[:-1]
+    R[np.diag(R) < 0] *= -1.0
+    return np.ascontiguousarray(R.T)
 
 
 def _checked_chol(chol, n: int) -> np.ndarray:
@@ -352,9 +367,12 @@ class OnlineGP:
             return scr
         if not scr.sigma_y2 > 0:
             raise NumericalError(f"non-positive a-priori output variance: {scr.sigma_y2}")
-        gain = np.append(scr.h, scr.sigma_f2)
+        # a model at its budget leaves its oldest center out of the new state
+        old = int(self.size == self.budget)
+        h = scr.h[old:]
+        gain = np.append(h, scr.sigma_f2)
 
-        mu1 = np.append(self._mu, scr.y_hat) + (scr.e / scr.sigma_y2) * gain
+        mu1 = np.append(self._mu[old:], scr.y_hat) + (scr.e / scr.sigma_y2) * gain
 
         # sigma1 -= gain gain^T / sigma_y2 in place: one dger on the F-ordered
         # view of sigma1 with x = y = gs and alpha = -1.  Entry (i, j) and its
@@ -363,7 +381,7 @@ class OnlineGP:
         # operand, so alpha = -1 / sigma_y2 could round the two apart.)
         # dger's return value is kept: f2py silently works on a copy of an
         # operand that is not F-contiguous.
-        sigma1 = _bordered(self._sigma, scr.h[np.newaxis], scr.sigma_f2, scr.h[:, np.newaxis])
+        sigma1 = _bordered(self._sigma[old:, old:], h[np.newaxis], scr.sigma_f2, h[:, np.newaxis])
         gs = gain / np.sqrt(scr.sigma_y2)
         sigma1 = dger(-1.0, gs, gs, a=sigma1.T, overwrite_a=1).T
 
@@ -371,12 +389,13 @@ class OnlineGP:
 
         self.dictionary.append(x)
         self._targets.append(float(y))
+        if old:
+            chol1 = _without_first_center(chol1)
+            self.dictionary.drop(0)
+            self._targets.pop(0)
         self._mu = mu1
         self._sigma = sigma1
         self._chol = chol1
-
-        if self.budget is not None and self.size > self.budget:
-            self._evict_oldest()
 
         if float(np.min(np.diag(self._sigma))) < _SIGMA_DIAG_FLOOR:
             raise NumericalError("posterior covariance lost positive semidefiniteness")
@@ -484,26 +503,6 @@ class OnlineGP:
 
         chol = _bordered(self._chol, Wa, R[:a, :a], 0.0)
         return admitted, mu, sigma, chol
-
-    def _evict_oldest(self) -> None:
-        """Drop the first center and repair the factor in O(n^2).
-
-        With L = [[l11, 0], [v, L22]], the reduced Gram matrix is
-        L22 L22^T + v v^T.  Deleting the first column of the upper factor
-        L^T leaves the Hessenberg matrix [v^T; L22^T]; ``qr_delete`` restores
-        it to triangular form with n - 1 Givens rotations.  Rotations may
-        leave negative diagonal entries, and flipping the sign of those
-        rows keeps the product and makes the factor the unique one again.
-        """
-        self.dictionary.drop(0)
-        self._targets.pop(0)
-        self._mu = self._mu[1:].copy()
-        self._sigma = self._sigma[1:, 1:].copy()
-        n = self._chol.shape[0]
-        _, R = qr_delete(np.eye(n), self._chol.T, 0, 1, which="col", overwrite_qr=True, check_finite=False)
-        R = R[:-1]
-        R[np.diag(R) < 0] *= -1.0
-        self._chol = np.ascontiguousarray(R.T)
 
     # -- bridges ----------------------------------------------------------
 

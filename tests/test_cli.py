@@ -500,6 +500,23 @@ def test_uncertainty_reads_csv(tmp_path):
     assert (out / "uncertainty.csv").exists()
 
 
+def test_a_numerical_error_exits_numeric_and_writes_no_results(tmp_path, capsys):
+    # noise 0 and jitter 0 leave the 40-point Gram matrix singular to
+    # rounding, so a predictive variance comes out negative; --out is made
+    # before any model runs, and nothing is written into it
+    x = np.linspace(-1, 1, 40)
+    p = tmp_path / "d.csv"
+    p.write_text("\n".join(f"{float(a)!r},{float(np.sin(3 * a))!r}" for a in x))
+    out = tmp_path / "unc"
+    code = main(
+        ["uncertainty", "--csv", str(p), "--prefixes", "40", "--kernel-lengthscale", "1",
+         "--noise-var", "0", "--jitter", "0", "--out", str(out)]
+    )
+    assert code == 4
+    assert capsys.readouterr().err.startswith("numerical error: negative predictive variance: -0.0882")
+    assert out.is_dir() and not (out / "uncertainty.csv").exists()
+
+
 # -- verify ------------------------------------------------------------------------
 
 

@@ -119,6 +119,8 @@ def test_scenario_validation():
         SwitchScenario(channel_a=[1.0], channel_b=[1.0], noise_std=float("inf"))
     with pytest.raises(ValueError):
         SwitchScenario(channel_a=[1.0], channel_b=[1.0], embedding_dim=0)
+    with pytest.raises(ValueError, match="n_total must be positive"):
+        SwitchScenario(channel_a=[1.0], channel_b=[1.0], n_total=0)
 
 
 def test_switch_series_shapes_and_regime():

@@ -22,6 +22,7 @@ from okreg import (
 )
 from okreg.batch_gp import batch_predict_grid
 from okreg.datasets import (
+    RegressionSet,
     SwitchScenario,
     default_switch_scenario,
     gen_kinematics_like,
@@ -183,6 +184,10 @@ def test_online_experiment_validation():
     train, test = gen_kinematics_like(0, 5, 5, d=1)
     with pytest.raises(ValueError):
         run_online_experiment(Klms(SPEC, 0.5), train, test, 0, label="klms")
+    empty = RegressionSet(train.inputs[:0], train.targets[:0])
+    for sets in [(empty, test), (train, empty)]:
+        with pytest.raises(ValueError, match="must be non-empty"):
+            run_online_experiment(Klms(SPEC, 0.5), *sets, 1, label="klms")
 
 
 # -- reconvergence runner ----------------------------------------------------------
@@ -337,6 +342,8 @@ def test_reconvergence_validation():
         run_reconvergence(scenario, {}, n_seeds=1)
     with pytest.raises(ValueError):
         run_reconvergence(scenario, {"m": lambda: Klms(SPEC, 0.5)}, n_seeds=0)
+    with pytest.raises(ValueError, match="smooth_window"):
+        run_reconvergence(scenario, {"m": lambda: Klms(SPEC, 0.5)}, n_seeds=1, smooth_window=0)
 
 
 # -- uncertainty runner ---------------------------------------------------------------

@@ -149,6 +149,8 @@ def test_kernel_vector_dimension_mismatch():
     d = Dictionary([[0.0, 0.0]])
     with pytest.raises(ValueError, match="dimension mismatch"):
         kernel_vector(SPEC, d, [1.0])
+    with pytest.raises(ValueError, match="input points must be 1-D vectors"):
+        kernel_vector(SPEC, d, [[1.0, 0.0]])
 
 
 @pytest.mark.parametrize("dim", [1, 2, 4, 9])

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_triangular
+from scipy.linalg import qr_delete, solve_triangular
+from scipy.linalg.blas import dger
 
 import okreg.online_gp
 from okreg import (
@@ -288,6 +289,41 @@ def test_sigma_is_exactly_symmetric_after_every_update(lengthscale, budget, stre
         evictions += scr.gamma2 > gp.admission_threshold and gp.size == before
         assert np.array_equal(gp.sigma, gp.sigma.T)
     assert evictions >= min_evictions
+
+
+@pytest.mark.parametrize("budget", [10, 50])
+def test_a_full_model_admits_as_conditioning_then_evicting_would(budget):
+    # the reference conditions all n + 1 centres on y, with the same dger,
+    # and then leaves the oldest out of mu, sigma and a Givens-repaired
+    # factor; update builds the survivors' state directly, bit for bit
+    X, y = _evicting_stream(400)
+    gp = OnlineGP(KernelSpec(lengthscale=0.5, noise_variance=0.1), budget=budget)
+    folds = 0
+    for xi, yi in zip(X, y):
+        scr = gp.compute_scratch(xi, yi)
+        full = gp.size == budget and scr.gamma2 > gp.admission_threshold
+        if full:
+            gain = np.append(scr.h, scr.sigma_f2)
+            mu = np.append(gp.mu, scr.y_hat) + (scr.e / scr.sigma_y2) * gain
+            sigma = np.block([[gp.sigma, scr.h[:, np.newaxis]], [scr.h, scr.sigma_f2]])
+            gs = gain / np.sqrt(scr.sigma_y2)
+            sigma = dger(-1.0, gs, gs, a=sigma.T, overwrite_a=1).T
+            L = np.block([[gp.chol, np.zeros((budget, 1))], [scr.l, np.sqrt(scr.gamma2)]])
+            _, R = qr_delete(np.eye(budget + 1), L.T, 0, 1, which="col", check_finite=False)
+            R = R[:-1] * np.sign(np.diag(R))[:, np.newaxis]
+            points = np.vstack([gp.dictionary.points[1:], xi])
+            ids = (*gp.dictionary.ids[1:], gp.dictionary.next_id)
+            targets = np.append(gp.targets[1:], yi)
+        gp.update(xi, yi)
+        if full:
+            np.testing.assert_array_equal(gp.mu, mu[1:])
+            assert np.array_equal(gp.sigma, sigma[1:, 1:])
+            assert np.array_equal(gp.chol, R.T)
+            np.testing.assert_array_equal(gp.dictionary.points, points)
+            assert gp.dictionary.ids == ids
+            np.testing.assert_array_equal(gp.targets, targets)
+            folds += 1
+    assert folds >= 300
 
 
 def test_budget_updates_never_rebuild_or_refactor(monkeypatch):
@@ -735,6 +771,80 @@ def test_update_block_takes_the_block_step_from_four_rows(monkeypatch):
     monkeypatch.setattr(OnlineGP, "update", _no_update)
     _in_blocks(gp, X, y, 4)
     assert gp.size == 8
+
+
+def _spy_on_replays(monkeypatch):
+    """Record what each block step returns and each ``dpotrf`` it calls."""
+    steps, factors = [], []
+    block_step, dpotrf = OnlineGP._block_step, okreg.online_gp.dpotrf
+
+    def spy_step(self, X, y):
+        steps.append(block_step(self, X, y))
+        return steps[-1]
+
+    def spy_dpotrf(*args, **kwargs):
+        factors.append(dpotrf(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(OnlineGP, "_block_step", spy_step)
+    monkeypatch.setattr(okreg.online_gp, "dpotrf", spy_dpotrf)
+    return steps, factors
+
+
+def test_update_block_replays_a_gate_pivot_within_the_margin(monkeypatch):
+    # the threshold is the first row's own gamma2, which the block pivot
+    # reproduces only up to rounding, so the step cannot decide the row
+    spec = KernelSpec(0.5, noise_variance=0.1)
+    rng = np.random.default_rng(0)
+    probe = OnlineGP(spec, admission_threshold=1e-8)
+    _in_a_loop(probe, rng.uniform(-1, 1, (30, 2)), np.zeros(30))
+    X = rng.uniform(-1, 1, (8, 2))
+    y = np.sin(X.sum(1))
+    t = probe.compute_scratch(X[0], y[0]).gamma2
+    assert 1e-4 < t < 1e-3
+
+    def clone():
+        return OnlineGP.from_components(
+            spec, probe.dictionary, probe.mu, probe.sigma, chol=probe.chol, targets=probe.targets, admission_threshold=t
+        )
+
+    loop = _in_a_loop(clone(), X, y)
+    steps, factors = _spy_on_replays(monkeypatch)
+    block = clone()
+    block.update_block(X, y)
+    assert steps == [None] and factors == []  # no output covariance was factored
+    assert fingerprint(block) == fingerprint(loop)
+
+
+@pytest.mark.parametrize(
+    "scale, rows, message",
+    [
+        (-1.0, [0.1, 0.45, 0.9, 0.6], "non-positive a-priori output variance"),
+        (-1e-3, [5.0, 6.0, 7.0, 8.0], "lost positive semidefiniteness"),
+    ],
+    ids=["output-covariance-not-positive-definite", "covariance-floor"],
+)
+def test_update_block_replays_a_block_it_cannot_certify_and_raises_as_the_loop(monkeypatch, scale, rows, message):
+    # a negative-definite sigma: at scale -1 the block's output covariance
+    # has no Cholesky factor (dpotrf info 1); at -1e-3 it has one, but the
+    # downdated sigma diagonal falls below the floor
+    def corrupted():
+        return OnlineGP.from_components(_spec(), Dictionary([[0.0], [1.0]]), np.zeros(2), scale * np.eye(2))
+
+    X, y = np.array(rows)[:, np.newaxis], np.zeros(4)
+    loop = corrupted()
+    with pytest.raises(NumericalError, match=message) as in_loop:
+        _in_a_loop(loop, X, y)
+    steps, factors = _spy_on_replays(monkeypatch)
+    block = corrupted()
+    with pytest.raises(NumericalError, match=message) as in_block:
+        block.update_block(X, y)
+    assert steps == [None]
+    assert [info for _, info in factors] == [1 if scale == -1.0 else 0]
+    if scale != -1.0:  # the factor's pivots are far from the margin
+        assert np.min(np.diag(factors[0][0])) ** 2 > 0.1
+    assert str(in_block.value) == str(in_loop.value)
+    assert fingerprint(block) == fingerprint(loop)
 
 
 @pytest.mark.parametrize("budget", [None, 20])
