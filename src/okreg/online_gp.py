@@ -21,7 +21,7 @@ exactly symmetric.  Both ``update`` and ``update_block`` grow ``sigma``
 and L the same way: one helper copies the old array into the top-left
 block of a new one and borders it with the new rows and columns.  Apart
 from those new state arrays, admitting a point allocates nothing of size
-n^2 but the factor repair of an eviction (below).
+n^2 but the Gram matrix of a refactor (below).
 
 Admission is gated on ``gamma2 = k(x, x) - ||L^-1 k||^2``, the squared
 residual of the new input's feature after projecting onto the span of
@@ -30,8 +30,22 @@ new direction are skipped outright; an admitted point appends the row
 ``[(L^-1 k)^T, sqrt(gamma2)]`` to L.  With a ``budget`` set, a model at
 capacity forgets its oldest center as it admits (KRLS-T's sliding window):
 leaving its row and column out of the new ``mu`` and ``sigma`` marginalises
-it out, and L is repaired in O(n^2) by a Givens rank-one update of its
-trailing block.  ``q_inv`` and ``krls_weights()`` come from L on request.
+it out.
+
+L factors the Gram matrix in its own order, which after evictions is not
+the dictionary's.  The dictionary, ``mu``, ``sigma`` and the targets keep
+insertion order; L holds the centers present at its last refactor newest
+first, then the centers admitted since, oldest first.  The oldest center
+is then the last row of the first group, and deleting a row and column of
+a Cholesky factor leaves every row before it as it was, so an eviction
+repairs only the rows after it: a Givens rank-one update of that trailing
+block, whose size is the number of admissions since the refactor plus
+two.  Once every ``max(1, budget // 4)`` evictions the model refactors
+instead, factoring the survivors' Gram matrix newest first; that keeps
+the trailing block short, and the amortised cost of an eviction O(n^2).
+A model without a budget never evicts, so its L stays in insertion order
+and nothing is reordered.  ``chol``, ``q_inv`` and ``krls_weights()`` are
+in insertion order whatever the order of L.
 
 ``update_block(X, y)`` absorbs m rows at once and ends in the state of
 m ``update`` calls, because the posterior does not depend on how the
@@ -99,14 +113,26 @@ _BLOCK_MIN_THRESHOLD = 1e-9
 _MIN_BLOCK_ROWS = 4
 
 
+def _evictions_per_refactor(budget: int) -> int:
+    """How many evictions a budgeted model makes per refactor of its factor.
+
+    It repairs the factor at the others: a shorter period pays for more
+    refactors, a longer one for longer trailing blocks.  At budget 300 on
+    four ``reconverge`` replicates (2 vCPUs) the GP took 1.07-1.17 s, medians
+    of three runs, for every period from 18 to 150 evictions.
+    """
+    return max(1, budget // 4)
+
+
 @dataclass
 class GpUpdateScratch:
     """Intermediate quantities of one observation (x, y).
 
     ``k_ss`` is ``spec.gram_diagonal`` so that the implicit Gram matrix
     built by successive updates matches ``gram_matrix`` exactly.
-    ``l = L^-1 k`` is the new row of the factor if x is admitted and
-    ``q = L^-T l = K^-1 k``.
+    ``l = L^-1 k`` is the new row of the factor if x is admitted, in the
+    factor's own order (see ``OnlineGP.chol``), and ``q = K^-1 k`` is in
+    insertion order, like ``k_vec``.
     ``sigma_f2``/``sigma_y2`` are the latent/output predictive variances
     at x, ``y_hat`` the predictive mean, ``e`` the innovation y - y_hat.
     """
@@ -148,7 +174,8 @@ def _bordered(A: np.ndarray, lower, corner, upper) -> np.ndarray:
 
 
 def _without_first_center(L: np.ndarray) -> np.ndarray:
-    """The Cholesky factor of L L^T with its first row and column deleted; may overwrite L.
+    """The Cholesky factor of L L^T with its first row and column deleted,
+    as a transposed view; may overwrite L.
 
     With L = [[l11, 0], [v, L22]], the reduced Gram matrix is
     L22 L22^T + v v^T.  Deleting the first column of the upper factor
@@ -160,7 +187,40 @@ def _without_first_center(L: np.ndarray) -> np.ndarray:
     _, R = qr_delete(np.eye(len(L)), L.T, 0, 1, which="col", overwrite_qr=True, check_finite=False)
     R = R[:-1]
     R[np.diag(R) < 0] *= -1.0
-    return np.ascontiguousarray(R.T)
+    return R.T
+
+
+def _evicted(L: np.ndarray, l: np.ndarray, d: float, c: int) -> np.ndarray:
+    """L overwritten with the Cholesky factor of [[L, 0], [l, d]] [[L, 0], [l, d]]^T
+    less its row and column c, which has the shape of L.
+
+    The rows before c stay as they were, and so do the first c columns of
+    the later rows, which move up one; only the trailing block
+    [[L[c:, c:], 0], [l[c:], d]] loses its first row and column, by
+    ``_without_first_center``.  That costs O((n - c) n), not the O(n^2) of
+    a copy of L.
+    """
+    T = _bordered(L[c:, c:], l[np.newaxis, c:], d, 0.0)
+    L[c:-1, :c] = L[c + 1 :, :c]
+    L[-1, :c] = l[:c]
+    L[c:, c:] = _without_first_center(T)
+    return L
+
+
+def _lower_factor(K: np.ndarray) -> np.ndarray:
+    """The C-ordered lower Cholesky factor of the C-ordered symmetric K, which
+    it overwrites; raises NumericalError when K is not positive definite.
+
+    ``dpotrf`` is SciPy's, not ``np.linalg.cholesky``: NumPy and SciPy each
+    bundle an OpenBLAS with its own thread pool, and handing work back and
+    forth between the two slows every later SciPy call.  With
+    ``np.linalg.cholesky`` at its refactors, the budget-300 GP took 0.91-1.17
+    s per ``reconverge`` replicate against 0.31-0.32 s (2 vCPUs).
+    """
+    U, info = dpotrf(K.T, lower=0, overwrite_a=1)
+    if info:
+        raise NumericalError(f"the Gram matrix is not positive definite (dpotrf info {info})")
+    return U.T
 
 
 def _checked_chol(chol, n: int) -> np.ndarray:
@@ -200,6 +260,8 @@ class OnlineGP:
         self._mu = np.zeros(0)
         self._sigma = np.zeros((0, 0))
         self._chol = np.zeros((0, 0))
+        # L holds the first ``_reversed`` centers newest first (see ``chol``)
+        self._reversed = 0
 
     # -- state access ---------------------------------------------------
 
@@ -219,13 +281,36 @@ class OnlineGP:
 
     @property
     def chol(self) -> np.ndarray:
-        """Lower Cholesky factor L of the jittered Gram matrix (read-only view)."""
-        return _read_only(self._chol)
+        """Lower Cholesky factor of the jittered Gram matrix in insertion order (read-only).
+
+        Without evictions this is a view of the stored factor L.  A budgeted
+        model keeps L in its own order after evicting: the first centers of
+        the dictionary newest first, the rest in order.  ``chol`` is then
+        factored from ``gram_matrix`` with ``dpotrf`` on request, in
+        O(n^2 d + n^3), like ``q_inv``: for checks and snapshots, not for
+        the update path.
+        """
+        if self._reversed <= 1:
+            return _read_only(self._chol)
+        return _read_only(_lower_factor(gram_matrix(self.spec, self.dictionary)))
 
     @property
     def q_inv(self) -> np.ndarray:
-        """K^-1 formed from the factor in O(n^3): for checks, not for the update path."""
-        return cho_solve((self._chol, True), np.eye(self.size))
+        """K^-1 in insertion order, formed from the stored factor in O(n^3):
+        for checks, not for the update path."""
+        Q = cho_solve((self._chol, True), np.eye(self.size))
+        return self._reordered(self._reordered(Q), axis=1)
+
+    def _reordered(self, A: np.ndarray, axis: int = 0) -> np.ndarray:
+        """A taken from insertion to factor order along ``axis``, or back: the
+        map reverses the first ``_reversed`` entries and is its own inverse.
+        A itself, not a copy, when the two orders agree."""
+        a = self._reversed
+        if a <= 1:
+            return A
+        p = np.arange(A.shape[axis])
+        p[:a] = p[a - 1 :: -1]
+        return A.take(p, axis=axis)
 
     @property
     def targets(self) -> np.ndarray:
@@ -293,7 +378,7 @@ class OnlineGP:
 
     def predict_batch(self, X):
         """Vectorized predict over rows of X: (means, latent vars, output vars)."""
-        Kx = cross_kernel(self.spec, self.dictionary, X)
+        Kx = self._reordered(cross_kernel(self.spec, self.dictionary, X))
         kss = self.spec.signal_variance
         # B holds the transposed right-hand sides (m x n, Fortran-ordered),
         # which the solves overwrite in place: first B = (L^-1 Kx)^T, then
@@ -304,7 +389,7 @@ class OnlineGP:
         U = self._chol.T
         B = dtrsm(1.0, U, Kx.T, side=1, overwrite_b=1)
         gamma2 = kss - np.einsum("ij,ij->i", B, B)
-        B = dtrsm(1.0, U, B, side=1, trans_a=1, overwrite_b=1)
+        B = self._reordered(dtrsm(1.0, U, B, side=1, trans_a=1, overwrite_b=1), axis=1)
         sf2 = gamma2 + np.einsum("ij,ij->i", B, dgemm(1.0, B, self._sigma.T))
         means = dgemv(1.0, B, self._mu) if B.size else np.zeros(len(B))
         if np.any(sf2 < VARIANCE_FLOOR):
@@ -330,9 +415,9 @@ class OnlineGP:
             # U = L^T is the F-ordered view of the C-ordered factor, so the
             # wrappers pass it to BLAS without a copy: l = U^-T k, q = U^-1 l.
             U = self._chol.T
-            l = dtrsv(U, k, trans=1)
+            l = dtrsv(U, self._reordered(k), trans=1)
             gamma2 = kss - ddot(l, l)
-            q = dtrsv(U, l)
+            q = self._reordered(dtrsv(U, l))
             h = dsymv(1.0, self._sigma.T, q)
             sigma_f2 = gamma2 + ddot(q, h)
             y_hat = ddot(q, self._mu)
@@ -360,7 +445,7 @@ class OnlineGP:
         a skipped point changes nothing (the innovation is dropped, not
         folded into existing weights).  An admitted point whose a-priori
         output variance is not positive raises NumericalError and changes
-        nothing.
+        nothing, as does a refactor whose Gram matrix is not positive definite.
         """
         scr = self.compute_scratch(x, y)
         if scr.gamma2 <= self.admission_threshold:
@@ -385,21 +470,44 @@ class OnlineGP:
         gs = gain / np.sqrt(scr.sigma_y2)
         sigma1 = dger(-1.0, gs, gs, a=sigma1.T, overwrite_a=1).T
 
-        chol1 = _bordered(self._chol, scr.l[np.newaxis], np.sqrt(scr.gamma2), 0.0)
+        n, a = self.size, self._reversed
+        if not old:
+            chol1 = _bordered(self._chol, scr.l[np.newaxis], np.sqrt(scr.gamma2), 0.0)
+        elif n - a + 1 < _evictions_per_refactor(self.budget):
+            # the oldest center is row a - 1 of L: only the n - a rows admitted
+            # since the refactor, and the new one, follow it.  L is repaired in
+            # place; no view shares it, because ``chol`` hands out views only
+            # while at most one center is reversed, and only a refactor, which
+            # builds a new L, reverses more
+            chol1 = _evicted(self._chol, scr.l, np.sqrt(scr.gamma2), a - 1)
+            a -= 1
+        else:
+            chol1 = self._newest_first_factor(scr)
+            a = n
 
         self.dictionary.append(x)
         self._targets.append(float(y))
         if old:
-            chol1 = _without_first_center(chol1)
             self.dictionary.drop(0)
             self._targets.pop(0)
         self._mu = mu1
         self._sigma = sigma1
         self._chol = chol1
+        self._reversed = a
 
         if float(np.min(np.diag(self._sigma))) < _SIGMA_DIAG_FLOOR:
             raise NumericalError("posterior covariance lost positive semidefiniteness")
         return scr
+
+    def _newest_first_factor(self, scr: GpUpdateScratch) -> np.ndarray:
+        """The factor of the Gram matrix of the centers that follow the
+        oldest, and of the point ``scr`` scores, all newest first."""
+        K = gram_matrix(self.spec, self.dictionary)
+        G = np.empty_like(K)
+        G[0, 0] = scr.k_ss
+        G[1:, 0] = G[0, 1:] = scr.k_vec[:0:-1]
+        G[1:, 1:] = K[:0:-1, :0:-1]
+        return _lower_factor(G)
 
     def update_block(self, X, y) -> None:
         """Absorb the rows of X with targets y, in order.
@@ -514,4 +622,4 @@ class OnlineGP:
         """
         if self.size == 0:
             raise ValueError("weights of an empty model are undefined")
-        return cho_solve((self._chol, True), self._mu)
+        return self._reordered(cho_solve((self._chol, True), self._reordered(self._mu)))

@@ -116,6 +116,32 @@ def _check_weight_bridge_and_inverse(rng):
     return worst_w, worst_q
 
 
+def _check_budget_refactoring(rng, budget: int = 20, n_steps: int = 200):
+    """A budgeted GP against a reference whose factor is rebuilt from the Gram
+    matrix after every eviction; the worst mean or output-variance gap on a
+    grid over all steps, inf when the two keep different centers.  Almost
+    every point of the well-spread 3-D stream is admitted, so the GP evicts
+    about 180 times: it refactors at one eviction in five and repairs its
+    factor at the others."""
+    spec = KernelSpec(lengthscale=0.5, noise_variance=0.1)
+    X, y = _random_stream(rng, n_steps, 3, scale=3.0)
+    grid = rng.uniform(-3.0, 3.0, size=(60, 3))
+    gp, ref = OnlineGP(spec, budget=budget), OnlineGP(spec, budget=budget)
+    worst = 0.0
+    for xi, yi in zip(X, y):
+        first = ref.dictionary.ids[:1]
+        gp.update(xi, yi)
+        ref.update(xi, yi)
+        if first and ref.dictionary.ids[:1] != first:
+            ref = OnlineGP.from_components(
+                spec, ref.dictionary, ref.mu, ref.sigma, targets=ref.targets, budget=budget
+            )
+        if gp.dictionary.ids != ref.dictionary.ids:
+            return np.inf
+        worst = max(worst, *_gaps(gp.predict_batch(grid), ref.predict_batch(grid)))
+    return worst
+
+
 def _check_identity(rng, a, b, n_steps: int = 200):
     """Feed one random 2-D stream to two filters that should keep equal
     weights; the worst gap between their weights after any step."""
@@ -199,6 +225,7 @@ def run_all_checks(seed: int = 0, tol: float | None = None, noise_mismatch: floa
         ("identity B: knlms = beta 1", _check_identity(rng, *identity_b), 1e-12),
         ("identity C: exact step = beta rule", _check_identity_c(rng), 1e-10),
         ("covariance model: QSQ - Q = beta I", _check_covariance_model_identity(rng), 1e-8),
+        ("budgeted GP vs refactoring reference", _check_budget_refactoring(rng), 1e-9),
     ]
     results = []
     for name, err, default_tol in raw:

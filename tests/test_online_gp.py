@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import qr_delete, solve_triangular
+from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dger
 
 import okreg.online_gp
@@ -294,8 +294,9 @@ def test_sigma_is_exactly_symmetric_after_every_update(lengthscale, budget, stre
 @pytest.mark.parametrize("budget", [10, 50])
 def test_a_full_model_admits_as_conditioning_then_evicting_would(budget):
     # the reference conditions all n + 1 centres on y, with the same dger,
-    # and then leaves the oldest out of mu, sigma and a Givens-repaired
-    # factor; update builds the survivors' state directly, bit for bit
+    # and then leaves the oldest out of mu and sigma; update builds the
+    # survivors' state directly, bit for bit, and keeps a factor of their
+    # Gram matrix
     X, y = _evicting_stream(400)
     gp = OnlineGP(KernelSpec(lengthscale=0.5, noise_variance=0.1), budget=budget)
     folds = 0
@@ -308,9 +309,6 @@ def test_a_full_model_admits_as_conditioning_then_evicting_would(budget):
             sigma = np.block([[gp.sigma, scr.h[:, np.newaxis]], [scr.h, scr.sigma_f2]])
             gs = gain / np.sqrt(scr.sigma_y2)
             sigma = dger(-1.0, gs, gs, a=sigma.T, overwrite_a=1).T
-            L = np.block([[gp.chol, np.zeros((budget, 1))], [scr.l, np.sqrt(scr.gamma2)]])
-            _, R = qr_delete(np.eye(budget + 1), L.T, 0, 1, which="col", check_finite=False)
-            R = R[:-1] * np.sign(np.diag(R))[:, np.newaxis]
             points = np.vstack([gp.dictionary.points[1:], xi])
             ids = (*gp.dictionary.ids[1:], gp.dictionary.next_id)
             targets = np.append(gp.targets[1:], yi)
@@ -318,7 +316,8 @@ def test_a_full_model_admits_as_conditioning_then_evicting_would(budget):
         if full:
             np.testing.assert_array_equal(gp.mu, mu[1:])
             assert np.array_equal(gp.sigma, sigma[1:, 1:])
-            assert np.array_equal(gp.chol, R.T)
+            K = gram_matrix(gp.spec, gp.dictionary)
+            np.testing.assert_allclose(gp.chol @ gp.chol.T, K, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(gp.dictionary.points, points)
             assert gp.dictionary.ids == ids
             np.testing.assert_array_equal(gp.targets, targets)
@@ -326,22 +325,81 @@ def test_a_full_model_admits_as_conditioning_then_evicting_would(budget):
     assert folds >= 300
 
 
-def test_budget_updates_never_rebuild_or_refactor(monkeypatch):
+def test_budget_updates_refactor_once_per_period_and_never_through_numpy(monkeypatch):
+    # NumPy's own BLAS must stay off the update path: waking its thread pool
+    # slows every later SciPy call (see online_gp._lower_factor)
     def forbidden(*args, **kwargs):
-        raise AssertionError("an O(n^3) rebuild ran on the update path")
+        raise AssertionError("an inverse or a NumPy factorization ran on the update path")
+
+    grams = []
+
+    def counted(*args, **kwargs):
+        grams.append(1)
+        return gram_matrix(*args, **kwargs)
 
     X, y = _evicting_stream(200)
-    gp = OnlineGP(KernelSpec(lengthscale=0.5, noise_variance=0.1), budget=20)
-    monkeypatch.setattr(okreg.online_gp, "gram_matrix", forbidden)
+    budget = 20
+    gp = OnlineGP(KernelSpec(lengthscale=0.5, noise_variance=0.1), budget=budget)
+    monkeypatch.setattr(okreg.online_gp, "gram_matrix", counted)
     monkeypatch.setattr(np.linalg, "inv", forbidden)
     monkeypatch.setattr(np.linalg, "cholesky", forbidden)
+    evictions = 0
     for xi, yi in zip(X, y):
+        first = gp.dictionary.ids[:1]
         gp.update(xi, yi)
+        evictions += gp.size == budget and gp.dictionary.ids[:1] != first
     monkeypatch.undo()
-    assert gp.size == 20
+    assert gp.size == budget
     assert gp.dictionary.ids[0] > 150  # evictions happened
+    period = okreg.online_gp._evictions_per_refactor(budget)
+    assert period > 1
+    assert 1 <= len(grams) <= -(-evictions // period)
     K = gram_matrix(gp.spec, gp.dictionary)
     np.testing.assert_allclose(gp.chol @ gp.chol.T, K, rtol=0, atol=1e-12)
+
+
+def _between_refactors():
+    """A budget-40 model partway between two refactors, so that its factor is
+    not in insertion order, and the rest of its stream."""
+    X, y = _evicting_stream(400)
+    gp = OnlineGP(KernelSpec(lengthscale=0.5, noise_variance=0.1), budget=40)
+    for i, (xi, yi) in enumerate(zip(X, y)):
+        gp.update(xi, yi)
+        if gp.dictionary.ids[0] >= 45:
+            break
+    assert 1 < gp._reversed < gp.size
+    return gp, X[i + 1 :], y[i + 1 :]
+
+
+def test_a_model_between_refactors_reads_out_in_insertion_order():
+    gp, _, _ = _between_refactors()
+    K = gram_matrix(gp.spec, gp.dictionary)
+    assert float(np.max(np.abs(gp.chol @ gp.chol.T - K))) < 1e-12
+    assert float(np.max(np.abs(gp.q_inv @ K - np.eye(gp.size)))) < 1e-10
+    rebuilt = OnlineGP.from_components(
+        gp.spec, gp.dictionary, gp.mu, gp.sigma, targets=gp.targets, budget=gp.budget
+    )
+    probes = np.random.default_rng(5).uniform(-3.0, 3.0, size=(30, 3))
+    for a, b in zip(gp.predict_batch(probes), rebuilt.predict_batch(probes)):
+        assert float(np.max(np.abs(a - b))) < 1e-9
+    assert float(np.max(np.abs(gp.krls_weights() - rebuilt.krls_weights()))) < 1e-9
+    x, y = probes[0], 0.5
+    scr, want = gp.compute_scratch(x, y), rebuilt.compute_scratch(x, y)
+    for name in ("q", "h", "gamma2", "y_hat"):
+        np.testing.assert_allclose(getattr(scr, name), getattr(want, name), rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_a_model_between_refactors_round_trips_through_a_snapshot():
+    gp, X, y = _between_refactors()
+    text = dump_state(gp)
+    clone = load_state(text)
+    assert dump_state(clone) == text
+    first = gp.dictionary.ids[0]
+    for xi, yi in zip(X[:200], y[:200]):
+        gp.update(xi, yi)
+        clone.update(xi, yi)
+        assert clone.dictionary.ids == gp.dictionary.ids
+    assert gp.dictionary.ids[0] > first + 150  # both evicted throughout
 
 
 # -- the BLAS step ----------------------------------------------------------------
@@ -574,6 +632,24 @@ def test_non_positive_output_variance_raises_and_changes_nothing():
             gp.update(xi, yi)
     assert fingerprint(gp) == before
     assert np.all(np.isfinite(gp.sigma))
+
+
+def test_a_refactor_that_cannot_factor_raises_and_changes_nothing(monkeypatch):
+    # a fresh model refactors at its first eviction; a Gram matrix that is not
+    # positive definite must stop the step before any state changes
+    X, y = _evicting_stream(30)
+    gp = OnlineGP(KernelSpec(lengthscale=0.5, noise_variance=0.1), budget=10)
+    i = 0
+    while gp.size < 10:
+        gp.update(X[i], y[i])
+        i += 1
+    assert gp.compute_scratch(X[i], y[i]).gamma2 > gp.admission_threshold
+    before = fingerprint(gp)
+    monkeypatch.setattr(okreg.online_gp, "gram_matrix", lambda spec, d: -gram_matrix(spec, d))
+    with pytest.raises(NumericalError, match="positive definite"):
+        gp.update(X[i], y[i])
+    monkeypatch.undo()
+    assert fingerprint(gp) == before
 
 
 def test_from_components_keeps_its_own_dictionary():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import okreg.online_gp
 import okreg.verify
 from okreg import OnlineGP
 from okreg.verify import CheckResult, format_results, run_all_checks
@@ -10,7 +11,7 @@ from okreg.verify import CheckResult, format_results, run_all_checks
 
 def test_battery_passes_at_default_tolerances():
     results = run_all_checks(seed=0)
-    assert len(results) == 11
+    assert len(results) == 12
     assert all(isinstance(r, CheckResult) for r in results)
     failing = [r.name for r in results if not r.passed]
     assert failing == []
@@ -48,10 +49,22 @@ def test_block_check_fails_when_the_block_admits_other_points(monkeypatch):
     assert check.max_error == np.inf and not check.passed
 
 
+def test_budget_check_fails_when_an_eviction_repair_is_off(monkeypatch):
+    # each repaired factor gets its new row 1e-7 relative off
+    evicted = okreg.online_gp._evicted
+
+    def skewed(L, l, d, c):
+        return evicted(L, l * (1 + 1e-7), d, c)
+
+    monkeypatch.setattr(okreg.online_gp, "_evicted", skewed)
+    failing = [r.name for r in run_all_checks(seed=0) if not r.passed]
+    assert failing == ["budgeted GP vs refactoring reference"]
+
+
 def test_format_results_is_a_readable_table():
     results = run_all_checks(seed=0)
     table = format_results(results)
     lines = table.splitlines()
-    assert len(lines) == 12
+    assert len(lines) == 13
     assert "max_error" in lines[0]
     assert all(line.endswith("PASS") for line in lines[1:])
