@@ -11,11 +11,11 @@ tool and the consistency checks live in ``okreg.datasets``,
 """
 
 from .base import NumericalError, PredictiveDistribution, Step
-from .batch_gp import BatchFit, batch_fit, batch_predict
+from .batch_gp import BatchFit, batch_fit
 from .kernels import Dictionary, KernelSpec
-from .klms import BetaKlms, Klms, KlmsModel, Knlms, Qklms, general_alpha_update, matched_eta
+from .klms import BetaKlms, Klms, KlmsModel, Knlms, Qklms, matched_eta
 from .online_gp import GpUpdateScratch, OnlineGP
-from .snapshot import dump_state, fingerprint, load_state, load_state_file, save_state
+from .snapshot import dump_state, fingerprint, load_state, save_state
 
 __version__ = "0.1.0"
 
@@ -34,12 +34,9 @@ __all__ = [
     "Qklms",
     "Step",
     "batch_fit",
-    "batch_predict",
     "dump_state",
     "fingerprint",
-    "general_alpha_update",
     "load_state",
-    "load_state_file",
     "matched_eta",
     "save_state",
 ]

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .base import VARIANCE_FLOOR, NumericalError, PredictiveDistribution
-from .kernels import Dictionary, KernelSpec, _vector, cross_kernel, gram_matrix
+from .base import VARIANCE_FLOOR, NumericalError
+from .kernels import Dictionary, KernelSpec, cross_kernel, gram_matrix
 
-__all__ = ["BatchFit", "batch_fit", "batch_predict", "batch_predict_grid"]
+__all__ = ["BatchFit", "batch_fit", "batch_predict_grid"]
 
 _MAX_JITTER_ESCALATIONS = 4
 
@@ -60,13 +60,8 @@ def batch_fit(spec: KernelSpec, dictionary: Dictionary, y) -> BatchFit:
     return BatchFit(spec, dictionary.copy(), y, weights, cho)
 
 
-def batch_predict(fit: BatchFit, x) -> PredictiveDistribution:
-    one_row = batch_predict_grid(fit, _vector(x)[np.newaxis])
-    return PredictiveDistribution(*(float(v[0]) for v in one_row))
-
-
 def batch_predict_grid(fit: BatchFit, X):
-    """Vectorized batch_predict over rows of X.
+    """The batch posterior at the rows of X.
 
     Returns (means, latent_variances, output_variances) arrays.
     """

@@ -10,9 +10,12 @@ along in :class:`KernelSpec` because every estimator needs the pair
 together.  ``jitter`` is added to Gram-matrix diagonals (and only
 there) so that inverses stay computable when inputs nearly repeat.
 
-Every kernel evaluation goes through ``_kernel_matrix``, which refuses a
-query point with a NaN or infinite entry, as ``Dictionary.append`` refuses
-such a center (ValueError), so every model path shares one point rule.
+There are three kernel evaluations: ``kernel_vector`` (the dictionary
+against one point), ``cross_kernel`` (against the rows of a matrix) and
+``gram_matrix`` (against itself).  Each goes through ``_kernel_matrix``,
+which refuses a query point with a NaN or infinite entry, as
+``Dictionary.append`` refuses such a center (ValueError), so every model
+path shares one point rule.
 
 A ``Dictionary`` keeps its centers in the leading columns of a
 coordinate-major (dim, capacity) buffer.  A query of one row
@@ -34,7 +37,6 @@ from scipy.spatial.distance import cdist
 __all__ = [
     "KernelSpec",
     "Dictionary",
-    "eval_kernel",
     "kernel_vector",
     "gram_matrix",
     "cross_kernel",
@@ -154,9 +156,6 @@ class Dictionary:
     def next_id(self) -> int:
         return self._next_id
 
-    def point(self, index: int) -> np.ndarray:
-        return self.points[index]
-
     def append(self, x) -> int:
         p = _vector(x)
         if p.size == 0:
@@ -236,13 +235,6 @@ def _kernel_matrix(spec: KernelSpec, P: np.ndarray, Q: np.ndarray) -> np.ndarray
     np.exp(K, out=K)
     K *= spec.signal_variance
     return K
-
-
-def eval_kernel(spec: KernelSpec, x, x2) -> float:
-    """k(x, x2): symmetric, positive, equal to signal_variance at x == x2."""
-    center = Dictionary()
-    center.append(x)
-    return float(kernel_vector(spec, center, x2)[0])
 
 
 def kernel_vector(spec: KernelSpec, dictionary: Dictionary, x) -> np.ndarray:

@@ -17,12 +17,7 @@ Every ``update(x, y)`` computes the kernel vector at x once, predicts
 y_hat from the weights before the step, spends e = y - y_hat, and
 returns both as a :class:`~okreg.base.Step`.  That is the a-priori
 prediction the online drivers score, so they never predict separately.
-Scalar ``predict`` and ``BetaKlms.variance`` are one-row calls of
-``predict_batch`` and ``variance_batch``.
-
-``general_alpha_update`` is the exact one-step weight recursion driven
-by a full posterior state and solved on its Cholesky factor; it is the
-reference the closed-form BetaKlms rule is checked against.
+Scalar ``predict`` is a one-row call of ``predict_batch``.
 """
 
 from __future__ import annotations
@@ -30,7 +25,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .base import Step, block_rows, finite_target
 from .kernels import Dictionary, KernelSpec, _vector, _with_room, cross_kernel, kernel_vector
@@ -42,7 +36,6 @@ __all__ = [
     "Knlms",
     "BetaKlms",
     "matched_eta",
-    "general_alpha_update",
 ]
 
 
@@ -251,10 +244,6 @@ class BetaKlms(KlmsModel):
         self._spend(x, step.e / denom, self.beta * k, 1.0, admit)
         return step
 
-    def variance(self, x) -> tuple[float, float]:
-        sf2, sy2 = self.variance_batch(_vector(x)[np.newaxis])
-        return float(sf2[0]), float(sy2[0])
-
     def variance_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Modeled (latent, output) variances at the rows of X.
 
@@ -264,33 +253,3 @@ class BetaKlms(KlmsModel):
         Kx = cross_kernel(self.spec, self.dictionary, X)
         sf2 = self.spec.signal_variance + self.beta * np.einsum("ij,ij->j", Kx, Kx)
         return sf2, self.spec.noise_variance + sf2
-
-
-def general_alpha_update(state, x, y, sigma_override=None) -> np.ndarray:
-    """One exact weight-vector step computed from full posterior state.
-
-    ``state`` is an OnlineGP (or anything exposing spec, dictionary, mu,
-    sigma and chol, the lower Cholesky factor of the jittered Gram K).
-    The implied weights are K^-1 mu; the step rescales the innovation by
-    the modeled output variance, spreads (K^-1 sigma K^-1 - K^-1) k over
-    the existing weights, and appends the scaled innovation.  Each K^-1
-    product is a solve on ``chol``.  k(x, x) is ``spec.gram_diagonal``,
-    the diagonal the factor gains when x is admitted, so the step equals
-    the GP's own next ``krls_weights()``.  ``sigma_override`` substitutes the
-    posterior covariance, which is how parametric covariance models (for
-    example K (beta K + I) for BetaKlms) are exercised against it.
-    """
-    n = len(state.dictionary)
-    sigma = state.sigma if sigma_override is None else np.asarray(sigma_override, dtype=float)
-    if sigma.shape != (n, n):
-        raise ValueError(f"covariance shape {sigma.shape} does not match size {n}")
-    k = kernel_vector(state.spec, state.dictionary, x)
-    kss = state.spec.gram_diagonal
-    factor = (state.chol, True)
-    alpha = cho_solve(factor, state.mu)
-    e = finite_target(y) - float(k @ alpha)
-    qk = cho_solve(factor, k)
-    spread = cho_solve(factor, sigma @ qk) - qk
-    sf2 = kss + float(k @ spread)
-    sy2 = state.spec.noise_variance + sf2
-    return np.append(alpha + (e / sy2) * spread, e / sy2)

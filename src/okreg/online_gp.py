@@ -247,9 +247,10 @@ class OnlineGP:
         admission_threshold: float = DEFAULT_ADMISSION_THRESHOLD,
     ):
         if budget is not None:
-            budget = int(budget)
-            if budget < 1:
+            # int() would truncate 2.5 and overflow on inf; nan fails the isfinite test
+            if not (np.isfinite(budget) and budget == int(budget) >= 1):
                 raise ValueError("budget must be a positive integer or None")
+            budget = int(budget)
         if not admission_threshold >= 0:
             raise ValueError("admission_threshold must be non-negative")
         self.spec = spec

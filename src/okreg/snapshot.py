@@ -44,7 +44,7 @@ from .kernels import Dictionary, KernelSpec
 from .klms import BetaKlms, Klms, Knlms, Qklms
 from .online_gp import OnlineGP
 
-__all__ = ["dump_state", "load_state", "save_state", "load_state_file", "fingerprint"]
+__all__ = ["dump_state", "load_state", "save_state", "fingerprint"]
 
 _BANNER = "# okreg-state v2"
 # the lines every model kind may write besides its own parameters
@@ -259,11 +259,6 @@ def load_state(text: str):
 def save_state(model, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(dump_state(model))
-
-
-def load_state_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_state(fh.read())
 
 
 def fingerprint(model) -> str:

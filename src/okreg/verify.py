@@ -2,7 +2,9 @@
 
 Each check reports its worst deviation against a documented tolerance.
 The battery is what the ``okreg verify`` command runs; the test suite
-exercises the same checks at larger sizes.
+exercises the same checks at larger sizes.  ``general_alpha_update``,
+the exact weight recursion identity C holds the BetaKlms rule to, is a
+reference for these checks, not a model.
 """
 
 from __future__ import annotations
@@ -10,14 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_solve
 
+from .base import finite_target
 from .batch_gp import batch_fit, batch_predict_grid
 from .datasets import gen_kinematics_like
-from .kernels import Dictionary, KernelSpec, gram_matrix
-from .klms import BetaKlms, Klms, Knlms, general_alpha_update, matched_eta
+from .kernels import Dictionary, KernelSpec, gram_matrix, kernel_vector
+from .klms import BetaKlms, Klms, Knlms, matched_eta
 from .online_gp import OnlineGP
 
-__all__ = ["CheckResult", "run_all_checks", "format_results"]
+__all__ = ["CheckResult", "run_all_checks", "format_results", "general_alpha_update"]
 
 
 @dataclass
@@ -152,6 +156,36 @@ def _check_identity(rng, a, b, n_steps: int = 200):
         b.update(xi, yi)
         worst = max(worst, float(np.max(np.abs(a.alpha - b.alpha))))
     return worst
+
+
+def general_alpha_update(state, x, y, sigma_override=None) -> np.ndarray:
+    """One exact weight-vector step computed from full posterior state.
+
+    ``state`` is an OnlineGP (or anything exposing spec, dictionary, mu,
+    sigma and chol, the lower Cholesky factor of the jittered Gram K).
+    The implied weights are K^-1 mu; the step rescales the innovation by
+    the modeled output variance, spreads (K^-1 sigma K^-1 - K^-1) k over
+    the existing weights, and appends the scaled innovation.  Each K^-1
+    product is a solve on ``chol``.  k(x, x) is ``spec.gram_diagonal``,
+    the diagonal the factor gains when x is admitted, so the step equals
+    the GP's own next ``krls_weights()``.  ``sigma_override`` substitutes the
+    posterior covariance, which is how parametric covariance models (for
+    example K (beta K + I) for BetaKlms) are exercised against it.
+    """
+    n = len(state.dictionary)
+    sigma = state.sigma if sigma_override is None else np.asarray(sigma_override, dtype=float)
+    if sigma.shape != (n, n):
+        raise ValueError(f"covariance shape {sigma.shape} does not match size {n}")
+    k = kernel_vector(state.spec, state.dictionary, x)
+    kss = state.spec.gram_diagonal
+    factor = (state.chol, True)
+    alpha = cho_solve(factor, state.mu)
+    e = finite_target(y) - float(k @ alpha)
+    qk = cho_solve(factor, k)
+    spread = cho_solve(factor, sigma @ qk) - qk
+    sf2 = kss + float(k @ spread)
+    sy2 = state.spec.noise_variance + sf2
+    return np.append(alpha + (e / sy2) * spread, e / sy2)
 
 
 def _check_identity_c(rng, n_steps: int = 30):

@@ -19,7 +19,6 @@ from okreg import (
     OnlineGP,
     Qklms,
     batch_fit,
-    general_alpha_update,
     matched_eta,
 )
 from okreg.batch_gp import batch_predict_grid
@@ -32,6 +31,7 @@ from okreg.evaluation import (
     run_uncertainty_trace,
 )
 from okreg.kernels import Dictionary, gram_matrix
+from okreg.verify import general_alpha_update
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from okreg import Dictionary, KernelSpec, OnlineGP, batch_fit, batch_predict
+from okreg import Dictionary, KernelSpec, OnlineGP, batch_fit
 from okreg.batch_gp import batch_predict_grid
 from okreg.kernels import gram_matrix
 
@@ -28,18 +28,18 @@ def test_single_point_weight():
 
 def test_single_point_prediction_at_center():
     fit = batch_fit(_spec(), Dictionary([[0.0]]), [1.0])
-    pred = batch_predict(fit, [0.0])
+    mean, sigma_f2, sigma_y2 = (v[0] for v in batch_predict_grid(fit, [[0.0]]))
     # mean shrinks toward the prior; latent variance is noise/(1+noise)
-    assert pred.mean == pytest.approx(0.9090909090909091, abs=1e-15)
-    assert pred.sigma_f2 == pytest.approx(0.09090909090909091, abs=1e-15)
-    assert pred.sigma_y2 == pytest.approx(pred.sigma_f2 + 0.1, abs=1e-16)
+    assert mean == pytest.approx(0.9090909090909091, abs=1e-15)
+    assert sigma_f2 == pytest.approx(0.09090909090909091, abs=1e-15)
+    assert sigma_y2 == pytest.approx(sigma_f2 + 0.1, abs=1e-16)
 
 
 def test_prediction_far_away_returns_prior():
     fit = batch_fit(_spec(), Dictionary([[0.0]]), [1.0])
-    pred = batch_predict(fit, [40.0])
-    assert pred.mean == pytest.approx(0.0, abs=1e-12)
-    assert pred.sigma_f2 == pytest.approx(1.0, abs=1e-12)
+    mean, sigma_f2, _ = (v[0] for v in batch_predict_grid(fit, [[40.0]]))
+    assert mean == pytest.approx(0.0, abs=1e-12)
+    assert sigma_f2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_weights_match_direct_solve():
@@ -62,10 +62,10 @@ def test_grid_prediction_matches_pointwise():
     grid = rng.uniform(-2.5, 2.5, size=(25, 2))
     means, latent, output = batch_predict_grid(fit, grid)
     for i, x in enumerate(grid):
-        p = batch_predict(fit, x)
-        assert means[i] == pytest.approx(p.mean, abs=1e-12)
-        assert latent[i] == pytest.approx(p.sigma_f2, abs=1e-12)
-        assert output[i] == pytest.approx(p.sigma_y2, abs=1e-12)
+        mean, sigma_f2, sigma_y2 = (v[0] for v in batch_predict_grid(fit, [x]))
+        assert means[i] == pytest.approx(mean, abs=1e-12)
+        assert latent[i] == pytest.approx(sigma_f2, abs=1e-12)
+        assert output[i] == pytest.approx(sigma_y2, abs=1e-12)
 
 
 @settings(derandomize=True, max_examples=40)
@@ -77,9 +77,9 @@ def test_latent_variance_between_zero_and_prior(pairs, probe):
     d = Dictionary([[a, 0.5 * t] for a, t in pairs])
     y = [t for _, t in pairs]
     fit = batch_fit(_spec(), d, y)
-    pred = batch_predict(fit, list(probe))
-    assert 0.0 <= pred.sigma_f2 <= 1.0 + 1e-10
-    assert pred.sigma_y2 == pytest.approx(pred.sigma_f2 + 0.1, abs=1e-15)
+    _, sigma_f2, sigma_y2 = (v[0] for v in batch_predict_grid(fit, [list(probe)]))
+    assert 0.0 <= sigma_f2 <= 1.0 + 1e-10
+    assert sigma_y2 == pytest.approx(sigma_f2 + 0.1, abs=1e-15)
 
 
 # -- degradation ------------------------------------------------------------

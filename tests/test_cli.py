@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import okreg.cli
-from okreg import load_state_file
+from okreg import load_state
 from okreg.cli import main
 
 
@@ -108,8 +108,8 @@ def test_compare_dump_state_round_trips(tmp_path):
         ]
     )
     assert code == 0
-    beta = load_state_file(out / "state_beta-1.txt")
-    knlms = load_state_file(out / "state_knlms.txt")
+    beta = load_state((out / "state_beta-1.txt").read_text(encoding="utf-8"))
+    knlms = load_state((out / "state_knlms.txt").read_text(encoding="utf-8"))
     # identical all-admit runs at unit kernel amplitude: same weights
     np.testing.assert_array_equal(beta.alpha, knlms.alpha)
 
@@ -371,7 +371,7 @@ def test_uncertainty_dump_state(tmp_path):
     assert code == 0
     for name in ("state_gp.txt", "state_beta-0.txt", "state_beta-1.txt"):
         assert (out / name).exists()
-    gp = load_state_file(out / "state_gp.txt")
+    gp = load_state((out / "state_gp.txt").read_text(encoding="utf-8"))
     assert gp.size == 3
 
 

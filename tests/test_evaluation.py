@@ -16,7 +16,6 @@ from okreg import (
     OnlineGP,
     Qklms,
     batch_fit,
-    batch_predict,
     fingerprint,
     matched_eta,
 )
@@ -41,7 +40,7 @@ from okreg.evaluation import (
     write_reconvergence_curves,
     write_uncertainty_traces,
 )
-from okreg.kernels import eval_kernel
+from okreg.kernels import kernel_vector
 
 SPEC = KernelSpec(lengthscale=0.5, noise_variance=0.1)
 
@@ -284,7 +283,7 @@ def test_update_refuses_a_non_finite_observation_and_changes_nothing(name, x, y)
 _QUERIES = {
     "gp": ("predict", "predict_batch"),
     "klms": ("predict", "predict_batch"),
-    "beta": ("predict", "predict_batch", "variance", "variance_batch"),
+    "beta": ("predict", "predict_batch", "variance_batch"),
 }
 
 
@@ -314,10 +313,8 @@ def _kernel_calls():
         return d.ids, d.next_id, d.points.tobytes(), fit.weights.tobytes()
 
     return {
-        "batch_predict": lambda p: batch_predict(fit, p),
         "batch_predict_grid": lambda p: batch_predict_grid(fit, [p]),
-        "eval_kernel-x": lambda p: eval_kernel(SPEC, p, [0.2, 0.1]),
-        "eval_kernel-x2": lambda p: eval_kernel(SPEC, [0.2, 0.1], p),
+        "kernel_vector": lambda p: kernel_vector(SPEC, d, p),
         "Dictionary": lambda p: Dictionary([[0.2, 0.1], p]),
         "Dictionary.append": d.append,
         "from_components": lambda p: OnlineGP.from_components(

@@ -12,7 +12,6 @@ from okreg.kernels import (
     Dictionary,
     KernelSpec,
     cross_kernel,
-    eval_kernel,
     gram_matrix,
     kernel_vector,
 )
@@ -79,43 +78,43 @@ def test_spec_is_frozen():
         SPEC.lengthscale = 2.0
 
 
-# -- eval_kernel ----------------------------------------------------------
+# -- one kernel value: a one-center dictionary against one point ---------
 
 
 def test_kernel_at_identical_inputs_is_signal_variance():
     spec = KernelSpec(lengthscale=0.5, signal_variance=3.5)
-    assert eval_kernel(spec, [0.2, -0.7], [0.2, -0.7]) == 3.5
+    assert kernel_vector(spec, Dictionary([[0.2, -0.7]]), [0.2, -0.7])[0] == 3.5
 
 
 def test_kernel_unit_distance():
     # distance 1 at lengthscale 1: exp(-1/2)
-    assert eval_kernel(SPEC, [0.0], [1.0]) == pytest.approx(
+    assert kernel_vector(SPEC, Dictionary([[0.0]]), [1.0])[0] == pytest.approx(
         0.6065306597126334, abs=1e-16
     )
 
 
 def test_kernel_sqrt2_distance():
     # squared distance 2 at lengthscale 1: exp(-1)
-    assert eval_kernel(SPEC, [0.0, 0.0], [1.0, 1.0]) == pytest.approx(
+    assert kernel_vector(SPEC, Dictionary([[0.0, 0.0]]), [1.0, 1.0])[0] == pytest.approx(
         0.36787944117144233, abs=1e-16
     )
 
 
 def test_kernel_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
-        eval_kernel(SPEC, [0.0], [0.0, 1.0])
+        kernel_vector(SPEC, Dictionary([[0.0]]), [0.0, 1.0])[0]
 
 
 def test_kernel_refuses_a_zero_dimensional_point():
     with pytest.raises(ValueError, match="dimension >= 1"):
-        eval_kernel(SPEC, [], [])
+        kernel_vector(SPEC, Dictionary([[]]), [])[0]
 
 
 @settings(derandomize=True, max_examples=100)
 @given(point_2d, point_2d)
 def test_kernel_symmetric_and_bounded(a, b):
-    ka = eval_kernel(SPEC, a, b)
-    kb = eval_kernel(SPEC, b, a)
+    ka = kernel_vector(SPEC, Dictionary([a]), b)[0]
+    kb = kernel_vector(SPEC, Dictionary([b]), a)[0]
     assert ka == kb
     assert 0.0 < ka <= SPEC.signal_variance
 
@@ -132,7 +131,7 @@ def test_kernel_vector_matches_scalar_kernel():
     d = Dictionary([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
     x = [0.5, -0.5]
     kv = kernel_vector(SPEC, d, x)
-    expected = [eval_kernel(SPEC, d.point(i), x) for i in range(len(d))]
+    expected = [kernel_vector(SPEC, Dictionary([d.points[i]]), x)[0] for i in range(len(d))]
     np.testing.assert_array_equal(kv, expected)
 
 
@@ -141,7 +140,7 @@ def test_kernel_vector_matches_scalar_kernel_on_random_points(dim):
     rng = np.random.default_rng(dim)
     d = Dictionary(rng.uniform(-3.0, 3.0, size=(40, dim)))
     for x in rng.uniform(-3.0, 3.0, size=(20, dim)):
-        expected = [eval_kernel(SPEC, c, x) for c in d.points]
+        expected = [kernel_vector(SPEC, Dictionary([c]), x)[0] for c in d.points]
         np.testing.assert_array_equal(kernel_vector(SPEC, d, x), expected)
 
 
@@ -180,7 +179,7 @@ def test_cross_kernel_shape_and_values():
     for i in range(2):
         for j in range(3):
             assert K[i, j] == pytest.approx(
-                eval_kernel(SPEC, d.point(i), X[j]), abs=1e-15
+                kernel_vector(SPEC, Dictionary([d.points[i]]), X[j])[0], abs=1e-15
             )
 
 
@@ -275,7 +274,7 @@ def test_dictionary_accepts_scalars():
     d = Dictionary()
     d.append(1.5)
     assert d.dim == 1
-    assert d.point(0)[0] == 1.5
+    assert d.points[0][0] == 1.5
 
 
 def test_dictionary_copy_is_independent():

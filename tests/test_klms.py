@@ -14,10 +14,10 @@ from okreg import (
     OnlineGP,
     Qklms,
     fingerprint,
-    general_alpha_update,
     matched_eta,
 )
 from okreg.kernels import gram_matrix
+from okreg.verify import general_alpha_update
 
 SPEC = KernelSpec(lengthscale=1.0, signal_variance=1.0, noise_variance=0.1)
 
@@ -339,7 +339,7 @@ def test_beta_duplicate_second_step():
 
 def test_beta_variance_is_prior_at_beta_zero():
     model = _run(BetaKlms(SPEC, beta=0.0), [(0.0, 0.0, 1.0), (0.5, 0.5, 2.0)])
-    sf2, sy2 = model.variance([0.0, 0.0])
+    sf2, sy2 = (v[0] for v in model.variance_batch([[0.0, 0.0]]))
     assert sf2 == 1.0
     assert sy2 == 1.1
 
@@ -347,11 +347,11 @@ def test_beta_variance_is_prior_at_beta_zero():
 def test_beta_variance_grows_with_kernel_mass():
     model = BetaKlms(SPEC, beta=1.0)
     model.update([0.0], 1.0)
-    sf2, sy2 = model.variance([0.0])
+    sf2, sy2 = (v[0] for v in model.variance_batch([[0.0]]))
     # one center at the query itself: k(x,x)^2 = 1 on top of the prior
     assert sf2 == 2.0
     assert sy2 == pytest.approx(2.1, abs=1e-15)
-    far, _ = model.variance([50.0])
+    far, _ = (v[0] for v in model.variance_batch([[50.0]]))
     assert far == pytest.approx(1.0, abs=1e-12)
 
 
@@ -361,7 +361,7 @@ def test_beta_variance_batch_matches_pointwise():
     grid = rng.uniform(-1, 1, size=(5, 2))
     sf2, sy2 = model.variance_batch(grid)
     for i, x in enumerate(grid):
-        f, yv = model.variance(x)
+        f, yv = (v[0] for v in model.variance_batch([x]))
         assert sf2[i] == pytest.approx(f, abs=1e-14)
         assert sy2[i] == pytest.approx(yv, abs=1e-14)
 

@@ -18,7 +18,6 @@ from okreg import (
     NumericalError,
     OnlineGP,
     batch_fit,
-    batch_predict,
     dump_state,
     fingerprint,
     load_state,
@@ -85,10 +84,10 @@ def test_predict_matches_batch_after_stream():
     assert gp.size == 30
     fit = batch_fit(spec, gp.dictionary, y)
     for x in rng.uniform(-2.2, 2.2, size=(20, 2)):
-        b = batch_predict(fit, x)
+        b_mean, _, b_sigma_y2 = (v[0] for v in batch_predict_grid(fit, [x]))
         o = gp.predict(x)
-        assert o.mean == pytest.approx(b.mean, abs=1e-10)
-        assert o.sigma_y2 == pytest.approx(b.sigma_y2, abs=1e-10)
+        assert o.mean == pytest.approx(b_mean, abs=1e-10)
+        assert o.sigma_y2 == pytest.approx(b_sigma_y2, abs=1e-10)
 
 
 def test_predict_batch_matches_pointwise():
@@ -212,6 +211,19 @@ def test_budget_evicts_oldest():
 def test_budget_validation():
     with pytest.raises(ValueError):
         OnlineGP(_spec(), budget=0)
+
+
+@pytest.mark.parametrize("budget", [2.5, float("inf"), float("nan")])
+def test_a_budget_that_is_not_an_integer_is_refused(budget):
+    with pytest.raises(ValueError, match="budget must be a positive integer or None"):
+        OnlineGP(_spec(), budget=budget)
+    with pytest.raises(ValueError, match="budget must be a positive integer or None"):
+        OnlineGP.from_components(_spec(), Dictionary(), np.zeros(0), np.zeros((0, 0)), budget=budget)
+
+
+def test_an_integral_numpy_budget_is_kept_as_an_int():
+    gp = OnlineGP(_spec(), budget=np.int64(3))
+    assert gp.budget == 3 and type(gp.budget) is int
 
 
 def test_budget_long_stream_stays_bounded():

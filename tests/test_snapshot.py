@@ -18,7 +18,6 @@ from okreg import (
     dump_state,
     fingerprint,
     load_state,
-    load_state_file,
     save_state,
 )
 from okreg.kernels import gram_matrix
@@ -313,7 +312,7 @@ def test_file_round_trip(tmp_path):
     gp = _fed_gp()
     p = tmp_path / "state.txt"
     save_state(gp, p)
-    clone = load_state_file(p)
+    clone = load_state(p.read_text(encoding="utf-8"))
     assert fingerprint(clone) == fingerprint(gp)
 
 
