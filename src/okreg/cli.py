@@ -266,10 +266,9 @@ def cmd_compare(args) -> int:
             curve = run_online_experiment(model, train, test, args.eval_every, label=tok)
             linear[tok] += 10.0 ** (curve.values / 10.0)
             final_models[tok] = model
-    steps = curve.steps.tolist()  # the same for every seed and token
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore"):  # curve.steps is the same for every seed and token
         curves = [
-            LearningCurve(tok, list(zip(steps, (10.0 * np.log10(lin / args.seeds)).tolist())))
+            LearningCurve(tok, curve.steps, 10.0 * np.log10(lin / args.seeds))
             for tok, lin in linear.items()
         ]
     write = partial(write_learning_curves, curves)

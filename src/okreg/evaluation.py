@@ -14,6 +14,11 @@ ValueError before any state changes.
 ``run_online_experiment`` feeds each scoring interval through it.
 ``predict_batch(X)`` scores held-out rows; ``predict_means`` reads the
 means out of it.
+
+Both curve runners return ``LearningCurve``s, a model's error in
+decibels against the number of observations it has absorbed, and the
+two curve files are written from that one type.  Every CSV writer is a header
+plus a row generator sent through one row writer, ``_write_csv``.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from .online_gp import OnlineGP
 __all__ = [
     "nmse_db",
     "LearningCurve",
-    "ReconvergenceCurve",
     "UncertaintyTrace",
     "predict_means",
     "run_online_experiment",
@@ -72,41 +76,27 @@ def nmse_db(predictions, targets) -> float:
 
 @dataclass(eq=False)
 class LearningCurve:
-    """NMSE evaluations of one model at increasing training-step counts."""
+    """One model's error in decibels at increasing counts of absorbed
+    observations: held-out NMSE from ``run_online_experiment``, the
+    smoothed squared error from ``run_reconvergence``, which also keeps the
+    raw seed-averaged squared error per step as ``mean_sq_error``."""
 
     algorithm: str
-    points: list  # (step, nmse_db) pairs, steps strictly increasing
+    steps: np.ndarray  # strictly increasing
+    values: np.ndarray
+    mean_sq_error: np.ndarray | None = None
 
     def __post_init__(self):
-        steps = [s for s, _ in self.points]
-        if any(b <= a for a, b in zip(steps, steps[1:])):
+        self.steps = np.asarray(self.steps, dtype=int)
+        self.values = np.asarray(self.values, dtype=float)
+        if len(self.steps) != len(self.values):
+            raise ValueError("curve steps and values must be equal length")
+        if np.any(np.diff(self.steps) <= 0):
             raise ValueError("curve steps must be strictly increasing")
 
     @property
-    def steps(self) -> np.ndarray:
-        return np.asarray([s for s, _ in self.points], dtype=int)
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.asarray([v for _, v in self.points], dtype=float)
-
-    @property
     def final(self) -> float:
-        return self.points[-1][1]
-
-
-@dataclass(eq=False)
-class ReconvergenceCurve:
-    """Seed-averaged instantaneous squared error of one model per step.
-
-    ``mean_sq_error`` is the raw linear average; ``mse_db`` applies the
-    smoothing window and converts to decibels.
-    """
-
-    algorithm: str
-    steps: np.ndarray
-    mse_db: np.ndarray
-    mean_sq_error: np.ndarray
+        return float(self.values[-1])
 
 
 @dataclass(eq=False)
@@ -149,13 +139,13 @@ def run_online_experiment(
     if len(train) == 0 or len(test) == 0:
         raise ValueError("train and test sets must be non-empty")
     n = len(train)
-    points = []
+    steps, values = [], []
     for start in range(0, n, eval_every):
         stop = min(start + eval_every, n)
         model.update_block(train.inputs[start:stop], train.targets[start:stop])
-        preds = predict_means(model, test.inputs)
-        points.append((stop, nmse_db(preds, test.targets)))
-    return LearningCurve(label, points)
+        steps.append(stop)
+        values.append(nmse_db(predict_means(model, test.inputs), test.targets))
+    return LearningCurve(label, steps, values)
 
 
 def moving_average(values, window: int) -> np.ndarray:
@@ -217,7 +207,7 @@ def run_reconvergence(
         smoothed = moving_average(avg, smooth_window)
         with np.errstate(divide="ignore"):
             db = 10.0 * np.log10(smoothed)
-        curves.append(ReconvergenceCurve(name, steps, db, avg))
+        curves.append(LearningCurve(name, steps, db, avg))
     return curves, last_models
 
 
@@ -267,11 +257,14 @@ def run_uncertainty_trace(
 
 # -- CSV output ---------------------------------------------------------
 #
-# All writers format floats with repr() of the Python float, which
-# round-trips exactly and is byte-stable across runs.
+# Every writer is a header plus a row generator sent through _write_csv,
+# which formats floats with repr() of the Python float: it round-trips
+# exactly and is byte-stable across runs.
 
 
 def _fmt(v) -> str:
+    if isinstance(v, str):
+        return v
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return repr(float(v))
@@ -282,32 +275,33 @@ def _write_lines(lines, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _write_csv(path, header: str, rows, comment: str | None = None) -> None:
+    """An optional '# comment' line, the header, then one line per row."""
+    lines = [] if comment is None else [f"# {comment}"]
+    lines.append(header)
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
+    _write_lines(lines, path)
+
+
+def _curve_rows(curves):
+    for curve in sorted(curves, key=lambda c: c.algorithm):
+        for step, value in zip(curve.steps, curve.values):
+            yield curve.algorithm, step, value
+
+
 def write_learning_curves(curves, path) -> None:
     """Schema: algorithm,step,nmse_db; rows sorted by algorithm then step."""
-    lines = ["algorithm,step,nmse_db"]
-    for curve in sorted(curves, key=lambda c: c.algorithm):
-        for step, value in curve.points:
-            lines.append(f"{curve.algorithm},{_fmt(step)},{_fmt(value)}")
-    _write_lines(lines, path)
+    _write_csv(path, "algorithm,step,nmse_db", _curve_rows(curves))
 
 
 def write_reconvergence_curves(curves, path, metadata: dict | None = None) -> None:
     """Schema: algorithm,step,mean_sq_error_db with a leading '#' metadata row."""
-    lines = []
-    if metadata:
-        meta = " ".join(f"{k}={metadata[k]}" for k in metadata)
-        lines.append(f"# {meta}")
-    lines.append("algorithm,step,mean_sq_error_db")
-    for curve in sorted(curves, key=lambda c: c.algorithm):
-        for step, value in zip(curve.steps, curve.mse_db):
-            lines.append(f"{curve.algorithm},{_fmt(step)},{_fmt(value)}")
-    _write_lines(lines, path)
+    comment = " ".join(f"{k}={v}" for k, v in metadata.items()) if metadata else None
+    _write_csv(path, "algorithm,step,mean_sq_error_db", _curve_rows(curves), comment)
 
 
 def write_uncertainty_traces(traces, path) -> None:
     """Schema: algorithm,prefix,x,mean,std; sorted by algorithm then prefix."""
-    lines = ["algorithm,prefix,x,mean,std"]
-    for tr in sorted(traces, key=lambda t: (t.algorithm, t.prefix)):
-        for x, m, s in zip(tr.grid, tr.mean, tr.std):
-            lines.append(f"{tr.algorithm},{_fmt(tr.prefix)},{_fmt(x)},{_fmt(m)},{_fmt(s)}")
-    _write_lines(lines, path)
+    ordered = sorted(traces, key=lambda t: (t.algorithm, t.prefix))
+    rows = ((t.algorithm, t.prefix, *band) for t in ordered for band in zip(t.grid, t.mean, t.std))
+    _write_csv(path, "algorithm,prefix,x,mean,std", rows)

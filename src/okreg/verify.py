@@ -54,21 +54,20 @@ _BLOCK = 25
 
 
 def _online_cases(rng):
-    """The streams of the online checks as (GP factory, X, y, grid): two
-    well-spread ones, then one with the default admission threshold whose
-    admitted Gram matrix is nearly singular, where an explicitly updated
-    inverse drifts to errors of about 1e-4."""
+    """The streams of the online checks as (kernel spec, X, y, grid): two
+    well-spread ones, then one whose admitted Gram matrix is nearly
+    singular, where an explicitly updated inverse drifts to errors of about
+    1e-4.  Each is fed to GPs with the default admission threshold: one
+    within rounding of zero would make ``update_block`` replay every block
+    through ``update`` instead of taking its block step."""
     streams = [
         (KernelSpec(lengthscale=0.02, noise_variance=0.1), *_jittered_grid_stream(rng, 80)),
         (KernelSpec(lengthscale=0.6, noise_variance=0.1), *_random_stream(rng, 80, 4)),
     ]
-    cases = []
-    for spec, X, y in streams:
-        grid = rng.uniform(-1.1, 1.1, size=(60, X.shape[1]))
-        cases.append((lambda spec=spec: OnlineGP(spec, admission_threshold=1e-12), X, y, grid))
+    cases = [(spec, X, y, rng.uniform(-1.1, 1.1, size=(60, X.shape[1]))) for spec, X, y in streams]
     train, test = gen_kinematics_like(0, 400, 400, d=2)
     spec = KernelSpec(lengthscale=1.5, noise_variance=0.1)
-    cases.append((lambda: OnlineGP(spec), train.inputs, train.targets, test.inputs))
+    cases.append((spec, train.inputs, train.targets, test.inputs))
     return cases
 
 
@@ -89,8 +88,8 @@ def _check_online(rng):
     block against the loop (inf when they admitted different points), and
     of the block against batch."""
     loop_batch, block_loop, block_batch = [], [], []
-    for make, X, y, grid in _online_cases(rng):
-        loop, block = make(), make()
+    for spec, X, y, grid in _online_cases(rng):
+        loop, block = OnlineGP(spec), OnlineGP(spec)
         for xi, yi in zip(X, y):
             loop.update(xi, yi)
         for start in range(0, len(y), _BLOCK):

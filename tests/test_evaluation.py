@@ -29,7 +29,6 @@ from okreg.datasets import (
 )
 from okreg.evaluation import (
     LearningCurve,
-    ReconvergenceCurve,
     UncertaintyTrace,
     moving_average,
     nmse_db,
@@ -92,11 +91,16 @@ def test_nmse_scale_invariant(scale):
 
 def test_learning_curve_rejects_unsorted_steps():
     with pytest.raises(ValueError):
-        LearningCurve("m", [(10, -1.0), (10, -2.0)])
+        LearningCurve("m", [10, 10], [-1.0, -2.0])
+
+
+def test_learning_curve_rejects_steps_and_values_of_unequal_length():
+    with pytest.raises(ValueError, match="equal length"):
+        LearningCurve("m", [10, 20], [-1.0])
 
 
 def test_learning_curve_accessors():
-    c = LearningCurve("m", [(10, -1.0), (20, -3.0)])
+    c = LearningCurve("m", [10, 20], [-1.0, -3.0])
     np.testing.assert_array_equal(c.steps, [10, 20])
     np.testing.assert_array_equal(c.values, [-1.0, -3.0])
     assert c.final == -3.0
@@ -202,7 +206,7 @@ def test_reconvergence_curves_sorted_and_shaped():
     assert [c.algorithm for c in curves] == ["a", "b"]
     for c in curves:
         assert c.mean_sq_error.shape == (40,)
-        assert c.mse_db.shape == (40,)
+        assert c.values.shape == (40,)
         assert np.all(c.mean_sq_error >= 0)
     assert set(last) == {"a", "b"}
     assert last["b"].size > 0
@@ -409,8 +413,8 @@ def test_uncertainty_validation():
 def test_write_learning_curves_bytes(tmp_path):
     p = tmp_path / "curve.csv"
     curves = [
-        LearningCurve("z", [(10, -1.5)]),
-        LearningCurve("a", [(10, -0.5), (20, -2.0)]),
+        LearningCurve("z", [10], [-1.5]),
+        LearningCurve("a", [10, 20], [-0.5, -2.0]),
     ]
     write_learning_curves(curves, p)
     assert p.read_bytes() == b"algorithm,step,nmse_db\na,10,-0.5\na,20,-2.0\nz,10,-1.5\n"
@@ -418,7 +422,7 @@ def test_write_learning_curves_bytes(tmp_path):
 
 def test_write_reconvergence_metadata_row(tmp_path):
     p = tmp_path / "rc.csv"
-    curve = ReconvergenceCurve(
+    curve = LearningCurve(
         "m", np.array([0, 1]), np.array([-1.0, -2.5]), np.array([0.1, 0.2])
     )
     write_reconvergence_curves([curve], p, metadata={"switch_at": 1, "seeds": 2})
@@ -440,7 +444,7 @@ def test_write_uncertainty_traces_bytes(tmp_path):
 
 def test_writers_are_byte_deterministic(tmp_path):
     # identical inputs, two writes, identical bytes (numpy scalars included)
-    curves = [LearningCurve("m", [(1, float(np.float64(-1.23456789)))])]
+    curves = [LearningCurve("m", [1], [float(np.float64(-1.23456789))])]
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_learning_curves(curves, p1)
     write_learning_curves(curves, p2)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from okreg import (
     BetaKlms,
+    Dictionary,
     KernelSpec,
     Klms,
     KlmsModel,
@@ -655,6 +656,51 @@ def test_v1_gp_snapshot_still_needs_a_well_shaped_q_inv_block():
         load_state(_without_block(_V1_GP, "q_inv"))
     with pytest.raises(ValueError, match=re.escape("[q_inv]")):
         load_state(_V1_GP.rstrip("\n").rpartition("\n")[0] + "\n")
+
+
+# two copies of one center under a kernel without jitter: a singular Gram matrix
+_TWIN_V1_GP = """\
+# okreg-state v1
+model=online_gp
+family=gaussian
+lengthscale=0.5
+signal_variance=1.0
+noise_variance=0.1
+jitter=0.0
+budget=none
+admission_threshold=1e-08
+next_id=2
+[dict]
+0,0.0
+1,0.0
+[targets]
+0.0
+0.0
+[mu]
+0.0
+0.0
+[sigma]
+0.0,0.0
+0.0,0.0
+[q_inv]
+0.0,0.0
+0.0,0.0
+"""
+
+
+@pytest.mark.parametrize(
+    "restore",
+    [
+        lambda: OnlineGP.from_components(
+            KernelSpec(0.5, jitter=0.0), Dictionary([[0.0], [0.0]]), np.zeros(2), np.zeros((2, 2))
+        ),
+        lambda: load_state(_TWIN_V1_GP),
+    ],
+    ids=["from_components", "load_state_v1"],
+)
+def test_a_restore_that_must_factor_a_singular_gram_matrix_raises_value_error(restore):
+    with pytest.raises(ValueError, match="the dictionary's Gram matrix is not positive definite"):
+        restore()
 
 
 @pytest.mark.parametrize("banner", ["", "# okreg-state v3", "okreg-state v2", "# something else"])

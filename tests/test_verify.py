@@ -61,6 +61,36 @@ def test_budget_check_fails_when_an_eviction_repair_is_off(monkeypatch):
     assert failing == ["budgeted GP vs refactoring reference"]
 
 
+def test_budget_check_fails_when_the_rebuilt_reference_admits_nothing(monkeypatch):
+    # a reference rebuilt with an infinite admission threshold keeps its
+    # centers while the GP admits new ones
+    class NeverAdmits(OnlineGP):
+        @classmethod
+        def from_components(cls, *args, **kwargs):
+            return OnlineGP.from_components(*args, **kwargs, admission_threshold=np.inf)
+
+    monkeypatch.setattr(okreg.verify, "OnlineGP", NeverAdmits)
+    failing = [r for r in run_all_checks(seed=0) if not r.passed]
+    assert [r.name for r in failing] == ["budgeted GP vs refactoring reference"]
+    assert failing[0].max_error == np.inf
+
+
+def test_block_lines_take_the_block_step_on_every_stream(monkeypatch):
+    # a block replayed point by point would compare the update loop with itself
+    block_step = OnlineGP._block_step
+    steps = []  # (model, whether the block was left to the loop)
+
+    def spy(self, X, y):
+        step = block_step(self, X, y)
+        steps.append((self, step is None))
+        return step
+
+    monkeypatch.setattr(OnlineGP, "_block_step", spy)
+    run_all_checks(seed=0)
+    assert len({id(model) for model, _ in steps}) == 3  # one block-fed GP per online stream
+    assert not any(replayed for _, replayed in steps)
+
+
 def test_format_results_is_a_readable_table():
     results = run_all_checks(seed=0)
     table = format_results(results)
