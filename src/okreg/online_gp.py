@@ -360,8 +360,8 @@ class OnlineGP:
             chol = np.zeros((0, 0))
             if n:
                 try:
-                    chol = np.linalg.cholesky(gram_matrix(spec, dictionary))
-                except np.linalg.LinAlgError as exc:
+                    chol = _lower_factor(gram_matrix(spec, dictionary))
+                except NumericalError as exc:
                     raise ValueError("the dictionary's Gram matrix is not positive definite") from exc
         model.dictionary = dictionary.copy()
         model._targets = [float(t) for t in targets]

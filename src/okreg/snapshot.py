@@ -2,9 +2,15 @@
 
 Layout: a ``# okreg-state v2`` banner, ``key=value`` scalar lines
 (kernel spec first, then model parameters), then array blocks opened by
-``[name]`` with one comma-separated row per line.  Floats are written
-with repr(), which round-trips exactly, so load(dump(model)) reproduces
-every array bit for bit.
+``[name]``.  Every block is a table of floats, one comma-separated row
+per line, written by one row writer and read by one row reader: a vector
+is one column, an n x n matrix n rows of n, and a ``[dict]`` row is a
+center's id and then its point.  Floats are written with repr(), which
+round-trips exactly, so dump(load(text)) gives back the text.  A
+reloaded model continues bit for bit as the original would, except a
+budgeted GP that has evicted: ``[chol]`` holds the factor in insertion
+order (``OnlineGP.chol``), not the model's own order, so the reloaded
+model's steps agree with the original's only to rounding.
 
 Each model class has one entry in ``_KINDS``: its ``model=`` line (and
 ``variant=`` line for the filters), its parameter lines in file order
@@ -47,37 +53,18 @@ from .online_gp import OnlineGP
 __all__ = ["dump_state", "load_state", "save_state", "fingerprint"]
 
 _BANNER = "# okreg-state v2"
+# the kernel spec's lines in file order, named here rather than read off
+# KernelSpec so that the file format does not follow the dataclass
+_SPEC_KEYS = ("lengthscale", "signal_variance", "noise_variance", "jitter")
 # the lines every model kind may write besides its own parameters
-_SHARED_KEYS = (
-    "model", "family", "lengthscale", "signal_variance", "noise_variance", "jitter", "next_id"
-)
+_SHARED_KEYS = ("model", "family", *_SPEC_KEYS, "next_id")
 _READABLE_BANNERS = {"# okreg-state v1": 1, _BANNER: 2}
 
 
-def _f(v) -> str:
-    return repr(float(v))
-
-
-def _scalar_lines(spec: KernelSpec) -> list[str]:
-    return [
-        "family=gaussian",
-        f"lengthscale={_f(spec.lengthscale)}",
-        f"signal_variance={_f(spec.signal_variance)}",
-        f"noise_variance={_f(spec.noise_variance)}",
-        f"jitter={_f(spec.jitter)}",
-    ]
-
-
-def _block(name: str, arr, ndim: int) -> list[str]:
-    """A vector (ndim 1) one value per line, or an n x n matrix one row per line."""
-    arr = np.asarray(arr, dtype=float)
-    rows = arr.reshape(-1, 1) if ndim == 1 else arr
-    return [f"[{name}]", *(",".join(_f(v) for v in row) for row in rows)]
-
-
-def _dict_block(d: Dictionary) -> list[str]:
-    rows = (",".join([str(i), *(_f(v) for v in p)]) for i, p in zip(d.ids, d.points))
-    return ["[dict]", *rows]
+def _rows(table) -> list[str]:
+    """A table's lines, one comma-separated row each; a vector is one column."""
+    table = np.column_stack([table])
+    return [",".join(map(repr, row)) for row in table.tolist()]
 
 
 def _or_none(parse):
@@ -88,14 +75,15 @@ def _text(value) -> str:
     """A parameter as written: ``none``, an integer, or a repr() float."""
     if value is None:
         return "none"
-    return str(value) if isinstance(value, int) else _f(value)
+    return str(value) if isinstance(value, int) else repr(float(value))
 
 
 @dataclass(frozen=True)
 class _Kind:
     """How one model class is written: its ``model=`` and ``variant=`` lines,
     its parameter lines in file order, each with the parser that reads it
-    back, and its array blocks after ``[dict]`` as (name, ndim) pairs."""
+    back, and its array blocks after ``[dict]`` as (name, ndim) pairs: a
+    vector is a one-column table, a matrix an n x n one."""
 
     model: str
     variant: str | None
@@ -131,12 +119,12 @@ def dump_state(model) -> str:
     lines = [_BANNER, f"model={kind.model}"]
     if kind.variant is not None:
         lines.append(f"variant={kind.variant}")
-    lines += _scalar_lines(model.spec)
+    lines += ["family=gaussian", *(f"{key}={float(getattr(model.spec, key))!r}" for key in _SPEC_KEYS)]
     lines += [f"{name}={_text(getattr(model, name))}" for name, _ in kind.params]
-    lines.append(f"next_id={model.dictionary.next_id}")
-    lines += _dict_block(model.dictionary)
-    for name, ndim in kind.blocks:
-        lines += _block(name, getattr(model, name), ndim)
+    lines += [f"next_id={model.dictionary.next_id}", "[dict]"]
+    lines += [f"{i},{row}" for i, row in zip(model.dictionary.ids, _rows(model.dictionary.points))]
+    for name, _ in kind.blocks:
+        lines += [f"[{name}]", *_rows(getattr(model, name))]
     return "\n".join(lines) + "\n"
 
 
@@ -177,21 +165,18 @@ def _require(table: dict, key: str, what: str):
     return table[key]
 
 
-def _block_array(blocks, name: str, shape: tuple) -> np.ndarray:
-    rows = _require(blocks, name, f"[{name}] block")
-    if shape[0] == 0 and not rows:
-        return np.zeros(shape)
-    arr = np.asarray(rows, dtype=float)
-    if arr.shape != shape:
-        raise ValueError(f"[{name}] block has shape {arr.shape}, expected {shape}")
-    return arr
-
-
-def _block_vector(blocks, name: str) -> np.ndarray:
-    rows = _require(blocks, name, f"[{name}] block")
-    if any(len(r) != 1 for r in rows):
-        raise ValueError(f"[{name}] block needs one value per line")
-    return np.asarray([r[0] for r in rows], dtype=float)
+def _table(blocks, name: str, rows: int | None, cols: int | None) -> np.ndarray:
+    """The [name] block as a float array of ``rows`` rows (any number when
+    None), each of ``cols`` values (as many as its first row when None);
+    ValueError naming the block when it is missing or shaped otherwise."""
+    table = _require(blocks, name, f"[{name}] block")
+    if cols is None:
+        cols = len(table[0]) if table else 0
+    if any(len(row) != cols for row in table):
+        raise ValueError(f"[{name}] block needs {cols} value(s) on every line")
+    if rows is not None and len(table) != rows:
+        raise ValueError(f"[{name}] block has {len(table)} lines, expected {rows}")
+    return np.array(table, dtype=float).reshape(len(table), cols)
 
 
 def _as_int(value: float, what: str) -> int:
@@ -215,16 +200,11 @@ def load_state(text: str):
     family = scalars.get("family", "gaussian")
     if family != "gaussian":
         raise ValueError(f"unsupported kernel family: {family!r}")
-    spec = KernelSpec(
-        lengthscale=float(scalar("lengthscale")),
-        signal_variance=float(scalar("signal_variance")),
-        noise_variance=float(scalar("noise_variance")),
-        jitter=float(scalar("jitter")),
-    )
-    dict_rows = _require(blocks, "dict", "[dict] block")
-    ids = [_as_int(r[0], "a dictionary id") for r in dict_rows]
+    spec = KernelSpec(**{key: float(scalar(key)) for key in _SPEC_KEYS})
+    entries = _table(blocks, "dict", None, None)  # an id, then the point
+    ids = [_as_int(row[0], "a dictionary id") for row in entries.tolist()]
     next_id = int(scalars.get("next_id", len(ids)))
-    dictionary = Dictionary.restore([r[1:] for r in dict_rows], ids, next_id)
+    dictionary = Dictionary.restore(entries[:, 1:], ids, next_id)
     n = len(dictionary)
 
     variants = {variant for model, variant in _BY_LINES if model == model_line}
@@ -247,12 +227,11 @@ def load_state(text: str):
     arrays = {}
     for name, ndim in kind.blocks:
         if name == "chol" and version == 1:
-            _block_array(blocks, "q_inv", (n, n))
+            _table(blocks, "q_inv", n, n)
             arrays[name] = None  # v1 stored K^-1; the factor is recomputed from the dictionary
-        elif ndim == 1:
-            arrays[name] = _block_vector(blocks, name)
         else:
-            arrays[name] = _block_array(blocks, name, (n, n))
+            # a vector's length is left to from_components, which names it
+            arrays[name] = _table(blocks, name, *((n, n) if ndim == 2 else (None, 1)))
     return cls.from_components(spec, dictionary, **arrays, **params)
 
 

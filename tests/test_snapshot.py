@@ -542,6 +542,25 @@ def test_load_rejects_a_non_finite_number_naming_its_block(kind, block, value):
         load_state(_with_last_field(_TEXTS[kind], block, value))
 
 
+@pytest.mark.parametrize(
+    "kind, block, edit",
+    [
+        ("gp", "sigma", lambda row: [row.rpartition(",")[0]]),
+        ("gp", "chol", lambda row: [row + ",0.25"]),
+        ("gp", "sigma", lambda row: []),
+        ("gp", "mu", lambda row: [row + ",0.25"]),
+        ("klms", "alpha", lambda row: [row + ",0.25"]),
+    ],
+    ids=["short-sigma-row", "long-chol-row", "missing-sigma-row", "two-value-mu-row", "two-value-alpha-row"],
+)
+def test_load_rejects_a_misshapen_block_naming_it(kind, block, edit):
+    lines = _TEXTS[kind].splitlines()
+    row = lines.index(f"[{block}]") + 1
+    lines[row : row + 1] = edit(lines[row])
+    with pytest.raises(ValueError, match=re.escape(f"[{block}]")):
+        load_state("\n".join(lines) + "\n")
+
+
 @pytest.mark.parametrize("name, value", [("mu", np.nan), ("sigma", np.nan), ("targets", np.inf), ("alpha", np.inf)])
 def test_from_components_refuses_a_non_finite_component(name, value):
     if name == "alpha":
