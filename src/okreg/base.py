@@ -40,6 +40,15 @@ class NumericalError(RuntimeError):
 VARIANCE_FLOOR = -1e-10
 
 
+def predictive_variances(latent: np.ndarray, noise_variance: float) -> tuple[np.ndarray, np.ndarray]:
+    """(latent, output) predictive variances from raw latent ones: rounding
+    below zero reads as 0, and NumericalError below ``VARIANCE_FLOOR``."""
+    if np.any(latent < VARIANCE_FLOOR):
+        raise NumericalError(f"negative predictive variance: {float(latent.min())}")
+    latent = np.maximum(latent, 0.0)
+    return latent, latent + noise_variance
+
+
 class CsvFormatError(ValueError):
     """An input CSV row could not be parsed."""
 

@@ -71,7 +71,7 @@ from scipy.linalg import cho_solve, qr_delete
 from scipy.linalg.blas import ddot, dgemm, dgemv, dger, dsymv, dsyrk, dtrsm, dtrsv
 from scipy.linalg.lapack import dpotrf
 
-from .base import VARIANCE_FLOOR, NumericalError, PredictiveDistribution, block_rows, finite_target
+from .base import NumericalError, PredictiveDistribution, block_rows, finite_target, predictive_variances
 from .kernels import (
     Dictionary,
     KernelSpec,
@@ -393,10 +393,7 @@ class OnlineGP:
         B = self._reordered(dtrsm(1.0, U, B, side=1, trans_a=1, overwrite_b=1), axis=1)
         sf2 = gamma2 + np.einsum("ij,ij->i", B, dgemm(1.0, B, self._sigma.T))
         means = dgemv(1.0, B, self._mu) if B.size else np.zeros(len(B))
-        if np.any(sf2 < VARIANCE_FLOOR):
-            raise NumericalError(f"negative predictive variance: {float(sf2.min())}")
-        sf2 = np.maximum(sf2, 0.0)
-        return means, sf2, sf2 + self.spec.noise_variance
+        return (means, *predictive_variances(sf2, self.spec.noise_variance))
 
     # -- updates ----------------------------------------------------------
 
@@ -444,9 +441,8 @@ class OnlineGP:
 
         The point is admitted only when its gamma2 clears the threshold;
         a skipped point changes nothing (the innovation is dropped, not
-        folded into existing weights).  An admitted point whose a-priori
-        output variance is not positive raises NumericalError and changes
-        nothing, as does a refactor whose Gram matrix is not positive definite.
+        folded into existing weights).  Every NumericalError is raised
+        before any state changes, so it leaves the model as it was.
         """
         scr = self.compute_scratch(x, y)
         if scr.gamma2 <= self.admission_threshold:
@@ -470,6 +466,9 @@ class OnlineGP:
         sigma1 = _bordered(self._sigma[old:, old:], h[np.newaxis], scr.sigma_f2, h[:, np.newaxis])
         gs = gain / np.sqrt(scr.sigma_y2)
         sigma1 = dger(-1.0, gs, gs, a=sigma1.T, overwrite_a=1).T
+        # checked before the factor branch, which may repair L in place
+        if float(np.min(np.diag(sigma1))) < _SIGMA_DIAG_FLOOR:
+            raise NumericalError("posterior covariance lost positive semidefiniteness")
 
         n, a = self.size, self._reversed
         if not old:
@@ -495,9 +494,6 @@ class OnlineGP:
         self._sigma = sigma1
         self._chol = chol1
         self._reversed = a
-
-        if float(np.min(np.diag(self._sigma))) < _SIGMA_DIAG_FLOOR:
-            raise NumericalError("posterior covariance lost positive semidefiniteness")
         return scr
 
     def _newest_first_factor(self, scr: GpUpdateScratch) -> np.ndarray:

@@ -29,12 +29,13 @@ The loader raises ValueError, and only ValueError, for any malformed
 text: a missing banner, a missing or repeated key or block, a line
 before ``[dict]`` that is not ``key=value``, a key or block the model
 kind does not write (``[q_inv]`` only under the v1 banner), an
-unparsable number, a ``nan`` or ``inf`` anywhere in a block, a parameter
-the model refuses (a non-finite kernel field, ``eta``, ``eps_reg`` or
-``beta`` among them), a block whose shape does not match the dictionary,
-a ``[sigma]`` that is not exactly symmetric, or a ``[chol]`` that is not
-lower-triangular with a positive diagonal.  It does not check the factor
-against the dictionary's Gram matrix, which would cost O(n^3).
+unparsable number (the error names it when it is on a ``key=`` line), a
+``nan`` or ``inf`` anywhere in a block, a parameter the model refuses (a
+non-finite kernel field, ``eta``, ``eps_reg`` or ``beta`` among them), a
+block whose shape does not match the dictionary, a ``[sigma]`` that is
+not exactly symmetric, or a ``[chol]`` that is not lower-triangular with
+a positive diagonal.  It does not check the factor against the
+dictionary's Gram matrix, which would cost O(n^3).
 """
 
 from __future__ import annotations
@@ -194,16 +195,24 @@ def load_state(text: str):
     scalars, blocks = _parse(text)
     model_line = _require(scalars, "model", "model line")
 
-    def scalar(key: str) -> str:
-        return _require(scalars, key, f"{key}= line")
+    def scalar(key: str, parse: Callable[[str], object] = str, default=None):
+        """The key= line read by ``parse``, or ``default`` when the line is
+        absent and a default is given; ValueError naming the line otherwise."""
+        if default is not None and key not in scalars:
+            return default
+        text = _require(scalars, key, f"{key}= line")
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise ValueError(f"snapshot line {key}={text} does not parse ({exc})") from exc
 
     family = scalars.get("family", "gaussian")
     if family != "gaussian":
         raise ValueError(f"unsupported kernel family: {family!r}")
-    spec = KernelSpec(**{key: float(scalar(key)) for key in _SPEC_KEYS})
+    spec = KernelSpec(**{key: scalar(key, float) for key in _SPEC_KEYS})
     entries = _table(blocks, "dict", None, None)  # an id, then the point
     ids = [_as_int(row[0], "a dictionary id") for row in entries.tolist()]
-    next_id = int(scalars.get("next_id", len(ids)))
+    next_id = scalar("next_id", int, len(ids))
     dictionary = Dictionary.restore(entries[:, 1:], ids, next_id)
     n = len(dictionary)
 
@@ -223,7 +232,7 @@ def load_state(text: str):
     unknown += [f"[{b}]" for b in sorted(blocks.keys() - names)]
     if unknown:
         raise ValueError(f"unknown in a {cls.__name__} snapshot: {', '.join(unknown)}")
-    params = {name: parse(scalar(name)) for name, parse in kind.params}
+    params = {name: scalar(name, parse) for name, parse in kind.params}
     arrays = {}
     for name, ndim in kind.blocks:
         if name == "chol" and version == 1:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from okreg import Dictionary, KernelSpec, OnlineGP, batch_fit
+from okreg import Dictionary, KernelSpec, NumericalError, OnlineGP, batch_fit
 from okreg.batch_gp import batch_predict_grid
 from okreg.kernels import gram_matrix
 
@@ -85,12 +85,11 @@ def test_latent_variance_between_zero_and_prior(pairs, probe):
 # -- degradation ------------------------------------------------------------
 
 
-def test_duplicate_points_survive_via_jitter_escalation():
-    # identical rows with zero jitter and zero noise: the first Cholesky
-    # attempt fails, the escalating diagonal bump rescues it
-    fit = batch_fit(_spec(jitter=0.0, noise=0.0), Dictionary([[1.0], [1.0]]), [1.0, 1.0])
-    assert np.all(np.isfinite(fit.weights))
-    assert fit.weights.sum() == pytest.approx(1.0, rel=1e-6)
+def test_duplicate_points_without_jitter_or_noise_raise():
+    # identical rows with zero jitter and zero noise: K + noise I is singular,
+    # and the reference adds nothing to its diagonal to factor it
+    with pytest.raises(NumericalError, match="not positive definite"):
+        batch_fit(_spec(jitter=0.0, noise=0.0), Dictionary([[1.0], [1.0]]), [1.0, 1.0])
 
 
 def test_empty_dictionary_rejected():

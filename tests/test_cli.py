@@ -1,8 +1,14 @@
 """Command-line harness: exit codes, outputs, and config-file merging."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import okreg
 import okreg.cli
 from okreg import load_state
 from okreg.cli import main
@@ -19,6 +25,15 @@ def test_no_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("args, code", [(["--help"], 0), ([], 2)], ids=["help", "no-subcommand"])
+def test_module_entry_point_exits_like_main(args, code):
+    # the subprocess imports the package the suite imported
+    env = {**os.environ, "PYTHONPATH": str(Path(okreg.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "okreg", *args], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert "usage: okreg" in proc.stdout + proc.stderr
 
 
 def test_unknown_algorithm_exits_config(tmp_path, capsys):

@@ -22,6 +22,7 @@ from okreg import (
     fingerprint,
     load_state,
 )
+from okreg.base import VARIANCE_FLOOR, predictive_variances
 from okreg.batch_gp import batch_predict_grid
 from okreg.datasets import gen_kinematics_like
 from okreg.kernels import gram_matrix
@@ -637,6 +638,14 @@ def test_corrupted_covariance_raises_on_predict():
         gp.predict_batch(np.array([[0.0]]))
 
 
+def test_predictive_variances_floor_clip_and_noise():
+    with pytest.raises(NumericalError, match="negative predictive variance"):
+        predictive_variances(np.array([0.5, 2 * VARIANCE_FLOOR]), 0.1)
+    latent, output = predictive_variances(np.array([0.5, 0.5 * VARIANCE_FLOOR, 0.0]), 0.1)
+    np.testing.assert_array_equal(latent, [0.5, 0.0, 0.0])
+    np.testing.assert_array_equal(output, latent + 0.1)
+
+
 def test_non_positive_output_variance_raises_and_changes_nothing():
     rng = np.random.default_rng(1)
     X = rng.uniform(-1, 1, (60, 2))
@@ -680,8 +689,11 @@ def test_from_components_keeps_its_own_dictionary():
 def test_corrupted_covariance_raises_on_update():
     d = Dictionary([[0.0], [1.0]])
     gp = OnlineGP.from_components(_spec(), d, np.zeros(2), -1e-3 * np.eye(2))
+    before = fingerprint(gp)
     with pytest.raises(NumericalError, match="positive semidefiniteness"):
         gp.update([5.0], 1.0)
+    assert gp.size == 2
+    assert fingerprint(gp) == before
 
 
 # -- the block step ---------------------------------------------------------------

@@ -377,10 +377,20 @@ def test_load_rejects_alpha_length_mismatch():
         ("klms", "1,0.5", "0,0.5"),
         ("klms", "0,0.0", "-1,0.0"),
         ("klms", "2,1.5", "0,1.5"),
+        ("klms", "1,0.5", "1.5,0.5"),
         ("gp-budget-evicted", "next_id=3", "next_id=2"),
         ("gp-empty", "next_id=0", "next_id=-1"),
     ],
-    ids=["next-id-reused", "next-id-negative", "repeated", "negative", "decreasing", "gp-next-id", "empty"],
+    ids=[
+        "next-id-reused",
+        "next-id-negative",
+        "repeated",
+        "negative",
+        "decreasing",
+        "not-an-integer",
+        "gp-next-id",
+        "empty",
+    ],
 )
 def test_load_rejects_inconsistent_dictionary_ids(name, old, new):
     text = _GOLDEN[name][2]
@@ -584,6 +594,17 @@ def test_load_rejects_an_infinite_parameter(kind, key):
     old = next(line for line in text.splitlines() if line.startswith(f"{key}="))
     with pytest.raises(ValueError, match=key):
         load_state(text.replace(old + "\n", f"{key}=inf\n"))
+
+
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [("gp", "budget", "2.5"), ("klms", "next_id", "abc"), ("gp", "lengthscale", "x"), ("klms", "eta", "fast")],
+)
+def test_load_names_a_scalar_line_that_does_not_parse(kind, key, value):
+    text = _TEXTS[kind]
+    old = next(line for line in text.splitlines() if line.startswith(f"{key}="))
+    with pytest.raises(ValueError, match=re.escape(f"{key}={value}")):
+        load_state(text.replace(old + "\n", f"{key}={value}\n"))
 
 
 def _sigma_bumped(text, i, j):
