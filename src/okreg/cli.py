@@ -117,70 +117,64 @@ def _build_spec(args) -> KernelSpec:
     )
 
 
-def _resolve_eta(value, spec: KernelSpec, default):
-    v = default if value is None else value
-    if isinstance(v, str):
-        if v == "matched":
-            return matched_eta(spec)
-        try:
-            return float(v)
-        except ValueError:
-            raise ConfigError(f"--eta must be a number or 'matched', got {v!r}") from None
-    return float(v)
-
-
-def _build_model(token: str, spec: KernelSpec, args):
-    name, sep, param = (part.strip() for part in token.partition(":"))
-    if sep and name != "beta":
-        raise ConfigError(f"only beta takes a ':value' parameter, got {token!r}")
+def _eta(args, spec: KernelSpec, default):
+    """--eta, or ``default`` without the flag, as a float; 'matched' is ``matched_eta(spec)``."""
+    value = default if args.eta is None else args.eta
+    if value == "matched":
+        return matched_eta(spec)
     try:
-        if name == "gp":
-            return OnlineGP(
-                spec,
-                budget=args.budget,
-                admission_threshold=args.admission_threshold,
-            )
-        if name == "klms":
-            return Klms(spec, eta=_resolve_eta(args.eta, spec, "matched"))
-        if name == "qklms":
-            return Qklms(
-                spec,
-                eta=_resolve_eta(args.eta, spec, "matched"),
-                quant_radius=args.quant_radius,
-            )
-        if name == "knlms":
-            return Knlms(
-                spec,
-                eta=_resolve_eta(args.eta, spec, 1.0),
-                eps_reg=args.eps_reg,
-                coherence_mu0=args.coherence_mu0,
-            )
-        if name == "beta":
-            try:
-                b = float(param) if param else args.beta
-            except ValueError:
-                raise ConfigError(f"bad beta value in {token!r}") from None
-            return BetaKlms(spec, beta=b)
-    except ValueError as exc:
-        raise ConfigError(f"{token!r}: {exc}") from exc
-    raise ConfigError(f"unknown algorithm: {token!r}")
+        return float(value)
+    except ValueError:
+        raise ConfigError(f"--eta must be a number or 'matched', got {value!r}") from None
+
+
+def _beta(spec: KernelSpec, args, param: str) -> BetaKlms:
+    try:
+        beta = float(param) if param else args.beta
+    except ValueError:
+        raise ConfigError(f"bad beta value in {'beta:' + param!r}") from None
+    return BetaKlms(spec, beta=beta)
+
+
+# every --algs name and its builder (spec, args, param) -> a fresh model,
+# where param is the text after ':', which only beta takes
+_MODELS = {
+    "gp": lambda spec, args, param: OnlineGP(
+        spec, budget=args.budget, admission_threshold=args.admission_threshold
+    ),
+    "klms": lambda spec, args, param: Klms(spec, eta=_eta(args, spec, "matched")),
+    "qklms": lambda spec, args, param: Qklms(
+        spec, eta=_eta(args, spec, "matched"), quant_radius=args.quant_radius
+    ),
+    "knlms": lambda spec, args, param: Knlms(
+        spec, eta=_eta(args, spec, 1.0), eps_reg=args.eps_reg, coherence_mu0=args.coherence_mu0
+    ),
+    "beta": _beta,
+}
 
 
 def _model_factories(algs: str, spec: KernelSpec, args) -> dict:
-    """One fresh-model factory per ``--algs`` token, in order.
-
-    Every token is built once here, so a bad one is a config error
-    before any data is generated or loaded, not after the models before
-    it have run.
-    """
-    tokens = [t.strip() for t in algs.split(",") if t.strip()]
+    """One fresh-model factory per ``--algs`` token, in order, keyed by the
+    token with the spaces around ``:`` removed.  Each is built once here, so
+    a bad token is a config error before any data is made or any model runs."""
+    parts = [tuple(p.strip() for p in t.partition(":")) for t in algs.split(",") if t.strip()]
+    tokens = ["".join(part) for part in parts]
     if not tokens:
         raise ConfigError("--algs must name at least one algorithm")
     if len(set(tokens)) != len(tokens):
         raise ConfigError("--algs contains duplicates")
-    for tok in tokens:
-        _build_model(tok, spec, args)
-    return {tok: (lambda tok=tok: _build_model(tok, spec, args)) for tok in tokens}
+    factories = {}
+    for tok, (name, sep, param) in zip(tokens, parts):
+        if sep and name != "beta":
+            raise ConfigError(f"only beta takes a ':value' parameter, got {tok!r}")
+        if name not in _MODELS:
+            raise ConfigError(f"unknown algorithm: {tok!r}")
+        factories[tok] = partial(_MODELS[name], spec, args, param)
+        try:
+            factories[tok]()
+        except ValueError as exc:
+            raise ConfigError(f"{tok!r}: {exc}") from exc
+    return factories
 
 
 # -- data sourcing --------------------------------------------------------

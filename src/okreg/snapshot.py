@@ -29,7 +29,7 @@ The loader raises ValueError, and only ValueError, for any malformed
 text: a missing banner, a missing or repeated key or block, a line
 before ``[dict]`` that is not ``key=value``, a key or block the model
 kind does not write (``[q_inv]`` only under the v1 banner), an
-unparsable number (the error names it when it is on a ``key=`` line), a
+unparsable number (the error names its ``key=`` line, or its block and line), a
 ``nan`` or ``inf`` anywhere in a block, a parameter the model refuses (a
 non-finite kernel field, ``eta``, ``eps_reg`` or ``beta`` among them), a
 block whose shape does not match the dictionary, a ``[sigma]`` that is
@@ -153,7 +153,10 @@ def _parse(text: str):
                 raise ValueError(f"snapshot repeats the {key}= line")
             scalars[key] = value.strip()
         else:
-            row = [float(p) for p in line.split(",")]
+            try:
+                row = [float(p) for p in line.split(",")]
+            except ValueError as exc:
+                raise ValueError(f"the [{name}] block line {line!r} does not parse ({exc})") from None
             if not all(map(math.isfinite, row)):
                 raise ValueError(f"the [{name}] block holds a non-finite number")
             current.append(row)

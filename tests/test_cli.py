@@ -10,7 +10,7 @@ import pytest
 
 import okreg
 import okreg.cli
-from okreg import load_state
+from okreg import fingerprint, load_state
 from okreg.cli import main
 
 
@@ -91,6 +91,34 @@ def test_bad_eta_exits_config(tmp_path):
 def test_non_finite_parameters_exit_config(tmp_path, algs, flag, value):
     argv = ["compare", "--algs", algs, flag, value, "--n", "20", "--n-test", "5", "--out", str(tmp_path)]
     assert main(argv) == 2
+
+
+@pytest.mark.parametrize("command", ["compare", "reconverge"])
+@pytest.mark.parametrize("name", sorted(okreg.cli._MODELS))
+def test_every_table_name_builds_fresh_models_from_the_defaults(command, name):
+    args = okreg.cli.build_parser().parse_args([command])
+    make = okreg.cli._model_factories(name, okreg.cli._build_spec(args), args)[name]
+    first, second = make(), make()
+    assert first is not second
+    before = fingerprint(second)
+    first.update(np.full(3, 0.5), 1.0)
+    assert fingerprint(first) != before
+    assert fingerprint(second) == before
+
+
+def test_spaces_around_the_colon_do_not_make_a_new_token(tmp_path, capsys):
+    out = tmp_path / "dup"
+    assert main(["compare", "--algs", "beta:1,beta: 1", "--n", "20", "--n-test", "5", "--out", str(out)]) == 2
+    assert "--algs contains duplicates" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_token_is_labelled_without_the_spaces_around_its_colon(tmp_path):
+    out = tmp_path / "run"
+    argv = ["compare", "--algs", " beta : 1 ", "--n", "15", "--n-test", "10", "--eval-every", "15", "--dump-state"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert [line.split(",")[0] for line in _lines(out / "learning_curve.csv")[1:]] == ["beta:1"]
+    assert [p.name for p in out.glob("state_*")] == ["state_beta-1.txt"]
 
 
 # -- compare -------------------------------------------------------------------

@@ -552,6 +552,14 @@ def test_load_rejects_a_non_finite_number_naming_its_block(kind, block, value):
         load_state(_with_last_field(_TEXTS[kind], block, value))
 
 
+@pytest.mark.parametrize("kind, block, row", [("klms", "alpha", "abc"), ("klms", "dict", "2,0.5,x")])
+def test_load_names_the_block_and_line_of_a_row_that_does_not_parse(kind, block, row):
+    lines = _TEXTS[kind].splitlines()
+    lines.insert(lines.index(f"[{block}]") + 1, row)
+    with pytest.raises(ValueError, match=re.escape(f"[{block}] block line {row!r}")):
+        load_state("\n".join(lines) + "\n")
+
+
 @pytest.mark.parametrize(
     "kind, block, edit",
     [
