@@ -153,6 +153,18 @@ _MODELS = {
 }
 
 
+def _model_key(name: str, param: str, args):
+    """What a token builds: ``beta``, ``beta:`` and ``beta:1.0`` with
+    ``--beta 1`` share a key, as do ``beta:1`` and ``beta:1.0``; a value that
+    does not parse keys as its text and is refused when it is built."""
+    if name != "beta":
+        return name, param
+    try:
+        return name, float(param) if param else args.beta
+    except ValueError:
+        return name, param
+
+
 def _model_factories(algs: str, spec: KernelSpec, args) -> dict:
     """One fresh-model factory per ``--algs`` token, in order, keyed by the
     token with the spaces around ``:`` removed.  Each is built once here, so
@@ -161,12 +173,14 @@ def _model_factories(algs: str, spec: KernelSpec, args) -> dict:
     tokens = ["".join(part) for part in parts]
     if not tokens:
         raise ConfigError("--algs must name at least one algorithm")
-    if len(set(tokens)) != len(tokens):
+    if len({_model_key(name, param, args) for name, _, param in parts}) != len(tokens):
         raise ConfigError("--algs contains duplicates")
     factories = {}
     for tok, (name, sep, param) in zip(tokens, parts):
         if sep and name != "beta":
             raise ConfigError(f"only beta takes a ':value' parameter, got {tok!r}")
+        if sep and not param:
+            raise ConfigError(f"{tok!r} needs a value after ':'")
         if name not in _MODELS:
             raise ConfigError(f"unknown algorithm: {tok!r}")
         factories[tok] = partial(_MODELS[name], spec, args, param)

@@ -29,6 +29,7 @@ each distance in the same coordinate order, so both paths give its bits.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +98,8 @@ class Dictionary:
     evicting old centers never renumbers the survivors.  They live in
     the leading columns of a (dim, capacity) buffer, so each coordinate
     of the centers is one contiguous row; ``points`` is a read-only
-    (n, dim) view of them (the transpose).  Appends write past every
+    (n, dim) view of them (the transpose).  ``Dictionary(points)`` and
+    ``restore`` fill the buffer in one assignment.  Appends write past every
     view already handed out, and ``drop`` moves the survivors to a new
     buffer, so a view never changes after it is taken.
     """
@@ -106,11 +108,23 @@ class Dictionary:
         self._buf: np.ndarray | None = None
         self._ids: list[int] = []
         self._next_id = 0
-        if points is not None:
-            arr = np.asarray(points, dtype=float)
-            if arr.size or arr.ndim > 1:  # [] is no point, [[]] one empty point
-                for row in np.atleast_2d(arr):
-                    self.append(row)
+        if points is None:
+            return
+        arr = np.asarray(points, dtype=float)
+        if not arr.size and arr.ndim <= 1:  # [] is no point, [[]] one empty point
+            return
+        arr = np.atleast_2d(arr)
+        if len(arr) == 0:
+            return
+        if arr.ndim != 2:
+            raise ValueError("input points must be 1-D vectors")
+        if arr.shape[1] == 0:
+            raise ValueError("a dictionary point needs dimension >= 1")
+        if not np.isfinite(arr).all():
+            raise ValueError("input point has a non-finite entry")
+        self._buf = arr.T.copy()  # filled in one assignment, with no free slot
+        self._ids = list(range(len(arr)))
+        self._next_id = len(arr)
 
     @classmethod
     def restore(cls, points, ids, next_id) -> "Dictionary":
@@ -126,7 +140,7 @@ class Dictionary:
         if len(ids) != len(d._ids):
             raise ValueError("id list does not match the number of points")
         bounds = [-1, *ids, next_id]
-        if any(a >= b for a, b in zip(bounds, bounds[1:])):
+        if not all(map(operator.lt, bounds, bounds[1:])):
             raise ValueError("dictionary ids must be non-negative and increasing, and below next_id")
         d._ids = ids
         d._next_id = next_id

@@ -17,11 +17,12 @@ two ``dtrsv`` solves against L give ``l = L^-1 k`` and ``q = L^-T l``,
 the bordered covariance in place.  The downdate subtracts
 ``gs_i * gs_j`` with ``gs = gain / sqrt(sigma_y2)``; an entry and its
 mirror take the same product and one rounding, so ``sigma`` stays
-exactly symmetric.  Both ``update`` and ``update_block`` grow ``sigma``
-and L the same way: one helper copies the old array into the top-left
-block of a new one and borders it with the new rows and columns.  Apart
-from those new state arrays, admitting a point allocates nothing of size
-n^2 but the Gram matrix of a refactor (below).
+exactly symmetric.  Below a budget, ``update`` and ``update_block`` grow
+``sigma`` and L the same way: one helper copies the old array into the
+top-left block of a new one and borders it with the new rows and
+columns.  At its budget a model grows nothing (below), so admitting a
+point there allocates nothing of size n^2 but the Gram matrix of a
+refactor.
 
 Admission is gated on ``gamma2 = k(x, x) - ||L^-1 k||^2``, the squared
 residual of the new input's feature after projecting onto the span of
@@ -29,13 +30,20 @@ the dictionary.  Points that add less than ``admission_threshold`` of
 new direction are skipped outright; an admitted point appends the row
 ``[(L^-1 k)^T, sqrt(gamma2)]`` to L.  With a ``budget`` set, a model at
 capacity forgets its oldest center as it admits (KRLS-T's sliding window):
-leaving its row and column out of the new ``mu`` and ``sigma`` marginalises
-it out.
+deleting its row and column of ``mu`` and ``sigma`` marginalises it out.
+Such a model keeps ``mu`` and ``sigma`` in ``budget`` fixed slots: the new
+center takes the oldest center's slot, its row and column of ``sigma``
+are overwritten with the gain, and the dger downdates ``sigma`` in place.
+A stored insertion-to-slot permutation, None until the first eviction,
+maps the slots to insertion order wherever a vector meets ``mu`` or
+``sigma``, and the public ``mu`` and ``sigma`` are in insertion order:
+views until the first eviction, copies after it.  ``dsymv`` then sums
+in slot order, which moves a step's outputs at rounding level only.
 
 L factors the Gram matrix in its own order, which after evictions is not
-the dictionary's.  The dictionary, ``mu``, ``sigma`` and the targets keep
-insertion order; L holds the centers present at its last refactor newest
-first, then the centers admitted since, oldest first.  The oldest center
+the dictionary's.  The dictionary and the targets keep insertion order,
+and ``mu`` and ``sigma`` their slots; L holds the centers present at its
+last refactor newest first, then the centers admitted since, oldest first.  The oldest center
 is then the last row of the first group, and deleting a row and column of
 a Cholesky factor leaves every row before it as it was, so an eviction
 repairs only the rows after it: a Givens rank-one update of that trailing
@@ -131,8 +139,8 @@ class GpUpdateScratch:
     ``k_ss`` is ``spec.gram_diagonal`` so that the implicit Gram matrix
     built by successive updates matches ``gram_matrix`` exactly.
     ``l = L^-1 k`` is the new row of the factor if x is admitted, in the
-    factor's own order (see ``OnlineGP.chol``), and ``q = K^-1 k`` is in
-    insertion order, like ``k_vec``.
+    factor's own order (see ``OnlineGP.chol``), and ``q = K^-1 k`` and
+    ``h = sigma q`` are in insertion order, like ``k_vec``.
     ``sigma_f2``/``sigma_y2`` are the latent/output predictive variances
     at x, ``y_hat`` the predictive mean, ``e`` the innovation y - y_hat.
     """
@@ -263,6 +271,9 @@ class OnlineGP:
         self._chol = np.zeros((0, 0))
         # L holds the first ``_reversed`` centers newest first (see ``chol``)
         self._reversed = 0
+        # the slot in ``_mu`` and ``_sigma`` of each center, in insertion
+        # order; None until the first eviction, while the two orders agree
+        self._slots: np.ndarray | None = None
 
     # -- state access ---------------------------------------------------
 
@@ -272,13 +283,16 @@ class OnlineGP:
 
     @property
     def mu(self) -> np.ndarray:
-        """Posterior mean of the latent function at the centers (read-only view)."""
-        return _read_only(self._mu)
+        """Posterior mean of the latent function at the centers, in insertion
+        order (read-only): a view until the model first evicts, then a copy."""
+        return _read_only(self._mu if self._slots is None else self._mu[self._slots])
 
     @property
     def sigma(self) -> np.ndarray:
-        """Posterior covariance at the centers, exactly symmetric (read-only view)."""
-        return _read_only(self._sigma)
+        """Posterior covariance at the centers, exactly symmetric, in insertion
+        order (read-only): a view until the model first evicts, then a copy."""
+        s = self._slots
+        return _read_only(self._sigma if s is None else self._sigma[np.ix_(s, s)])
 
     @property
     def chol(self) -> np.ndarray:
@@ -312,6 +326,15 @@ class OnlineGP:
         p = np.arange(A.shape[axis])
         p[:a] = p[a - 1 :: -1]
         return A.take(p, axis=axis)
+
+    def _in_slots(self, A: np.ndarray) -> np.ndarray:
+        """A taken from insertion to slot order along its last axis; A itself,
+        not a copy, while the two orders agree."""
+        if self._slots is None:
+            return A
+        out = np.empty_like(A)
+        out[..., self._slots] = A
+        return out
 
     @property
     def targets(self) -> np.ndarray:
@@ -390,7 +413,7 @@ class OnlineGP:
         U = self._chol.T
         B = dtrsm(1.0, U, Kx.T, side=1, overwrite_b=1)
         gamma2 = kss - np.einsum("ij,ij->i", B, B)
-        B = self._reordered(dtrsm(1.0, U, B, side=1, trans_a=1, overwrite_b=1), axis=1)
+        B = self._in_slots(self._reordered(dtrsm(1.0, U, B, side=1, trans_a=1, overwrite_b=1), axis=1))
         sf2 = gamma2 + np.einsum("ij,ij->i", B, dgemm(1.0, B, self._sigma.T))
         means = dgemv(1.0, B, self._mu) if B.size else np.zeros(len(B))
         return (means, *predictive_variances(sf2, self.spec.noise_variance))
@@ -415,10 +438,14 @@ class OnlineGP:
             U = self._chol.T
             l = dtrsv(U, self._reordered(k), trans=1)
             gamma2 = kss - ddot(l, l)
-            q = self._reordered(dtrsv(U, l))
+            # q and h are summed with mu and sigma in slot order, and
+            # handed out in insertion order
+            q = self._in_slots(self._reordered(dtrsv(U, l)))
             h = dsymv(1.0, self._sigma.T, q)
             sigma_f2 = gamma2 + ddot(q, h)
             y_hat = ddot(q, self._mu)
+            if self._slots is not None:
+                q, h = q[self._slots], h[self._slots]
         sigma_y2 = self.spec.noise_variance + sigma_f2
         return GpUpdateScratch(
             k_vec=k,
@@ -449,12 +476,11 @@ class OnlineGP:
             return scr
         if not scr.sigma_y2 > 0:
             raise NumericalError(f"non-positive a-priori output variance: {scr.sigma_y2}")
-        # a model at its budget leaves its oldest center out of the new state
-        old = int(self.size == self.budget)
-        h = scr.h[old:]
-        gain = np.append(h, scr.sigma_f2)
-
-        mu1 = np.append(self._mu[old:], scr.y_hat) + (scr.e / scr.sigma_y2) * gain
+        if self.size == self.budget:
+            self._replace_oldest(x, y, scr)
+            return scr
+        gain = np.append(scr.h, scr.sigma_f2)
+        mu1 = np.append(self._mu, scr.y_hat) + (scr.e / scr.sigma_y2) * gain
 
         # sigma1 -= gain gain^T / sigma_y2 in place: one dger on the F-ordered
         # view of sigma1 with x = y = gs and alpha = -1.  Entry (i, j) and its
@@ -463,38 +489,65 @@ class OnlineGP:
         # operand, so alpha = -1 / sigma_y2 could round the two apart.)
         # dger's return value is kept: f2py silently works on a copy of an
         # operand that is not F-contiguous.
-        sigma1 = _bordered(self._sigma[old:, old:], h[np.newaxis], scr.sigma_f2, h[:, np.newaxis])
+        sigma1 = _bordered(self._sigma, scr.h[np.newaxis], scr.sigma_f2, scr.h[:, np.newaxis])
         gs = gain / np.sqrt(scr.sigma_y2)
         sigma1 = dger(-1.0, gs, gs, a=sigma1.T, overwrite_a=1).T
-        # checked before the factor branch, which may repair L in place
         if float(np.min(np.diag(sigma1))) < _SIGMA_DIAG_FLOOR:
             raise NumericalError("posterior covariance lost positive semidefiniteness")
 
+        self.dictionary.append(x)
+        self._targets.append(float(y))
+        self._mu = mu1
+        self._sigma = sigma1
+        self._chol = _bordered(self._chol, scr.l[np.newaxis], np.sqrt(scr.gamma2), 0.0)
+        return scr
+
+    def _replace_oldest(self, x, y, scr: GpUpdateScratch) -> None:
+        """Admit x into the slot of the oldest center, which leaves the state.
+
+        Conditioning on y and then marginalising the oldest center out is the
+        update of the grow path with the oldest row and column left out; here
+        the new center's row and column of ``sigma`` overwrite the oldest's
+        with the gain, and the same dger downdates ``sigma`` in place.  The
+        new diagonal is checked in O(n) and the factor built before anything
+        is written, so a NumericalError leaves the model as it was.
+        """
         n, a = self.size, self._reversed
-        if not old:
-            chol1 = _bordered(self._chol, scr.l[np.newaxis], np.sqrt(scr.gamma2), 0.0)
-        elif n - a + 1 < _evictions_per_refactor(self.budget):
+        slots = np.arange(n) if self._slots is None else self._slots
+        s = slots[0]
+        gain = np.empty(n)
+        gain[slots] = scr.h
+        gain[s] = scr.sigma_f2
+        gs = gain / np.sqrt(scr.sigma_y2)
+        diag = self._sigma.diagonal() - gs * gs
+        diag[s] = scr.sigma_f2 - gs[s] * gs[s]
+        if float(np.min(diag)) < _SIGMA_DIAG_FLOOR:
+            raise NumericalError("posterior covariance lost positive semidefiniteness")
+
+        if n - a + 1 < _evictions_per_refactor(self.budget):
             # the oldest center is row a - 1 of L: only the n - a rows admitted
             # since the refactor, and the new one, follow it.  L is repaired in
             # place; no view shares it, because ``chol`` hands out views only
             # while at most one center is reversed, and only a refactor, which
             # builds a new L, reverses more
-            chol1 = _evicted(self._chol, scr.l, np.sqrt(scr.gamma2), a - 1)
-            a -= 1
+            self._chol = _evicted(self._chol, scr.l, np.sqrt(scr.gamma2), a - 1)
+            self._reversed = a - 1
         else:
-            chol1 = self._newest_first_factor(scr)
-            a = n
+            self._chol = self._newest_first_factor(scr)
+            self._reversed = n
 
+        if self._slots is None:  # views handed out so far keep their values
+            self._mu, self._sigma = self._mu.copy(), self._sigma.copy()
+        self._mu[s] = scr.y_hat
+        self._mu += (scr.e / scr.sigma_y2) * gain
+        self._sigma[s] = gain
+        self._sigma[:, s] = gain
+        self._sigma = dger(-1.0, gs, gs, a=self._sigma.T, overwrite_a=1).T
+        self._slots = np.append(slots[1:], s)
         self.dictionary.append(x)
         self._targets.append(float(y))
-        if old:
-            self.dictionary.drop(0)
-            self._targets.pop(0)
-        self._mu = mu1
-        self._sigma = sigma1
-        self._chol = chol1
-        self._reversed = a
-        return scr
+        self.dictionary.drop(0)
+        self._targets.pop(0)
 
     def _newest_first_factor(self, scr: GpUpdateScratch) -> np.ndarray:
         """The factor of the Gram matrix of the centers that follow the
@@ -619,4 +672,4 @@ class OnlineGP:
         """
         if self.size == 0:
             raise ValueError("weights of an empty model are undefined")
-        return self._reordered(cho_solve((self._chol, True), self._reordered(self._mu)))
+        return self._reordered(cho_solve((self._chol, True), self._reordered(self.mu)))

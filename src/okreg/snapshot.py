@@ -1,16 +1,18 @@
 """Flat text snapshots of model state.
 
-Layout: a ``# okreg-state v2`` banner, ``key=value`` scalar lines
+Layout: a ``# okreg-state v3`` banner, ``key=value`` scalar lines
 (kernel spec first, then model parameters), then array blocks opened by
-``[name]``.  Every block is a table of floats, one comma-separated row
-per line, written by one row writer and read by one row reader: a vector
-is one column, an n x n matrix n rows of n, and a ``[dict]`` row is a
-center's id and then its point.  Floats are written with repr(), which
-round-trips exactly, so dump(load(text)) gives back the text.  A
-reloaded model continues bit for bit as the original would, except a
+``[name]``.  Every block is a table of floats, one row per line, written
+by one row writer: a vector is one column, an n x n matrix n rows of n,
+and a ``[dict]`` row is a center's id and then its point.  A row is the
+hex of its values' little-endian float64 bytes, which keeps every bit
+(``-0.0`` and subnormals included), so dump(load(text)) gives back the
+text; each block is decoded by one ``bytes.fromhex``.
+A reloaded model continues bit for bit as the original would, except a
 budgeted GP that has evicted: ``[chol]`` holds the factor in insertion
-order (``OnlineGP.chol``), not the model's own order, so the reloaded
-model's steps agree with the original's only to rounding.
+order (``OnlineGP.chol``), not the model's own order, and ``[mu]`` and
+``[sigma]`` are in insertion order, not in the model's slots, so the
+reloaded model's steps agree with the original's only to rounding.
 
 Each model class has one entry in ``_KINDS``: its ``model=`` line (and
 ``variant=`` line for the filters), its parameter lines in file order
@@ -22,15 +24,19 @@ rebuilds every kind with one call of its class's ``from_components``,
 which checks each block against the dictionary.
 
 A GP snapshot stores the lower Cholesky factor of its Gram matrix as the
-``[chol]`` block.  Version 1 stored the inverse Gram matrix as ``[q_inv]``
-instead; such snapshots still load, with the factor recomputed from the
-dictionary (``[q_inv]`` is checked for its shape and otherwise ignored).
+``[chol]`` block.  The writer emits only version 3.  Versions 1 and 2
+wrote each row as comma-separated repr() floats, ids as integers, and
+still load through their own row reader.  Version 1 stored the inverse
+Gram matrix as ``[q_inv]`` instead of ``[chol]``; such snapshots load
+with the factor recomputed from the dictionary (``[q_inv]`` is checked
+for its shape and otherwise ignored).
 The loader raises ValueError, and only ValueError, for any malformed
 text: a missing banner, a missing or repeated key or block, a line
 before ``[dict]`` that is not ``key=value``, a key or block the model
 kind does not write (``[q_inv]`` only under the v1 banner), an
-unparsable number (the error names its ``key=`` line, or its block and line), a
-``nan`` or ``inf`` anywhere in a block, a parameter the model refuses (a
+unparsable number or row (the error names its ``key=`` line, or its
+block and line), a ``nan`` or ``inf`` anywhere in a block (in a v3 file
+the error names its line too), a parameter the model refuses (a
 non-finite kernel field, ``eta``, ``eps_reg`` or ``beta`` among them), a
 block whose shape does not match the dictionary, a ``[sigma]`` that is
 not exactly symmetric, or a ``[chol]`` that is not lower-triangular with
@@ -53,19 +59,23 @@ from .online_gp import OnlineGP
 
 __all__ = ["dump_state", "load_state", "save_state", "fingerprint"]
 
-_BANNER = "# okreg-state v2"
+_BANNER = "# okreg-state v3"
 # the kernel spec's lines in file order, named here rather than read off
 # KernelSpec so that the file format does not follow the dataclass
 _SPEC_KEYS = ("lengthscale", "signal_variance", "noise_variance", "jitter")
 # the lines every model kind may write besides its own parameters
 _SHARED_KEYS = ("model", "family", *_SPEC_KEYS, "next_id")
-_READABLE_BANNERS = {"# okreg-state v1": 1, _BANNER: 2}
+_READABLE_BANNERS = {"# okreg-state v1": 1, "# okreg-state v2": 2, _BANNER: 3}
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 def _rows(table) -> list[str]:
-    """A table's lines, one comma-separated row each; a vector is one column."""
-    table = np.column_stack([table])
-    return [",".join(map(repr, row)) for row in table.tolist()]
+    """A table's lines, each row the hex of its little-endian float64 bytes;
+    a vector is one column."""
+    table = np.column_stack([table]).astype("<f8", copy=False)
+    text = table.tobytes().hex()
+    width = 16 * table.shape[1]
+    return [text[i : i + width] for i in range(0, len(text), width)] if width else []
 
 
 def _or_none(parse):
@@ -123,43 +133,45 @@ def dump_state(model) -> str:
     lines += ["family=gaussian", *(f"{key}={float(getattr(model.spec, key))!r}" for key in _SPEC_KEYS)]
     lines += [f"{name}={_text(getattr(model, name))}" for name, _ in kind.params]
     lines += [f"next_id={model.dictionary.next_id}", "[dict]"]
-    lines += [f"{i},{row}" for i, row in zip(model.dictionary.ids, _rows(model.dictionary.points))]
+    lines += _rows(np.column_stack([model.dictionary.ids, model.dictionary.points]))
     for name, _ in kind.blocks:
         lines += [f"[{name}]", *_rows(getattr(model, name))]
     return "\n".join(lines) + "\n"
 
 
+def _lines(text: str) -> list[str]:
+    """The stripped lines of ``text``, leaving out blank lines and ``#`` comments."""
+    return [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
+
+
 def _parse(text: str):
+    """The ``key=value`` lines as a dict of texts, and the text of each
+    block, from the line after its ``[name]`` line to the next such line.
+    Hex rows hold no ``[``, so finding the block lines takes no pass in
+    Python over the rows."""
+    heads = []  # (start of a [name] line, start of the line after it, name)
+    at = text.find("[")
+    while at != -1:
+        start = text.rfind("\n", 0, at) + 1
+        end = text.find("\n", at) + 1 or len(text)
+        line = text[start:end].strip()
+        if line[0] == "[" and line[-1] == "]":
+            heads.append((start, end, line[1:-1]))
+        at = text.find("[", end)
     scalars: dict[str, str] = {}
-    blocks: dict[str, list[list[float]]] = {}
-    current: list[list[float]] | None = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1]
-            if name in blocks:
-                raise ValueError(f"snapshot repeats the [{name}] block")
-            current = []
-            blocks[name] = current
-            continue
-        if current is None:
-            key, eq, value = line.partition("=")
-            if not eq:
-                raise ValueError(f"snapshot line {line!r} is not key=value")
-            key = key.strip()
-            if key in scalars:
-                raise ValueError(f"snapshot repeats the {key}= line")
-            scalars[key] = value.strip()
-        else:
-            try:
-                row = [float(p) for p in line.split(",")]
-            except ValueError as exc:
-                raise ValueError(f"the [{name}] block line {line!r} does not parse ({exc})") from None
-            if not all(map(math.isfinite, row)):
-                raise ValueError(f"the [{name}] block holds a non-finite number")
-            current.append(row)
+    for line in _lines(text[: heads[0][0] if heads else len(text)]):
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise ValueError(f"snapshot line {line!r} is not key=value")
+        key = key.strip()
+        if key in scalars:
+            raise ValueError(f"snapshot repeats the {key}= line")
+        scalars[key] = value.strip()
+    blocks: dict[str, str] = {}
+    for (_, end, name), (start, _, _) in zip(heads, [*heads[1:], (len(text), 0, "")]):
+        if name in blocks:
+            raise ValueError(f"snapshot repeats the [{name}] block")
+        blocks[name] = text[end:start]
     return scalars, blocks
 
 
@@ -169,24 +181,79 @@ def _require(table: dict, key: str, what: str):
     return table[key]
 
 
-def _table(blocks, name: str, rows: int | None, cols: int | None) -> np.ndarray:
+def _text_rows(name: str, body: str) -> list[list[float]]:
+    """A v1 or v2 block: comma-separated repr() floats, one row per line."""
+    rows = []
+    for line in _lines(body):
+        try:
+            row = [float(p) for p in line.split(",")]
+        except ValueError as exc:
+            raise ValueError(f"the [{name}] block line {line!r} does not parse ({exc})") from None
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"the [{name}] block holds a non-finite number")
+        rows.append(row)
+    return rows
+
+
+def _hex_rows(name: str, body: str, cols: int | None) -> np.ndarray:
+    """A v3 block: each row the hex of ``cols`` little-endian float64 values
+    (as many as the first line holds when None), all decoded by one
+    ``bytes.fromhex``; ValueError naming the block and line of a row that
+    is misshapen, not hex, or not finite.
+
+    A block as the writer lays it out, rows of equal width each ending in a
+    newline, is checked by slicing and decoded whole; any other layout, or
+    a fault, takes the line-by-line reading, which also names the line."""
+    width = body.find("\n") if cols is None else 16 * cols
+    rows = len(body) // (width + 1) if width > 0 else 0
+    data = None
+    if rows and width % 16 == 0 and len(body) == rows * (width + 1) and body[width :: width + 1] == "\n" * rows:
+        try:
+            data = bytes.fromhex(body)  # newlines are whitespace, which it skips
+        except ValueError:
+            pass
+    if data is None or 2 * len(data) != rows * width:
+        lines = _lines(body)
+        rows = len(lines)
+        if cols is None:
+            cols = max(1, len(lines[0]) // 16) if lines else 0
+        width = 16 * cols
+        lengths = list(map(len, lines))
+        if lengths.count(width) != rows:
+            i = next(i for i, length in enumerate(lengths) if length != width)
+            raise ValueError(f"the [{name}] block line {i + 1} is not a row of {cols} hex float64 value(s)")
+        text = "".join(lines)
+        try:
+            data = bytes.fromhex(text)
+        except ValueError:
+            data = b""
+        if 2 * len(data) != len(text):  # fromhex also skips whitespace
+            bad = next(i for i, c in enumerate(text) if c not in _HEX_DIGITS)
+            raise ValueError(f"the [{name}] block line {bad // width + 1} is not hex")
+    table = np.frombuffer(data, dtype="<f8").reshape(rows, width // 16)
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"the [{name}] block holds a non-finite number on line {np.argmin(finite) + 1}")
+    return table
+
+
+def _table(blocks, name: str, rows: int | None, cols: int | None, version: int) -> np.ndarray:
     """The [name] block as a float array of ``rows`` rows (any number when
     None), each of ``cols`` values (as many as its first row when None);
     ValueError naming the block when it is missing or shaped otherwise."""
-    table = _require(blocks, name, f"[{name}] block")
-    if cols is None:
-        cols = len(table[0]) if table else 0
-    if any(len(row) != cols for row in table):
-        raise ValueError(f"[{name}] block needs {cols} value(s) on every line")
+    body = _require(blocks, name, f"[{name}] block")
+    if version == 3:
+        table = _hex_rows(name, body, cols)
+    else:
+        table = _text_rows(name, body)
+        if cols is None:
+            cols = len(table[0]) if table else 0
+        if any(len(row) != cols for row in table):
+            raise ValueError(f"[{name}] block needs {cols} value(s) on every line")
+        table = np.array(table, dtype=float).reshape(len(table), cols)
     if rows is not None and len(table) != rows:
         raise ValueError(f"[{name}] block has {len(table)} lines, expected {rows}")
-    return np.array(table, dtype=float).reshape(len(table), cols)
-
-
-def _as_int(value: float, what: str) -> int:
-    if not (np.isfinite(value) and value == int(value)):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+    return table
 
 
 def load_state(text: str):
@@ -213,8 +280,12 @@ def load_state(text: str):
     if family != "gaussian":
         raise ValueError(f"unsupported kernel family: {family!r}")
     spec = KernelSpec(**{key: scalar(key, float) for key in _SPEC_KEYS})
-    entries = _table(blocks, "dict", None, None)  # an id, then the point
-    ids = [_as_int(row[0], "a dictionary id") for row in entries.tolist()]
+    entries = _table(blocks, "dict", None, None, version)  # an id, then the point
+    column = entries[:, :1].ravel()  # finite, as every block is
+    fractional = column != np.trunc(column)
+    if fractional.any():
+        raise ValueError(f"a dictionary id must be an integer, got {column[fractional][0].item()!r}")
+    ids = [int(i) for i in column.tolist()]
     next_id = scalar("next_id", int, len(ids))
     dictionary = Dictionary.restore(entries[:, 1:], ids, next_id)
     n = len(dictionary)
@@ -239,11 +310,11 @@ def load_state(text: str):
     arrays = {}
     for name, ndim in kind.blocks:
         if name == "chol" and version == 1:
-            _table(blocks, "q_inv", n, n)
+            _table(blocks, "q_inv", n, n, version)
             arrays[name] = None  # v1 stored K^-1; the factor is recomputed from the dictionary
         else:
             # a vector's length is left to from_components, which names it
-            arrays[name] = _table(blocks, name, *((n, n) if ndim == 2 else (None, 1)))
+            arrays[name] = _table(blocks, name, *((n, n) if ndim == 2 else (None, 1)), version)
     return cls.from_components(spec, dictionary, **arrays, **params)
 
 

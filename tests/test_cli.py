@@ -113,6 +113,27 @@ def test_spaces_around_the_colon_do_not_make_a_new_token(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["compare", "reconverge"])
+@pytest.mark.parametrize(
+    "algs, extra",
+    [("beta,beta:1", []), ("beta:1,beta:1.0", []), ("beta:0.5,beta", ["--beta", "0.5"]), ("beta,beta:", [])],
+    ids=["bare-and-default", "same-value", "flag-value", "bare-and-empty"],
+)
+def test_tokens_that_build_the_same_model_are_duplicates(tmp_path, capsys, command, algs, extra):
+    out = tmp_path / "dup"
+    assert main([command, "--algs", algs, *extra, "--out", str(out)]) == 2
+    assert "--algs contains duplicates" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("algs", ["beta:", "gp,beta: ", "beta:,klms"])
+def test_an_empty_beta_value_is_refused(tmp_path, capsys, algs):
+    out = tmp_path / "empty"
+    assert main(["compare", "--algs", algs, "--out", str(out)]) == 2
+    assert "'beta:' needs a value after ':'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_a_token_is_labelled_without_the_spaces_around_its_colon(tmp_path):
     out = tmp_path / "run"
     argv = ["compare", "--algs", " beta : 1 ", "--n", "15", "--n-test", "10", "--eval-every", "15", "--dump-state"]

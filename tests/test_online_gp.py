@@ -25,7 +25,7 @@ from okreg import (
 from okreg.base import VARIANCE_FLOOR, predictive_variances
 from okreg.batch_gp import batch_predict_grid
 from okreg.datasets import gen_kinematics_like
-from okreg.kernels import gram_matrix
+from okreg.kernels import gram_matrix, kernel_vector
 from okreg.online_gp import DEFAULT_ADMISSION_THRESHOLD
 
 coord = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -336,6 +336,115 @@ def test_a_full_model_admits_as_conditioning_then_evicting_would(budget):
             np.testing.assert_array_equal(gp.targets, targets)
             folds += 1
     assert folds >= 300
+
+
+def test_an_update_at_capacity_allocates_nothing_of_the_size_of_sigma():
+    # at its budget a GP overwrites the evicted center's slot of mu and sigma
+    # and downdates sigma in place; a bordered copy would take 8 n^2 bytes
+    X, y = _evicting_stream(340)
+    budget = 300
+    gp = OnlineGP(KernelSpec(lengthscale=0.5, noise_variance=0.1), budget=budget)
+    for xi, yi in zip(X[:301], y[:301]):
+        gp.update(xi, yi)
+    assert gp.size == budget and gp.dictionary.ids[0] == 1
+    assert gp._reversed == budget  # the first eviction refactored; the next ones repair
+    peaks = []
+    for xi, yi in zip(X[301:], y[301:]):
+        first = gp.dictionary.ids[0]
+        tracemalloc.start()
+        try:
+            gp.update(xi, yi)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert gp.size == budget and gp.dictionary.ids[0] == first + 1
+    assert max(peaks) < 2 * budget**2
+
+
+def _at_capacity(evictions: int):
+    """A budget-20 GP after ``evictions`` evictions, and the rest of its stream."""
+    X, y = _evicting_stream(200)
+    gp = OnlineGP(KernelSpec(lengthscale=0.5, noise_variance=0.1), budget=20)
+    for i, (xi, yi) in enumerate(zip(X, y)):
+        if gp.size == gp.budget and gp.dictionary.ids[0] == evictions:
+            return gp, X[i:], y[i:]
+        gp.update(xi, yi)
+    raise AssertionError("the stream ran out")
+
+
+def _every_part(gp) -> dict:
+    """Copies of a GP's public and stored state."""
+    parts = {
+        "mu": gp.mu, "sigma": gp.sigma, "chol": gp.chol, "targets": gp.targets,
+        "points": gp.dictionary.points, "ids": gp.dictionary.ids, "next_id": gp.dictionary.next_id,
+        "_mu": gp._mu, "_sigma": gp._sigma, "_chol": gp._chol, "_reversed": gp._reversed, "_slots": gp._slots,
+    }
+    return {name: np.array(value, copy=True) for name, value in parts.items()}
+
+
+@pytest.mark.parametrize("evictions", [0, 1, 7, 20], ids=lambda k: f"after-{k}-evictions")
+def test_a_covariance_floor_error_at_capacity_changes_nothing(evictions):
+    gp, X, y = _at_capacity(evictions)
+    gp._sigma[np.diag_indices(gp.size)] = -1e-3  # a covariance that lost semidefiniteness
+    before, fp = _every_part(gp), fingerprint(gp)
+    with pytest.raises(NumericalError, match="positive semidefiniteness"):
+        gp.update(X[0], y[0])
+    after = _every_part(gp)
+    for name, value in before.items():
+        np.testing.assert_array_equal(after[name], value, err_msg=name)
+    assert fingerprint(gp) == fp
+
+
+def _bordered_copy_reference(gp, X, y):
+    """mu and sigma in insertion order by the bordered-copy recursion: each
+    admitted point borders sigma with h and sigma_f2, the outer product of the
+    gain is subtracted, and an eviction deletes the oldest row and column.  It
+    solves with its own factor of the Gram matrix at every step and follows
+    the model's admissions; returns the model's and the reference's states."""
+    spec = gp.spec
+    mu, sigma = gp.mu.copy(), gp.sigma.copy()
+    for xi, yi in zip(X, y):
+        k = kernel_vector(spec, gp.dictionary, xi)
+        q = np.linalg.solve(gram_matrix(spec, gp.dictionary), k)
+        h = sigma @ q
+        sigma_f2 = spec.gram_diagonal - k @ q + q @ h
+        sigma_y2 = spec.noise_variance + sigma_f2
+        y_hat = q @ mu
+        first, n, next_id = gp.dictionary.ids[0], gp.size, gp.dictionary.next_id
+        gp.update(xi, yi)
+        if gp.dictionary.next_id == next_id:
+            continue  # skipped
+        gain = np.append(h, sigma_f2)
+        mu = np.append(mu, y_hat) + ((yi - y_hat) / sigma_y2) * gain
+        sigma = np.block([[sigma, h[:, np.newaxis]], [h, sigma_f2]]) - np.outer(gain, gain) / sigma_y2
+        if gp.size == n:
+            assert gp.dictionary.ids[0] != first
+            mu, sigma = mu[1:], sigma[1:, 1:]
+    return (gp.mu, gp.sigma), (mu, sigma)
+
+
+def test_slot_state_agrees_with_the_bordered_copy_recursion_after_three_budgets_of_evictions():
+    gp, X, y = _at_capacity(0)
+    (mu, sigma), (want_mu, want_sigma) = _bordered_copy_reference(gp, X[:61], y[:61])
+    assert gp.dictionary.ids[0] >= 3 * gp.budget
+    assert gp._slots is not None and not np.array_equal(gp._slots, np.arange(gp.size))
+    np.testing.assert_allclose(mu, want_mu, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sigma, want_sigma, rtol=0, atol=1e-12)
+    assert np.array_equal(sigma, sigma.T)
+
+
+def test_mu_and_sigma_are_views_until_the_first_eviction_and_copies_after():
+    gp, X, y = _at_capacity(0)
+    mu, sigma = gp.mu, gp.sigma
+    assert np.shares_memory(mu, gp._mu) and np.shares_memory(sigma, gp._sigma)
+    kept = mu.copy(), sigma.copy()
+    gp.update(X[0], y[0])  # the first eviction
+    assert gp.dictionary.ids[0] == 1
+    # a view handed out before the first eviction keeps its values
+    np.testing.assert_array_equal(mu, kept[0])
+    np.testing.assert_array_equal(sigma, kept[1])
+    assert not np.shares_memory(gp.mu, gp._mu) and not np.shares_memory(gp.sigma, gp._sigma)
+    assert not gp.mu.flags.writeable and not gp.sigma.flags.writeable
 
 
 def test_budget_updates_refactor_once_per_period_and_never_through_numpy(monkeypatch):

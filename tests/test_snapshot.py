@@ -44,7 +44,7 @@ def _fed_gp(budget=None):
 def test_gp_round_trip_is_bit_exact():
     gp = _fed_gp()
     text = dump_state(gp)
-    assert text.startswith("# okreg-state v2\nmodel=online_gp\n")
+    assert text.startswith("# okreg-state v3\nmodel=online_gp\n")
     clone = load_state(text)
     assert dump_state(clone) == text
     np.testing.assert_array_equal(clone.mu, gp.mu)
@@ -101,10 +101,12 @@ def test_klms_variants_round_trip(make):
     np.testing.assert_array_equal(clone.alpha, model.alpha)
 
 
-# -- golden v2 texts -----------------------------------------------------------------
-# Written by the v2 writer after feeding _GOLDEN_STREAM (1-D, three updates).  A
-# round trip alone cannot catch a format change that the writer and the loader
-# share, so dump_state must reproduce each text byte for byte.
+# -- golden texts ---------------------------------------------------------------------
+# Written by the v2 writer, and by the v3 writer in _GOLDEN_V3, after feeding
+# _GOLDEN_STREAM (1-D, three updates).  A round trip alone cannot catch a
+# format change that the writer and the loader share, so dump_state must
+# reproduce each v3 text byte for byte, and each v2 text must still load to
+# the same state.
 
 _GOLDEN_STREAM = [(0.0, 1.0), (0.5, -0.5), (1.5, 0.25)]
 
@@ -287,14 +289,234 @@ next_id=2
 }
 
 
+_GOLDEN_V3 = {
+    "gp": """\
+# okreg-state v3
+model=online_gp
+family=gaussian
+lengthscale=0.7
+signal_variance=2.0
+noise_variance=0.05
+jitter=2e-10
+budget=none
+admission_threshold=1e-08
+next_id=3
+[dict]
+00000000000000000000000000000000
+000000000000f03f000000000000e03f
+0000000000000040000000000000f83f
+[targets]
+000000000000f03f
+000000000000e0bf
+000000000000d03f
+[mu]
+ad08bd968f20ed3f
+cef2887f1539dabf
+743bd498f948cc3f
+[sigma]
+d98a9e787506a83fd77441b6dabd643fff161222f74643bf
+d77441b6dabd643f2d00b70d02d2a73f1cd53ada8ee74f3f
+ff161222f74643bf1cd53ada8ee74f3f288e699673d4a83f
+[chol]
+c11784669ea0f63f00000000000000000000000000000000
+2fa1597b5688f13fe1d864e7ba9bec3f0000000000000000
+ad52edaa1739c23f28240ff53738e43ffa480b47601df43f
+""",
+    "gp-budget-evicted": """\
+# okreg-state v3
+model=online_gp
+family=gaussian
+lengthscale=0.7
+signal_variance=2.0
+noise_variance=0.05
+jitter=2e-10
+budget=2
+admission_threshold=1e-08
+next_id=3
+[dict]
+000000000000f03f000000000000e03f
+0000000000000040000000000000f83f
+[targets]
+000000000000e0bf
+000000000000d03f
+[mu]
+cef2887f1539dabf
+743bd498f948cc3f
+[sigma]
+2d00b70d02d2a73f1cd53ada8ee74f3f
+1cd53ada8ee74f3f288e699673d4a83f
+[chol]
+c11784669ea0f63f0000000000000000
+7c74888cdf4fe03f266782423c1bf53f
+""",
+    "gp-empty": """\
+# okreg-state v3
+model=online_gp
+family=gaussian
+lengthscale=0.7
+signal_variance=2.0
+noise_variance=0.05
+jitter=2e-10
+budget=4
+admission_threshold=1e-06
+next_id=0
+[dict]
+[targets]
+[mu]
+[sigma]
+[chol]
+""",
+    "klms": """\
+# okreg-state v3
+model=klms
+variant=klms
+family=gaussian
+lengthscale=0.7
+signal_variance=2.0
+noise_variance=0.05
+jitter=2e-10
+eta=0.25
+next_id=3
+[dict]
+00000000000000000000000000000000
+000000000000f03f000000000000e03f
+0000000000000040000000000000f83f
+[alpha]
+000000000000d03f
+12538ceebb65ccbf
+17ab9c11ae03b73f
+""",
+    "qklms-merged": """\
+# okreg-state v3
+model=klms
+variant=qklms
+family=gaussian
+lengthscale=0.7
+signal_variance=2.0
+noise_variance=0.05
+jitter=2e-10
+eta=0.25
+quant_radius=0.6
+next_id=2
+[dict]
+00000000000000000000000000000000
+000000000000f03f000000000000f83f
+[alpha]
+70679d8b20d29c3f
+d7c2bd215046af3f
+""",
+    "knlms-gated": """\
+# okreg-state v3
+model=klms
+variant=knlms
+family=gaussian
+lengthscale=0.7
+signal_variance=2.0
+noise_variance=0.05
+jitter=2e-10
+eta=0.8
+eps_reg=0.02
+coherence_mu0=0.5
+next_id=2
+[dict]
+00000000000000000000000000000000
+000000000000f03f000000000000f83f
+[alpha]
+942006e92ccbc4bf
+21af4ce34abfbc3f
+""",
+    "beta": """\
+# okreg-state v3
+model=klms
+variant=beta
+family=gaussian
+lengthscale=0.7
+signal_variance=2.0
+noise_variance=0.05
+jitter=2e-10
+beta=1.5
+coherence_mu0=none
+next_id=3
+[dict]
+00000000000000000000000000000000
+000000000000f03f000000000000e03f
+0000000000000040000000000000f83f
+[alpha]
+e825f71cd6388e3f
+4285fa10670bb1bf
+7abeccbad06bc23f
+""",
+    "beta-gated": """\
+# okreg-state v3
+model=klms
+variant=beta
+family=gaussian
+lengthscale=0.7
+signal_variance=2.0
+noise_variance=0.05
+jitter=2e-10
+beta=0.5
+coherence_mu0=0.7
+next_id=2
+[dict]
+00000000000000000000000000000000
+000000000000f03f000000000000f83f
+[alpha]
+037190d1cc70c93f
+49b5a290e738ba3f
+""",
+}
+
+
+def _hex_row(line: str) -> np.ndarray:
+    """The float64 values of one v3 block row."""
+    return np.frombuffer(bytes.fromhex(line), dtype="<f8").copy()
+
+
+def _as_v2(text: str) -> str:
+    """A v3 snapshot as the v2 writer wrote it: repr() rows, integer ids."""
+    lines, block = [], None
+    for line in text.splitlines():
+        if line.startswith("#"):
+            line = "# okreg-state v2"
+        elif line.startswith("["):
+            block = line
+        elif block is not None:
+            fields = [repr(v) for v in _hex_row(line).tolist()]
+            if block == "[dict]":
+                fields[0] = str(int(float(fields[0])))
+            line = ",".join(fields)
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("name", sorted(_GOLDEN))
 def test_dump_reproduces_the_golden_text(name):
-    make, stream, golden = _GOLDEN[name]
+    make, stream, _ = _GOLDEN[name]
+    golden = _GOLDEN_V3[name]
     model = make()
     for x, y in stream:
         model.update([x], y)
     assert dump_state(model) == golden
     assert dump_state(load_state(golden)) == golden
+
+
+def _state(model) -> dict:
+    """Every array and parameter of a model, as bytes where it is an array."""
+    arrays = ["mu", "sigma", "chol", "targets"] if isinstance(model, OnlineGP) else ["alpha"]
+    state = {name: np.asarray(getattr(model, name)).tobytes() for name in arrays}
+    state.update(points=model.dictionary.points.tobytes(), ids=model.dictionary.ids, next_id=model.dictionary.next_id)
+    return state
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_a_v2_golden_text_loads_to_the_state_of_its_v3_twin(name):
+    v2, v3 = _GOLDEN[name][2], _GOLDEN_V3[name]
+    assert _as_v2(v3) == v2
+    old, new = load_state(v2), load_state(v3)
+    assert type(old) is type(new)
+    assert _state(old) == _state(new)
+    assert dump_state(old) == v3
 
 
 @pytest.mark.parametrize("cls", [OnlineGP, *KlmsModel.__subclasses__()], ids=lambda cls: cls.__name__)
@@ -326,6 +548,42 @@ def test_arbitrary_klms_states_round_trip(pairs):
     clone = load_state(dump_state(model))
     np.testing.assert_array_equal(clone.alpha, model.alpha)
     np.testing.assert_array_equal(clone.dictionary.points, model.dictionary.points)
+
+
+# finite float64 values, with -0.0, subnormals and the largest magnitudes drawn often
+_EDGES = [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+_finite = st.one_of(st.sampled_from(_EDGES), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _gp_parts(draw):
+    """(dictionary, mu, sigma, chol, targets) of any finite values that
+    ``from_components`` accepts: sigma exactly symmetric, chol lower
+    triangular with a positive diagonal."""
+    n, d = draw(st.integers(0, 4)), draw(st.integers(1, 3))
+
+    def table(shape, elements=_finite):
+        return np.array(draw(st.lists(elements, min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))),
+                        dtype=float).reshape(shape)
+
+    # built by selection, not arithmetic, so that -0.0 survives
+    upper = table((n, n))
+    sigma = np.where(np.triu(np.ones((n, n), dtype=bool)), upper, upper.T)
+    chol = np.tril(table((n, n)), -1)
+    np.fill_diagonal(chol, table((n,), st.sampled_from([5e-324, 1e-300, 0.5, 1.7e308])))
+    return Dictionary(table((n, d))), table((n,)), sigma, chol, table((n,))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_gp_parts())
+def test_v3_round_trip_keeps_every_bit(parts):
+    dictionary, mu, sigma, chol, targets = parts
+    gp = OnlineGP.from_components(SPEC, dictionary, mu, sigma, chol=chol, targets=targets)
+    text = dump_state(gp)
+    clone = load_state(text)
+    assert _state(clone) == _state(gp)
+    assert _state(clone)["sigma"] == sigma.tobytes() and _state(clone)["mu"] == mu.tobytes()
+    assert dump_state(clone) == text
 
 
 # -- fingerprints -------------------------------------------------------------------
@@ -561,6 +819,76 @@ def test_load_names_the_block_and_line_of_a_row_that_does_not_parse(kind, block,
 
 
 @pytest.mark.parametrize(
+    "kind, block, row, value",
+    [
+        ("gp", "mu", 0, np.nan),
+        ("gp", "targets", 2, np.nan),
+        ("gp", "dict", 1, np.nan),
+        ("gp", "sigma", 3, np.inf),
+        ("klms", "alpha", 5, np.inf),
+        ("beta", "dict", 0, -np.inf),
+    ],
+)
+def test_v3_load_names_the_block_and_line_of_a_non_finite_number(kind, block, row, value):
+    lines = _V3_TEXTS[kind].splitlines()
+    at = lines.index(f"[{block}]") + 1 + row
+    values = _hex_row(lines[at])
+    values[-1] = value
+    lines[at] = values.tobytes().hex()
+    with pytest.raises(ValueError, match=re.escape(f"[{block}] block holds a non-finite number on line {row + 1}")):
+        load_state("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "kind, block, row, edit, problem",
+    [
+        ("klms", "alpha", 2, lambda line: line[:-1] + "g", "is not hex"),
+        ("gp", "sigma", 4, lambda line: line[:7] + " " + line[8:], "is not hex"),
+        ("gp", "chol", 1, lambda line: line[:16] + "x" + line[17:], "is not hex"),
+        ("gp", "targets", 1, lambda line: line[:8] + "  " + line[10:], "is not hex"),
+        ("gp", "mu", 3, lambda line: line[:-2], "is not a row of 1 hex"),
+        ("gp", "sigma", 0, lambda line: line + "0" * 16, "is not a row of 6 hex"),
+        ("gp", "dict", 2, lambda line: line[:-16], "is not a row of 3 hex"),
+        ("gp", "dict", 0, lambda line: line[:-16], "is not a row of 2 hex"),
+        ("klms", "alpha", 0, lambda line: line.replace("e", ",", 1) if "e" in line else "0,", "is not"),
+    ],
+    ids=["non-hex-last", "inner-space", "non-hex-second-value", "byte-of-spaces", "short-vector", "long-sigma", "short-dict", "short-first-dict", "comma"],
+)
+def test_v3_load_names_the_block_and_line_of_a_row_that_does_not_decode(kind, block, row, edit, problem):
+    lines = _V3_TEXTS[kind].splitlines()
+    at = lines.index(f"[{block}]") + 1 + row
+    lines[at] = edit(lines[at])
+    line = 2 if (block, row) == ("dict", 0) else row + 1  # the first row sets a [dict] width
+    with pytest.raises(ValueError, match=re.escape(f"[{block}] block line {line} {problem}")):
+        load_state("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: text.replace("[sigma]\n", "[sigma]\n\n# a comment\n").replace("[chol]\n", "[chol]\n  "),
+        lambda text: text + "\n\n",
+        lambda text: text.rstrip("\n"),
+    ],
+    ids=["crlf", "blank-comment-indent", "trailing-blank-lines", "no-final-newline"],
+)
+def test_v3_load_reads_rows_laid_out_otherwise_than_the_writer_does(edit):
+    text = _GOLDEN_V3["gp"]
+    assert _state(load_state(edit(text))) == _state(load_state(text))
+
+
+def test_v3_load_rejects_a_dictionary_id_that_is_not_an_integer():
+    lines = _GOLDEN_V3["klms"].splitlines()
+    at = lines.index("[dict]") + 2
+    values = _hex_row(lines[at])
+    values[0] = 1.5
+    lines[at] = values.tobytes().hex()
+    with pytest.raises(ValueError, match="dictionary id must be an integer"):
+        load_state("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
     "kind, block, edit",
     [
         ("gp", "sigma", lambda row: [row.rpartition(",")[0]]),
@@ -616,12 +944,17 @@ def test_load_names_a_scalar_line_that_does_not_parse(kind, key, value):
 
 
 def _sigma_bumped(text, i, j):
-    """The GP snapshot with sigma[i, j] moved up by one ulp."""
+    """The GP snapshot, v2 or v3, with sigma[i, j] moved up by one ulp."""
     lines = text.splitlines()
     row = lines.index("[sigma]") + 1 + i
-    fields = lines[row].split(",")
-    fields[j] = repr(float(np.nextafter(float(fields[j]), np.inf)))
-    lines[row] = ",".join(fields)
+    if text.startswith("# okreg-state v3"):
+        values = _hex_row(lines[row])
+        values[j] = np.nextafter(values[j], np.inf)
+        lines[row] = values.tobytes().hex()
+    else:
+        fields = lines[row].split(",")
+        fields[j] = repr(float(np.nextafter(float(fields[j]), np.inf)))
+        lines[row] = ",".join(fields)
     return "\n".join(lines) + "\n"
 
 
@@ -629,6 +962,11 @@ def test_load_rejects_a_sigma_one_ulp_from_symmetric():
     text = _fed_text("gp")
     with pytest.raises(ValueError, match="symmetric"):
         load_state(_sigma_bumped(text, 1, 4))
+
+
+def test_load_rejects_a_v2_sigma_one_ulp_from_symmetric():
+    with pytest.raises(ValueError, match="symmetric"):
+        load_state(_sigma_bumped(_as_v2(_fed_text("gp")), 1, 4))
 
 
 def test_load_accepts_only_the_gaussian_family():
@@ -695,7 +1033,7 @@ def test_v1_gp_snapshot_loads_with_a_fresh_factor():
     np.testing.assert_allclose(gp.sigma, fresh.sigma, rtol=0, atol=1e-12)
 
     text = dump_state(gp)
-    assert text.startswith("# okreg-state v2\n") and "[chol]" in text and "[q_inv]" not in text
+    assert text.startswith("# okreg-state v3\n") and "[chol]" in text and "[q_inv]" not in text
     assert dump_state(load_state(text)) == text
 
 
@@ -751,7 +1089,7 @@ def test_a_restore_that_must_factor_a_singular_gram_matrix_raises_value_error(re
         restore()
 
 
-@pytest.mark.parametrize("banner", ["", "# okreg-state v3", "okreg-state v2", "# something else"])
+@pytest.mark.parametrize("banner", ["", "# okreg-state v4", "okreg-state v2", "# something else"])
 def test_load_rejects_a_missing_or_unknown_banner(banner):
     body = _fed_text("klms").split("\n", 1)[1]
     with pytest.raises(ValueError, match="not an okreg snapshot"):
@@ -761,7 +1099,9 @@ def test_load_rejects_a_missing_or_unknown_banner(banner):
 # -- fuzzed snapshots ------------------------------------------------------------------
 
 _GARBAGE = ["", "nan", "inf", "-inf", "1e999", "-1e999", "abc", "1.5", "-3", "0", "1,2", "[x]", "=", "9" * 40]
-_TEXTS = {**{kind: _fed_text(kind) for kind in _MAKERS}, "gp-v1": _V1_GP}
+# the v2 reader's texts: the fuzz and edit tests above change their comma rows
+_TEXTS = {**{kind: _as_v2(_fed_text(kind)) for kind in _MAKERS}, "gp-v1": _V1_GP}
+_V3_TEXTS = {kind: _fed_text(kind) for kind in _MAKERS}
 
 
 @st.composite
@@ -826,3 +1166,76 @@ def test_load_raises_only_value_error_on_mutated_snapshots(case):
     except ValueError:
         return
     assert not must_fail, "a repeated key, an asymmetric [sigma] or a bad [chol] loaded"
+
+
+_NOT_HEX = ["g", "x", " ", ",", "-", ".", "\u00e9"]
+
+
+@st.composite
+def _mutated_v3_snapshot(draw):
+    """(text, must_fail, named): one mutation of a valid v3 snapshot, and the
+    parts its error message must hold."""
+    kind = draw(st.sampled_from(sorted(_V3_TEXTS)))
+    text = _V3_TEXTS[kind]
+    lines = text.splitlines()
+    first = lines.index("[dict]")
+    rows = [i for i in range(first, len(lines)) if not lines[i].startswith("[")]
+    block_of = {}
+    for i in range(first, len(lines)):
+        block_of[i] = lines[i] if lines[i].startswith("[") else block_of[i - 1]
+    ops = ["truncate", "drop-line", "repeat-line", "not-hex", "resize", "non-finite", "repeat-key"]
+    ops += ["sigma-asymmetric", "chol-upper", "chol-diagonal"] if kind == "gp" else []
+    op = draw(st.sampled_from(ops))
+    if op == "truncate":
+        return text[: draw(st.integers(0, len(text) - 1))], False, ()
+    if op == "repeat-key":
+        keys = [i for i, line in enumerate(lines[:first]) if "=" in line]
+        i = draw(st.sampled_from(keys))
+        lines.insert(draw(st.integers(i + 1, first)), lines[i])
+        return "\n".join(lines) + "\n", True, (f"{lines[i].partition('=')[0]}=",)
+    if op == "sigma-asymmetric":
+        n = len(lines[lines.index("[sigma]") + 1]) // 16
+        i, j = draw(st.sampled_from([(i, j) for i in range(n) for j in range(n) if i != j]))
+        return _sigma_bumped(text, i, j), True, ("symmetric",)
+    if op.startswith("chol"):
+        top = lines.index("[chol]") + 1
+        n = len(lines) - top
+        r = draw(st.integers(0, n - 1 if op == "chol-diagonal" else n - 2))
+        values = _hex_row(lines[top + r])
+        if op == "chol-upper":
+            values[draw(st.integers(r + 1, n - 1))] = draw(st.sampled_from([1e-300, 0.5, -2.0]))
+        else:
+            values[r] = draw(st.sampled_from([0.0, -0.0, -1.0, -1e-300]))
+        lines[top + r] = values.tobytes().hex()
+        return "\n".join(lines) + "\n", True, ("Cholesky factor",)
+    i = draw(st.sampled_from(rows))
+    named = (block_of[i], "line ")
+    if op == "drop-line":
+        del lines[i]
+        return "\n".join(lines) + "\n", False, ()
+    if op == "repeat-line":
+        lines.insert(i, lines[i])
+        return "\n".join(lines) + "\n", False, ()
+    if op == "not-hex":
+        at = draw(st.integers(1, len(lines[i]) - 2))  # an end space would be stripped
+        lines[i] = lines[i][:at] + draw(st.sampled_from(_NOT_HEX)) + lines[i][at + 1 :]
+    elif op == "resize":
+        cut = draw(st.integers(1, 15))
+        lines[i] = lines[i][:-cut] if draw(st.booleans()) else lines[i] + "0" * cut
+    else:
+        values = _hex_row(lines[i])
+        values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        lines[i] = values.tobytes().hex()
+    return "\n".join(lines) + "\n", True, named
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_mutated_v3_snapshot())
+def test_load_raises_only_value_error_naming_the_fault_on_mutated_v3_snapshots(case):
+    text, must_fail, named = case
+    try:
+        load_state(text)
+    except ValueError as exc:
+        assert all(part in str(exc) for part in named), (str(exc), named)
+        return
+    assert not must_fail, "a malformed row, a repeated key, an asymmetric [sigma] or a bad [chol] loaded"
