@@ -128,9 +128,15 @@ def _eta(args, spec: KernelSpec, default):
         raise ConfigError(f"--eta must be a number or 'matched', got {value!r}") from None
 
 
+def _beta_value(param: str, args) -> float:
+    """The beta a ``beta`` token builds: its ``:value``, else ``--beta``;
+    ValueError when the value does not parse."""
+    return float(param) if param else args.beta
+
+
 def _beta(spec: KernelSpec, args, param: str) -> BetaKlms:
     try:
-        beta = float(param) if param else args.beta
+        beta = _beta_value(param, args)
     except ValueError:
         raise ConfigError(f"bad beta value in {'beta:' + param!r}") from None
     return BetaKlms(spec, beta=beta)
@@ -160,7 +166,7 @@ def _model_key(name: str, param: str, args):
     if name != "beta":
         return name, param
     try:
-        return name, float(param) if param else args.beta
+        return name, _beta_value(param, args)
     except ValueError:
         return name, param
 

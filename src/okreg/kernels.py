@@ -29,7 +29,6 @@ each distance in the same coordinate order, so both paths give its bits.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,12 +115,7 @@ class Dictionary:
         arr = np.atleast_2d(arr)
         if len(arr) == 0:
             return
-        if arr.ndim != 2:
-            raise ValueError("input points must be 1-D vectors")
-        if arr.shape[1] == 0:
-            raise ValueError("a dictionary point needs dimension >= 1")
-        if not np.isfinite(arr).all():
-            raise ValueError("input point has a non-finite entry")
+        _check_points(arr)
         self._buf = arr.T.copy()  # filled in one assignment, with no free slot
         self._ids = list(range(len(arr)))
         self._next_id = len(arr)
@@ -140,7 +134,7 @@ class Dictionary:
         if len(ids) != len(d._ids):
             raise ValueError("id list does not match the number of points")
         bounds = [-1, *ids, next_id]
-        if not all(map(operator.lt, bounds, bounds[1:])):
+        if any(a >= b for a, b in zip(bounds, bounds[1:])):
             raise ValueError("dictionary ids must be non-negative and increasing, and below next_id")
         d._ids = ids
         d._next_id = next_id
@@ -172,10 +166,7 @@ class Dictionary:
 
     def append(self, x) -> int:
         p = _vector(x)
-        if p.size == 0:
-            raise ValueError("a dictionary point needs dimension >= 1")
-        if not all(map(math.isfinite, p.tolist())):
-            raise ValueError("input point has a non-finite entry")
+        _check_points(p[np.newaxis])
         n = len(self._ids)
         if self._buf is None:
             self._buf = np.empty((p.size, 1))
@@ -217,6 +208,17 @@ def _vector(x) -> np.ndarray:
     if v.ndim != 1:
         raise ValueError("input points must be 1-D vectors")
     return v
+
+
+def _check_points(rows: np.ndarray) -> None:
+    """ValueError unless every row of ``rows`` is a dictionary point: the
+    array is 2-D, of dimension >= 1, with finite entries."""
+    if rows.ndim != 2:
+        raise ValueError("input points must be 1-D vectors")
+    if rows.shape[1] == 0:
+        raise ValueError("a dictionary point needs dimension >= 1")
+    if not all(map(math.isfinite, rows.ravel().tolist())):
+        raise ValueError("input point has a non-finite entry")
 
 
 def _kernel_matrix(spec: KernelSpec, P: np.ndarray, Q: np.ndarray) -> np.ndarray:

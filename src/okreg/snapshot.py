@@ -139,27 +139,15 @@ def dump_state(model) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _lines(text: str) -> list[str]:
-    """The stripped lines of ``text``, leaving out blank lines and ``#`` comments."""
-    return [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
-
-
-def _parse(text: str):
-    """The ``key=value`` lines as a dict of texts, and the text of each
-    block, from the line after its ``[name]`` line to the next such line.
-    Hex rows hold no ``[``, so finding the block lines takes no pass in
-    Python over the rows."""
-    heads = []  # (start of a [name] line, start of the line after it, name)
-    at = text.find("[")
-    while at != -1:
-        start = text.rfind("\n", 0, at) + 1
-        end = text.find("\n", at) + 1 or len(text)
-        line = text[start:end].strip()
-        if line[0] == "[" and line[-1] == "]":
-            heads.append((start, end, line[1:-1]))
-        at = text.find("[", end)
+def _parse(raw: list[str]):
+    """The ``key=value`` lines of ``raw``, a text's lines, as a dict of
+    texts, and the stripped lines of each block, from the line after its
+    ``[name]`` line to the next such line; blank lines and ``#`` comments
+    are left out."""
+    lines = [line for line in map(str.strip, raw) if line and line[0] != "#"]
+    heads = [i for i, line in enumerate(lines) if line[0] == "[" and line[-1] == "]"]
     scalars: dict[str, str] = {}
-    for line in _lines(text[: heads[0][0] if heads else len(text)]):
+    for line in lines[: heads[0] if heads else len(lines)]:
         key, eq, value = line.partition("=")
         if not eq:
             raise ValueError(f"snapshot line {line!r} is not key=value")
@@ -167,11 +155,12 @@ def _parse(text: str):
         if key in scalars:
             raise ValueError(f"snapshot repeats the {key}= line")
         scalars[key] = value.strip()
-    blocks: dict[str, str] = {}
-    for (_, end, name), (start, _, _) in zip(heads, [*heads[1:], (len(text), 0, "")]):
+    blocks: dict[str, list[str]] = {}
+    for at, end in zip(heads, [*heads[1:], len(lines)]):
+        name = lines[at][1:-1]
         if name in blocks:
             raise ValueError(f"snapshot repeats the [{name}] block")
-        blocks[name] = text[end:start]
+        blocks[name] = lines[at + 1 : end]
     return scalars, blocks
 
 
@@ -181,10 +170,10 @@ def _require(table: dict, key: str, what: str):
     return table[key]
 
 
-def _text_rows(name: str, body: str) -> list[list[float]]:
+def _text_rows(name: str, lines: list[str]) -> list[list[float]]:
     """A v1 or v2 block: comma-separated repr() floats, one row per line."""
     rows = []
-    for line in _lines(body):
+    for line in lines:
         try:
             row = [float(p) for p in line.split(",")]
         except ValueError as exc:
@@ -195,42 +184,27 @@ def _text_rows(name: str, body: str) -> list[list[float]]:
     return rows
 
 
-def _hex_rows(name: str, body: str, cols: int | None) -> np.ndarray:
-    """A v3 block: each row the hex of ``cols`` little-endian float64 values
+def _hex_rows(name: str, lines: list[str], cols: int | None) -> np.ndarray:
+    """A v3 block: each line the hex of ``cols`` little-endian float64 values
     (as many as the first line holds when None), all decoded by one
-    ``bytes.fromhex``; ValueError naming the block and line of a row that
-    is misshapen, not hex, or not finite.
-
-    A block as the writer lays it out, rows of equal width each ending in a
-    newline, is checked by slicing and decoded whole; any other layout, or
-    a fault, takes the line-by-line reading, which also names the line."""
-    width = body.find("\n") if cols is None else 16 * cols
-    rows = len(body) // (width + 1) if width > 0 else 0
-    data = None
-    if rows and width % 16 == 0 and len(body) == rows * (width + 1) and body[width :: width + 1] == "\n" * rows:
-        try:
-            data = bytes.fromhex(body)  # newlines are whitespace, which it skips
-        except ValueError:
-            pass
-    if data is None or 2 * len(data) != rows * width:
-        lines = _lines(body)
-        rows = len(lines)
-        if cols is None:
-            cols = max(1, len(lines[0]) // 16) if lines else 0
-        width = 16 * cols
-        lengths = list(map(len, lines))
-        if lengths.count(width) != rows:
-            i = next(i for i, length in enumerate(lengths) if length != width)
-            raise ValueError(f"the [{name}] block line {i + 1} is not a row of {cols} hex float64 value(s)")
-        text = "".join(lines)
-        try:
-            data = bytes.fromhex(text)
-        except ValueError:
-            data = b""
-        if 2 * len(data) != len(text):  # fromhex also skips whitespace
-            bad = next(i for i, c in enumerate(text) if c not in _HEX_DIGITS)
-            raise ValueError(f"the [{name}] block line {bad // width + 1} is not hex")
-    table = np.frombuffer(data, dtype="<f8").reshape(rows, width // 16)
+    ``bytes.fromhex`` over the joined lines; ValueError naming the block and
+    line of a row that is misshapen, not hex, or not finite."""
+    if cols is None:
+        cols = max(1, len(lines[0]) // 16) if lines else 0
+    width = 16 * cols
+    lengths = list(map(len, lines))
+    if lengths.count(width) != len(lines):
+        i = next(i for i, length in enumerate(lengths) if length != width)
+        raise ValueError(f"the [{name}] block line {i + 1} is not a row of {cols} hex float64 value(s)")
+    text = "".join(lines)
+    try:
+        data = bytes.fromhex(text)
+    except ValueError:
+        data = b""
+    if 2 * len(data) != len(text):  # fromhex also skips whitespace
+        bad = next(i for i, c in enumerate(text) if c not in _HEX_DIGITS)
+        raise ValueError(f"the [{name}] block line {bad // width + 1} is not hex")
+    table = np.frombuffer(data, dtype="<f8").reshape(len(lines), cols)
     finite = np.isfinite(table).all(axis=1)
     if not finite.all():
         raise ValueError(f"the [{name}] block holds a non-finite number on line {np.argmin(finite) + 1}")
@@ -241,11 +215,11 @@ def _table(blocks, name: str, rows: int | None, cols: int | None, version: int) 
     """The [name] block as a float array of ``rows`` rows (any number when
     None), each of ``cols`` values (as many as its first row when None);
     ValueError naming the block when it is missing or shaped otherwise."""
-    body = _require(blocks, name, f"[{name}] block")
+    lines = _require(blocks, name, f"[{name}] block")
     if version == 3:
-        table = _hex_rows(name, body, cols)
+        table = _hex_rows(name, lines, cols)
     else:
-        table = _text_rows(name, body)
+        table = _text_rows(name, lines)
         if cols is None:
             cols = len(table[0]) if table else 0
         if any(len(row) != cols for row in table):
@@ -258,11 +232,12 @@ def _table(blocks, name: str, rows: int | None, cols: int | None, version: int) 
 
 def load_state(text: str):
     """Inverse of dump_state; raises ValueError on malformed input."""
-    banner = text.split("\n", 1)[0].strip()
+    raw = text.splitlines()
+    banner = raw[0].strip() if raw else ""
     if banner not in _READABLE_BANNERS:
         raise ValueError(f"not an okreg snapshot: the first line is {banner[:40]!r}")
     version = _READABLE_BANNERS[banner]
-    scalars, blocks = _parse(text)
+    scalars, blocks = _parse(raw)
     model_line = _require(scalars, "model", "model line")
 
     def scalar(key: str, parse: Callable[[str], object] = str, default=None):

@@ -867,11 +867,12 @@ def test_v3_load_names_the_block_and_line_of_a_row_that_does_not_decode(kind, bl
     "edit",
     [
         lambda text: text.replace("\n", "\r\n"),
+        lambda text: text.replace("\n", "\r"),
         lambda text: text.replace("[sigma]\n", "[sigma]\n\n# a comment\n").replace("[chol]\n", "[chol]\n  "),
         lambda text: text + "\n\n",
         lambda text: text.rstrip("\n"),
     ],
-    ids=["crlf", "blank-comment-indent", "trailing-blank-lines", "no-final-newline"],
+    ids=["crlf", "bare-cr", "blank-comment-indent", "trailing-blank-lines", "no-final-newline"],
 )
 def test_v3_load_reads_rows_laid_out_otherwise_than_the_writer_does(edit):
     text = _GOLDEN_V3["gp"]
