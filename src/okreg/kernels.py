@@ -124,13 +124,17 @@ class Dictionary:
     def restore(cls, points, ids, next_id) -> "Dictionary":
         """Rebuild a dictionary with explicit ids (snapshot loading).
 
-        The ids must be non-negative and strictly increasing, and
-        ``next_id`` must exceed the last of them (or be >= 0 when there
-        are none), so that later appends never reuse an id.
+        The ids and ``next_id`` must be integers, which may come as floats
+        (a snapshot's id column); the ids must be non-negative and strictly
+        increasing, and ``next_id`` must exceed the last of them (or be >= 0
+        when there are none), so that later appends never reuse an id.
         """
         d = cls(points)
-        ids = [int(i) for i in ids]
-        next_id = int(next_id)
+        raw = [*ids, next_id]
+        bad = [i for i in raw if isinstance(i, (float, np.floating)) and not float(i).is_integer()]
+        if bad:
+            raise ValueError(f"a dictionary id must be an integer, got {float(bad[0])!r}")
+        *ids, next_id = (int(i) for i in raw)
         if len(ids) != len(d._ids):
             raise ValueError("id list does not match the number of points")
         bounds = [-1, *ids, next_id]

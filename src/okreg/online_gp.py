@@ -14,15 +14,14 @@ The O(n^2) work of a step is four level-2 BLAS calls from SciPy, each
 on an F-ordered view of a stored C-ordered array, so none copies it:
 two ``dtrsv`` solves against L give ``l = L^-1 k`` and ``q = L^-T l``,
 ``dsymv`` gives ``h = sigma q``, and on admission ``dger`` downdates
-the bordered covariance in place.  The downdate subtracts
-``gs_i * gs_j`` with ``gs = gain / sqrt(sigma_y2)``; an entry and its
-mirror take the same product and one rounding, so ``sigma`` stays
-exactly symmetric.  Below a budget, ``update`` and ``update_block`` grow
-``sigma`` and L the same way: one helper copies the old array into the
-top-left block of a new one and borders it with the new rows and
-columns.  At its budget a model grows nothing (below), so admitting a
-point there allocates nothing of size n^2 but the Gram matrix of a
-refactor.
+``sigma`` in place.  The downdate subtracts ``gs_i * gs_j`` with
+``gs = gain / sqrt(sigma_y2)``; an entry and its mirror take the same
+product and one rounding, so ``sigma`` stays exactly symmetric.
+``update_block`` grows ``sigma`` and L, and ``update`` grows L, through
+one helper that copies the old array into the top-left block of a new
+one and borders it with the new rows and columns.  At its budget a
+model grows nothing, so admitting a point there allocates nothing of
+size n^2 but the Gram matrix of a refactor.
 
 Admission is gated on ``gamma2 = k(x, x) - ||L^-1 k||^2``, the squared
 residual of the new input's feature after projecting onto the span of
@@ -31,14 +30,17 @@ new direction are skipped outright; an admitted point appends the row
 ``[(L^-1 k)^T, sqrt(gamma2)]`` to L.  With a ``budget`` set, a model at
 capacity forgets its oldest center as it admits (KRLS-T's sliding window):
 deleting its row and column of ``mu`` and ``sigma`` marginalises it out.
-Such a model keeps ``mu`` and ``sigma`` in ``budget`` fixed slots: the new
-center takes the oldest center's slot, its row and column of ``sigma``
-are overwritten with the gain, and the dger downdates ``sigma`` in place.
-A stored insertion-to-slot permutation, None until the first eviction,
-maps the slots to insertion order wherever a vector meets ``mu`` or
-``sigma``, and the public ``mu`` and ``sigma`` are in insertion order:
-views until the first eviction, copies after it.  ``dsymv`` then sums
-in slot order, which moves a step's outputs at rounding level only.
+Every admission takes one path, which picks the new center's slot s: n
+while the model grows, the oldest center's slot at the budget.  It writes
+the gain into slot s of ``mu`` and row and column s of ``sigma`` and runs
+the dger.  A growing step writes into new bordered arrays and the first
+eviction into copies, so views handed out keep their values; later
+evictions write in place.  A stored insertion-to-slot permutation, None
+until the first eviction, maps the slots to insertion order wherever a
+vector meets ``mu`` or ``sigma``, and the public ``mu`` and ``sigma``
+are in insertion order: views until the first eviction, copies after
+it.  ``dsymv`` then sums in slot order, which moves a step's outputs at
+rounding level only.
 
 L factors the Gram matrix in its own order, which after evictions is not
 the dictionary's.  The dictionary and the targets keep insertion order,
@@ -476,78 +478,74 @@ class OnlineGP:
             return scr
         if not scr.sigma_y2 > 0:
             raise NumericalError(f"non-positive a-priori output variance: {scr.sigma_y2}")
-        if self.size == self.budget:
-            self._replace_oldest(x, y, scr)
-            return scr
-        gain = np.append(scr.h, scr.sigma_f2)
-        mu1 = np.append(self._mu, scr.y_hat) + (scr.e / scr.sigma_y2) * gain
-
-        # sigma1 -= gain gain^T / sigma_y2 in place: one dger on the F-ordered
-        # view of sigma1 with x = y = gs and alpha = -1.  Entry (i, j) and its
-        # mirror both become s_ij - gs_i * gs_j, the same product rounded
-        # once, so sigma1 stays exactly symmetric.  (BLAS folds alpha into one
-        # operand, so alpha = -1 / sigma_y2 could round the two apart.)
-        # dger's return value is kept: f2py silently works on a copy of an
-        # operand that is not F-contiguous.
-        sigma1 = _bordered(self._sigma, scr.h[np.newaxis], scr.sigma_f2, scr.h[:, np.newaxis])
-        gs = gain / np.sqrt(scr.sigma_y2)
-        sigma1 = dger(-1.0, gs, gs, a=sigma1.T, overwrite_a=1).T
-        if float(np.min(np.diag(sigma1))) < _SIGMA_DIAG_FLOOR:
-            raise NumericalError("posterior covariance lost positive semidefiniteness")
-
-        self.dictionary.append(x)
-        self._targets.append(float(y))
-        self._mu = mu1
-        self._sigma = sigma1
-        self._chol = _bordered(self._chol, scr.l[np.newaxis], np.sqrt(scr.gamma2), 0.0)
+        self._admit(x, y, scr)
         return scr
 
-    def _replace_oldest(self, x, y, scr: GpUpdateScratch) -> None:
-        """Admit x into the slot of the oldest center, which leaves the state.
+    def _admit(self, x, y, scr: GpUpdateScratch) -> None:
+        """Condition on (x, y) with x as a new center in slot s of ``mu`` and
+        ``sigma``: slot n while the model grows, and the oldest center's slot
+        at the budget, where the oldest center then leaves the state.
 
-        Conditioning on y and then marginalising the oldest center out is the
-        update of the grow path with the oldest row and column left out; here
-        the new center's row and column of ``sigma`` overwrite the oldest's
-        with the gain, and the same dger downdates ``sigma`` in place.  The
-        new diagonal is checked in O(n) and the factor built before anything
-        is written, so a NumericalError leaves the model as it was.
+        Conditioning and then marginalising the oldest center out is the
+        growing update with the oldest row and column left out, so both
+        write the gain into row and column s and downdate ``sigma`` with the
+        same dger.  The new diagonal is checked in O(n) and the factor built
+        before anything is written, so a NumericalError leaves the model as
+        it was.
         """
         n, a = self.size, self._reversed
+        evict = n == self.budget
+        m = n if evict else n + 1
         slots = np.arange(n) if self._slots is None else self._slots
-        s = slots[0]
-        gain = np.empty(n)
+        s = slots[0] if evict else n
+        gain = np.empty(m)
         gain[slots] = scr.h
         gain[s] = scr.sigma_f2
         gs = gain / np.sqrt(scr.sigma_y2)
-        diag = self._sigma.diagonal() - gs * gs
-        diag[s] = scr.sigma_f2 - gs[s] * gs[s]
-        if float(np.min(diag)) < _SIGMA_DIAG_FLOOR:
+        diag = np.empty(m)
+        diag[:n] = self._sigma.diagonal()
+        diag[s] = scr.sigma_f2
+        if float(np.min(diag - gs * gs)) < _SIGMA_DIAG_FLOOR:
             raise NumericalError("posterior covariance lost positive semidefiniteness")
 
-        if n - a + 1 < _evictions_per_refactor(self.budget):
+        if not evict:
+            chol = _bordered(self._chol, scr.l[np.newaxis], np.sqrt(scr.gamma2), 0.0)
+        elif n - a + 1 < _evictions_per_refactor(self.budget):
             # the oldest center is row a - 1 of L: only the n - a rows admitted
             # since the refactor, and the new one, follow it.  L is repaired in
             # place; no view shares it, because ``chol`` hands out views only
             # while at most one center is reversed, and only a refactor, which
             # builds a new L, reverses more
-            self._chol = _evicted(self._chol, scr.l, np.sqrt(scr.gamma2), a - 1)
-            self._reversed = a - 1
+            chol, a = _evicted(self._chol, scr.l, np.sqrt(scr.gamma2), a - 1), a - 1
         else:
-            self._chol = self._newest_first_factor(scr)
-            self._reversed = n
+            chol, a = self._newest_first_factor(scr), n
 
-        if self._slots is None:  # views handed out so far keep their values
-            self._mu, self._sigma = self._mu.copy(), self._sigma.copy()
-        self._mu[s] = scr.y_hat
-        self._mu += (scr.e / scr.sigma_y2) * gain
-        self._sigma[s] = gain
-        self._sigma[:, s] = gain
-        self._sigma = dger(-1.0, gs, gs, a=self._sigma.T, overwrite_a=1).T
-        self._slots = np.append(slots[1:], s)
+        mu, sigma = self._mu, self._sigma
+        if self._slots is None:
+            # growing, or evicting for the first time (a model grows only
+            # before it evicts): new arrays, so views handed out keep their values
+            mu, sigma = np.empty(m), np.empty((m, m))
+            mu[:n], sigma[:n, :n] = self._mu, self._sigma
+        mu[s] = scr.y_hat
+        mu += (scr.e / scr.sigma_y2) * gain
+        sigma[s] = gain
+        sigma[:, s] = gain
+        # sigma -= gain gain^T / sigma_y2 in place: one dger on the F-ordered
+        # view of sigma with x = y = gs and alpha = -1.  Entry (i, j) and its
+        # mirror both become s_ij - gs_i * gs_j, the same product rounded
+        # once, so sigma stays exactly symmetric.  (BLAS folds alpha into one
+        # operand, so alpha = -1 / sigma_y2 could round the two apart.)
+        # dger's return value is kept: f2py silently works on a copy of an
+        # operand that is not F-contiguous.
+        sigma = dger(-1.0, gs, gs, a=sigma.T, overwrite_a=1).T
+
+        self._mu, self._sigma, self._chol, self._reversed = mu, sigma, chol, a
         self.dictionary.append(x)
         self._targets.append(float(y))
-        self.dictionary.drop(0)
-        self._targets.pop(0)
+        if evict:
+            self._slots = np.append(slots[1:], s)
+            self.dictionary.drop(0)
+            self._targets.pop(0)
 
     def _newest_first_factor(self, scr: GpUpdateScratch) -> np.ndarray:
         """The factor of the Gram matrix of the centers that follow the

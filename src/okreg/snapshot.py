@@ -256,13 +256,8 @@ def load_state(text: str):
         raise ValueError(f"unsupported kernel family: {family!r}")
     spec = KernelSpec(**{key: scalar(key, float) for key in _SPEC_KEYS})
     entries = _table(blocks, "dict", None, None, version)  # an id, then the point
-    column = entries[:, :1].ravel()  # finite, as every block is
-    fractional = column != np.trunc(column)
-    if fractional.any():
-        raise ValueError(f"a dictionary id must be an integer, got {column[fractional][0].item()!r}")
-    ids = [int(i) for i in column.tolist()]
-    next_id = scalar("next_id", int, len(ids))
-    dictionary = Dictionary.restore(entries[:, 1:], ids, next_id)
+    next_id = scalar("next_id", int, len(entries))
+    dictionary = Dictionary.restore(entries[:, 1:], entries[:, :1].ravel().tolist(), next_id)
     n = len(dictionary)
 
     variants = {variant for model, variant in _BY_LINES if model == model_line}

@@ -369,6 +369,17 @@ def test_dictionary_restore_rejects_inconsistent_ids(ids, next_id):
         Dictionary.restore([[0.0], [1.0], [2.0]], ids, next_id)
 
 
+@pytest.mark.parametrize(
+    "ids, next_id, bad",
+    [([0.5], 2, "0.5"), ([0], 2.5, "2.5"), ([np.float32(0.5)], 2, "0.5"), ([0], np.inf, "inf"), ([np.nan], 2, "nan")],
+    ids=["fractional-id", "fractional-next-id", "float32-id", "infinite-next-id", "nan-id"],
+)
+def test_dictionary_restore_refuses_an_id_that_is_not_an_integer(ids, next_id, bad):
+    with pytest.raises(ValueError, match=rf"a dictionary id must be an integer, got {bad}$"):
+        Dictionary.restore([[1.0]], ids, next_id)
+    assert Dictionary.restore([[1.0]], [1.0], 2.0).ids == (1,)
+
+
 def test_dictionary_restore_without_points():
     d = Dictionary.restore([], [], 7)
     assert len(d) == 0 and d.dim is None and d.next_id == 7

@@ -382,9 +382,19 @@ def _every_part(gp) -> dict:
     return {name: np.array(value, copy=True) for name, value in parts.items()}
 
 
-@pytest.mark.parametrize("evictions", [0, 1, 7, 20], ids=lambda k: f"after-{k}-evictions")
-def test_a_covariance_floor_error_at_capacity_changes_nothing(evictions):
-    gp, X, y = _at_capacity(evictions)
+def _growing(budget):
+    """A GP with 10 centers, below ``budget`` when it has one, and the rest of its stream."""
+    X, y = _evicting_stream(200)
+    gp = OnlineGP(KernelSpec(lengthscale=0.5, noise_variance=0.1), budget=budget)
+    for i, (xi, yi) in enumerate(zip(X, y)):
+        if gp.size == 10:
+            return gp, X[i:], y[i:]
+        gp.update(xi, yi)
+    raise AssertionError("the stream ran out")
+
+
+def _assert_a_covariance_floor_error_changes_nothing(gp, X, y):
+    assert gp.compute_scratch(X[0], y[0]).gamma2 > gp.admission_threshold
     gp._sigma[np.diag_indices(gp.size)] = -1e-3  # a covariance that lost semidefiniteness
     before, fp = _every_part(gp), fingerprint(gp)
     with pytest.raises(NumericalError, match="positive semidefiniteness"):
@@ -393,6 +403,17 @@ def test_a_covariance_floor_error_at_capacity_changes_nothing(evictions):
     for name, value in before.items():
         np.testing.assert_array_equal(after[name], value, err_msg=name)
     assert fingerprint(gp) == fp
+
+
+@pytest.mark.parametrize("evictions", [0, 1, 7, 20], ids=lambda k: f"after-{k}-evictions")
+def test_a_covariance_floor_error_at_capacity_changes_nothing(evictions):
+    _assert_a_covariance_floor_error_changes_nothing(*_at_capacity(evictions))
+
+
+@pytest.mark.parametrize("budget", [None, 20], ids=["no-budget", "below-budget"])
+def test_a_covariance_floor_error_while_growing_changes_nothing(budget):
+    # a growing step checks the new diagonal before it borders anything
+    _assert_a_covariance_floor_error_changes_nothing(*_growing(budget))
 
 
 def _bordered_copy_reference(gp, X, y):
@@ -433,17 +454,19 @@ def test_slot_state_agrees_with_the_bordered_copy_recursion_after_three_budgets_
     assert np.array_equal(sigma, sigma.T)
 
 
-def test_mu_and_sigma_are_views_until_the_first_eviction_and_copies_after():
-    gp, X, y = _at_capacity(0)
+@pytest.mark.parametrize("evicts", [False, True], ids=["growing", "first-eviction"])
+def test_mu_and_sigma_are_views_until_the_first_eviction_and_copies_after(evicts):
+    gp, X, y = _at_capacity(0) if evicts else _growing(None)
     mu, sigma = gp.mu, gp.sigma
     assert np.shares_memory(mu, gp._mu) and np.shares_memory(sigma, gp._sigma)
     kept = mu.copy(), sigma.copy()
-    gp.update(X[0], y[0])  # the first eviction
-    assert gp.dictionary.ids[0] == 1
-    # a view handed out before the first eviction keeps its values
+    size, next_id = gp.size, gp.dictionary.next_id
+    gp.update(X[0], y[0])
+    assert gp.dictionary.next_id == next_id + 1 and gp.size == (size if evicts else size + 1)
+    # a view handed out before the admission keeps its values
     np.testing.assert_array_equal(mu, kept[0])
     np.testing.assert_array_equal(sigma, kept[1])
-    assert not np.shares_memory(gp.mu, gp._mu) and not np.shares_memory(gp.sigma, gp._sigma)
+    assert np.shares_memory(gp.mu, gp._mu) != evicts and np.shares_memory(gp.sigma, gp._sigma) != evicts
     assert not gp.mu.flags.writeable and not gp.sigma.flags.writeable
 
 
