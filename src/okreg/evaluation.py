@@ -12,8 +12,10 @@ and up to rounding for the unbudgeted GP, which takes one block step on
 blocks of four or more rows).  A malformed or non-finite block raises
 ValueError before any state changes.
 ``run_online_experiment`` feeds each scoring interval through it.
-``predict_batch(X)`` scores held-out rows; ``predict_means`` reads the
-means out of it.
+``predict_batch(X)`` scores held-out rows.  A filter returns the means;
+the GP returns (means, latent variances, output variances), or the means
+alone with ``variances=False``, which ``predict_means`` asks for so that
+scoring pays for no variance.
 
 Both curve runners return ``LearningCurve``s, a model's error in
 decibels against the number of observations it has absorbed, and the
@@ -117,11 +119,12 @@ class UncertaintyTrace:
 
 
 def predict_means(model, X) -> np.ndarray:
-    """Means of ``model.predict_batch``, which for the GP also holds variances."""
-    out = model.predict_batch(np.asarray(X, dtype=float))
-    if isinstance(out, tuple):
-        out = out[0]
-    return np.asarray(out, dtype=float)
+    """Means of ``model.predict_batch`` at the rows of X; the GP is asked
+    for its means alone, from its KRLS weights, without variances."""
+    X = np.asarray(X, dtype=float)
+    if isinstance(model, OnlineGP):
+        return model.predict_batch(X, variances=False)
+    return np.asarray(model.predict_batch(X), dtype=float)
 
 
 def run_online_experiment(

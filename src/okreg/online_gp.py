@@ -5,10 +5,12 @@ State per model: the dictionary of admitted inputs, the posterior mean
 and ``chol``, the lower Cholesky factor L of the jitter-regularized Gram
 matrix (K = L L^T).  Every product with K^-1 is a pair of triangular
 solves against L; no inverse is stored.  Each admitted observation
-extends the state in O(n^2); prediction is O(n^2) and never mutates
-state.  ``update`` returns the per-step scratch, whose ``y_hat`` and
-``e`` are the a-priori prediction and innovation, and scalar
-``predict`` is a one-row ``predict_batch``.
+extends the state in O(n^2).  Prediction never mutates state: the means
+at m points are K_x^T w from the KRLS weights w = K^-1 mu, in
+O(n^2 + nm), and the variances, which ``predict_batch(X, variances=False)``
+skips, add O(n^2 m).  ``update`` returns the per-step scratch, whose
+``y_hat`` and ``e`` are the a-priori prediction and innovation, and
+scalar ``predict`` is a one-row ``predict_batch``.
 
 The O(n^2) work of a step is four level-2 BLAS calls from SciPy, each
 on an F-ordered view of a stored C-ordered array, so none copies it:
@@ -402,22 +404,31 @@ class OnlineGP:
         one_row = self.predict_batch(_vector(x)[np.newaxis])
         return PredictiveDistribution(*(float(v[0]) for v in one_row))
 
-    def predict_batch(self, X):
-        """Vectorized predict over rows of X: (means, latent vars, output vars)."""
-        Kx = self._reordered(cross_kernel(self.spec, self.dictionary, X))
-        kss = self.spec.signal_variance
+    def predict_batch(self, X, variances: bool = True):
+        """Vectorized predict over rows of X: (means, latent vars, output vars),
+        or the means array alone when ``variances`` is false.
+
+        The means are K_x^T w, with K_x the n x m cross kernel and w =
+        ``krls_weights()``: O(n^2) for w and O(nm) for the product, and
+        the same bits with or without variances.  The variances cost two
+        O(n^2 m) ``dtrsm`` solves and an O(n^2 m) ``dgemm`` with ``sigma``.
+        """
+        Kx = cross_kernel(self.spec, self.dictionary, X)
+        # every BLAS call here is scipy's: NumPy and SciPy wheels each bundle
+        # their own threaded OpenBLAS, and handing work back and forth between
+        # the two pools doubled this call's time.  The level-3 wrappers take
+        # an empty operand; the level-2 ones do not.
+        means = dgemv(1.0, Kx.T, self.krls_weights()) if Kx.size else np.zeros(Kx.shape[1])
+        if not variances:
+            return means
         # B holds the transposed right-hand sides (m x n, Fortran-ordered),
         # which the solves overwrite in place: first B = (L^-1 Kx)^T, then
-        # B = (K^-1 Kx)^T.  Every BLAS call here is scipy's: NumPy and SciPy
-        # wheels each bundle their own threaded OpenBLAS, and handing work
-        # back and forth between the two pools doubled this call's time.
-        # The level-3 wrappers take an empty B or L; the dgemv one does not.
+        # B = (K^-1 Kx)^T
         U = self._chol.T
-        B = dtrsm(1.0, U, Kx.T, side=1, overwrite_b=1)
-        gamma2 = kss - np.einsum("ij,ij->i", B, B)
+        B = dtrsm(1.0, U, self._reordered(Kx).T, side=1, overwrite_b=1)
+        gamma2 = self.spec.signal_variance - np.einsum("ij,ij->i", B, B)
         B = self._in_slots(self._reordered(dtrsm(1.0, U, B, side=1, trans_a=1, overwrite_b=1), axis=1))
         sf2 = gamma2 + np.einsum("ij,ij->i", B, dgemm(1.0, B, self._sigma.T))
-        means = dgemv(1.0, B, self._mu) if B.size else np.zeros(len(B))
         return (means, *predictive_variances(sf2, self.spec.noise_variance))
 
     # -- updates ----------------------------------------------------------
@@ -663,11 +674,15 @@ class OnlineGP:
     # -- bridges ----------------------------------------------------------
 
     def krls_weights(self) -> np.ndarray:
-        """Ridge-regression weight vector implied by the posterior: K^-1 @ mu.
+        """Ridge-regression weight vector implied by the posterior: K^-1 @ mu,
+        in insertion order; the mean path of ``predict_batch``.
 
         With every point admitted and no eviction this equals the batch
         solve (K + noise_variance * I)^{-1} y on the dictionary.
         """
         if self.size == 0:
             raise ValueError("weights of an empty model are undefined")
-        return self._reordered(cho_solve((self._chol, True), self._reordered(self.mu)))
+        # two dtrsv solves against L, in its order: mu in insertion order
+        # needs no slot map
+        U = self._chol.T
+        return self._reordered(dtrsv(U, dtrsv(U, self._reordered(self.mu), trans=1)))

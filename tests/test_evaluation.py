@@ -285,10 +285,13 @@ def test_update_refuses_a_non_finite_observation_and_changes_nothing(name, x, y)
 
 
 _QUERIES = {
-    "gp": ("predict", "predict_batch"),
+    "gp": ("predict", "predict_batch", "predict_batch-means"),
     "klms": ("predict", "predict_batch"),
     "beta": ("predict", "predict_batch", "variance_batch"),
 }
+
+# queries that are not a method called with the point alone
+_CALLS = {"predict_batch-means": lambda model, p: model.predict_batch(p, variances=False)}
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
@@ -303,8 +306,9 @@ def test_every_query_refuses_a_non_finite_point_and_changes_nothing(name, fed, m
         for xi, yi in zip(rng.uniform(-1, 1, size=(5, 2)), rng.standard_normal(5)):
             model.update(xi, yi)
     before = fingerprint(model)
+    call = _CALLS.get(method, lambda model, p: getattr(model, method)(p))
     with pytest.raises(ValueError, match="non-finite"):
-        getattr(model, method)([0.2, bad])
+        call(model, [0.2, bad])
     assert fingerprint(model) == before
 
 

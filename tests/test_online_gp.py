@@ -25,7 +25,8 @@ from okreg import (
 from okreg.base import VARIANCE_FLOOR, predictive_variances
 from okreg.batch_gp import batch_predict_grid
 from okreg.datasets import gen_kinematics_like
-from okreg.kernels import gram_matrix, kernel_vector
+from okreg.evaluation import run_online_experiment
+from okreg.kernels import cross_kernel, gram_matrix, kernel_vector
 from okreg.online_gp import DEFAULT_ADMISSION_THRESHOLD
 
 coord = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -707,6 +708,86 @@ def test_predict_batch_keeps_at_most_three_n_by_m_arrays_live():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * n_by_m + 64 * 1024
+
+
+def test_predict_batch_means_only_keeps_one_n_by_m_array_live():
+    rng = np.random.default_rng(2)
+    gp = OnlineGP(KernelSpec(lengthscale=0.5, noise_variance=0.1))
+    for xi in rng.uniform(-2.0, 2.0, size=(300, 3)):
+        gp.update(xi, float(np.sin(xi.sum())))
+    X = rng.uniform(-2.0, 2.0, size=(400, 3))
+    n_by_m = gp.size * X.shape[0] * 8
+    gp.predict_batch(X, variances=False)
+    tracemalloc.start()
+    try:
+        gp.predict_batch(X, variances=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n_by_m + 64 * 1024
+
+
+def _means_case(case: str):
+    """A GP and query rows for one of the means-only cases."""
+    spec = KernelSpec(lengthscale=0.5, noise_variance=0.1)
+    X, y, probes = _kinematics(0, 60, 2)
+    if case == "empty":
+        return OnlineGP(spec), probes
+    if case in ("no-rows", "one-row"):
+        return _in_a_loop(OnlineGP(spec), X[:20], y[:20]), probes[: 0 if case == "no-rows" else 1]
+    if case == "update":
+        return _in_a_loop(OnlineGP(spec), X, y), probes
+    if case == "block-step":
+        gp = OnlineGP(spec)
+        gp.update_block(X, y)
+        return gp, probes
+    gp, X, y = _at_capacity(12)
+    # at budget 20 the 1st, 6th and 11th evictions refactor; the 12th repairs
+    assert gp._reversed > 1 and gp._slots is not None
+    assert not np.array_equal(gp._slots, np.arange(gp.size))
+    probes = np.random.default_rng(7).uniform(-3.0, 3.0, size=(40, 3))
+    if case == "budget-refactored":
+        return gp, probes
+    return load_state(dump_state(gp)), probes  # "reloaded"
+
+
+@pytest.mark.parametrize(
+    "case", ["empty", "no-rows", "one-row", "update", "block-step", "budget-refactored", "reloaded"]
+)
+def test_predict_batch_means_only_are_the_full_calls_means(monkeypatch, case):
+    if case == "block-step":
+        monkeypatch.setattr(OnlineGP, "update", _no_update)
+    gp, X = _means_case(case)
+    means = gp.predict_batch(X, variances=False)
+    assert isinstance(means, np.ndarray) and means.shape == (len(X),)
+    assert means.tobytes() == gp.predict_batch(X)[0].tobytes()
+    # an independent (K^-1 K_x)^T mu from the dictionary's Gram matrix
+    if gp.size:
+        K = gram_matrix(gp.spec, gp.dictionary)
+        Kx = cross_kernel(gp.spec, gp.dictionary, X)
+        reference = np.linalg.solve(K, Kx).T @ gp.mu
+    else:
+        reference = np.zeros(len(X))
+    scale = float(np.max(np.abs(means), initial=0.0))
+    assert np.max(np.abs(means - reference), initial=0.0) <= 1e-12 * scale
+
+
+def test_scoring_a_gp_computes_no_variance(monkeypatch):
+    calls = []
+    variances = okreg.online_gp.predictive_variances
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return variances(*args, **kwargs)
+
+    monkeypatch.setattr(okreg.online_gp, "predictive_variances", spy)
+    train, test = gen_kinematics_like(0, 60, 30, d=2)
+    gp = OnlineGP(KernelSpec(lengthscale=0.5, noise_variance=0.1))
+    curve = run_online_experiment(gp, train, test, eval_every=7, label="gp")
+    assert len(curve.steps) == 9 and gp.size > 0
+    assert calls == []
+    gp.predict_batch(test.inputs)  # the spy sees a call that asks for variances
+    assert calls == [1]
 
 
 # -- weights bridge ------------------------------------------------------------
