@@ -15,7 +15,12 @@ ValueError before any state changes.
 ``predict_batch(X)`` scores held-out rows.  A filter returns the means;
 the GP returns (means, latent variances, output variances), or the means
 alone with ``variances=False``, which ``predict_means`` asks for so that
-scoring pays for no variance.
+scoring pays for no variance.  Every model also carries its ``spec`` and
+its ``dictionary`` of centers.  ``run_online_experiment`` keeps the
+kernel rows of those centers against the test rows while it runs
+(``kernels._held_out_rows``), so each scoring computes only the rows of
+the centers added since the last one, or all of them after a center
+was dropped.
 
 Both curve runners return ``LearningCurve``s, a model's error in
 decibels against the number of observations it has absorbed, and the
@@ -36,6 +41,7 @@ from .datasets import (
     _switch_channels,
     gen_switch_series,
 )
+from .kernels import _held_out_rows
 from .klms import BetaKlms
 from .online_gp import OnlineGP
 
@@ -136,6 +142,9 @@ def run_online_experiment(
     ``update_block`` call.  The final step is always scored, so an
     eval_every longer than the stream still yields one point.
     Evaluation only predicts; the model is never updated with test data.
+    The model needs ``spec`` and ``dictionary`` besides the two calls:
+    the kernel rows of its centers against the test rows are kept for
+    the length of the call and freed when it returns or raises.
     """
     if eval_every < 1:
         raise ValueError("eval_every must be >= 1")
@@ -143,11 +152,14 @@ def run_online_experiment(
         raise ValueError("train and test sets must be non-empty")
     n = len(train)
     steps, values = [], []
-    for start in range(0, n, eval_every):
-        stop = min(start + eval_every, n)
-        model.update_block(train.inputs[start:stop], train.targets[start:stop])
-        steps.append(stop)
-        values.append(nmse_db(predict_means(model, test.inputs), test.targets))
+    # an observation adds at most one center
+    capacity = len(model.dictionary) + n
+    with _held_out_rows(model.spec, model.dictionary, test.inputs, capacity) as X:
+        for start in range(0, n, eval_every):
+            stop = min(start + eval_every, n)
+            model.update_block(train.inputs[start:stop], train.targets[start:stop])
+            steps.append(stop)
+            values.append(nmse_db(predict_means(model, X), test.targets))
     return LearningCurve(label, steps, values)
 
 

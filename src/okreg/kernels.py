@@ -24,11 +24,21 @@ distances by adding the squared coordinate rows of that block in
 coordinate order; a query of several rows (``cross_kernel``,
 ``gram_matrix``) goes to ``scipy.spatial.distance.cdist``.  cdist sums
 each distance in the same coordinate order, so both paths give its bits.
+
+Held-out rows are computed once per center.  ``_held_out_rows`` opens a
+store on a dictionary for the length of a ``with`` block (the scoring
+loop of ``evaluation.run_online_experiment``) and yields a private copy
+of the query rows.  While it is open, ``cross_kernel`` on that copy
+computes only the rows of centers appended since its last call and
+returns a read-only view of all of them; ``Dictionary.drop`` makes the
+next call compute every row again.  Each entry has the bits it has
+when computed afresh.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,6 +117,7 @@ class Dictionary:
         self._buf: np.ndarray | None = None
         self._ids: list[int] = []
         self._next_id = 0
+        self._rows: _HeldOutRows | None = None  # open only inside _held_out_rows
         if points is None:
             return
         arr = np.asarray(points, dtype=float)
@@ -197,6 +208,8 @@ class Dictionary:
         buf[:, index : n - 1] = self._buf[:, index + 1 : n]
         self._buf = buf
         del self._ids[index]
+        if self._rows is not None:
+            self._rows.filled = 0  # the rows past index moved up one
 
     def copy(self) -> "Dictionary":
         d = Dictionary()
@@ -228,7 +241,13 @@ def _check_points(rows: np.ndarray) -> None:
 def _kernel_matrix(spec: KernelSpec, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """k(p_i, q_j) for the rows p_i of P (rows) and the rows q_j of Q (columns);
     ValueError when a q_j has a non-finite entry, even when P is empty."""
-    if not all(map(math.isfinite, Q.ravel().tolist())):  # on one row, faster than np.isfinite
+    # on one row a scan of the list is faster than np.isfinite; on 1000 rows
+    # it is 40 times slower
+    if Q.shape[0] == 1:
+        finite = all(map(math.isfinite, Q.ravel().tolist()))
+    else:
+        finite = bool(np.isfinite(Q).all())
+    if not finite:
         raise ValueError("input point has a non-finite entry")
     if P.shape[0] == 0:
         return np.zeros((0, Q.shape[0]))
@@ -272,5 +291,71 @@ def gram_matrix(spec: KernelSpec, dictionary: Dictionary) -> np.ndarray:
 
 
 def cross_kernel(spec: KernelSpec, dictionary: Dictionary, X) -> np.ndarray:
-    """Kernel matrix between dictionary centers (rows) and query points (columns)."""
+    """Kernel matrix between dictionary centers (rows) and query points (columns).
+
+    Inside ``_held_out_rows``, asked for the store's own queries, this is a
+    read-only view of the stored rows, with those of the centers appended
+    since the last call computed first.
+    """
+    store = dictionary._rows
+    if store is not None and X is store.queries and spec == store.spec:
+        rows = store.rows(dictionary)
+        if rows is not None:
+            return rows
     return _kernel_matrix(spec, dictionary.points, np.atleast_2d(np.asarray(X, dtype=float)))
+
+
+class _HeldOutRows:
+    """The kernel rows of a dictionary's centers against one fixed set of
+    query rows, for a scorer that asks for them again and again.
+
+    The first ``filled`` rows of a (capacity, m) buffer are those of the
+    first ``filled`` centers.  Ids are never reused, so a row stays valid
+    until a center before it leaves; ``Dictionary.drop`` then sets
+    ``filled`` to 0 and the next call computes every row again.  The
+    buffer comes from ``np.empty`` and is written only as rows fill, so
+    its pages past the last filled row are never touched.
+    """
+
+    def __init__(self, spec: KernelSpec, queries: np.ndarray, capacity: int):
+        self.spec = spec
+        self.queries = queries
+        self.filled = 0
+        self._buf = np.empty((capacity, len(queries)))
+
+    def rows(self, dictionary: Dictionary) -> np.ndarray | None:
+        """The rows of every center of ``dictionary``, or None when they do
+        not fit the buffer.  Each entry has ``_kernel_matrix``'s bits: cdist
+        and the one-query path compute every entry on its own."""
+        n = len(dictionary)
+        if n > len(self._buf):
+            return None
+        if self.filled < n:
+            new = dictionary.points[self.filled : n]
+            self._buf[self.filled : n] = _kernel_matrix(self.spec, new, self.queries)
+            self.filled = n
+        view = self._buf[:n]
+        view.flags.writeable = False
+        return view
+
+
+@contextmanager
+def _held_out_rows(spec: KernelSpec, dictionary: Dictionary, X, capacity: int):
+    """Keep the rows of ``dictionary``'s centers against X while the block runs.
+
+    Yields a private read-only copy of X as a 2-D array; ``cross_kernel``
+    serves ``spec``'s rows for that copy, and only for it, from the store
+    for up to ``capacity`` centers.  The store leaves the dictionary when
+    the block exits.  An X with a non-finite entry, which ``cross_kernel``
+    refuses, gets no store, so that every call refuses it as before.
+    """
+    queries = np.array(np.atleast_2d(np.asarray(X, dtype=float)))
+    queries.flags.writeable = False
+    if not np.isfinite(queries).all():
+        yield queries
+        return
+    dictionary._rows = _HeldOutRows(spec, queries, capacity)
+    try:
+        yield queries
+    finally:
+        dictionary._rows = None

@@ -423,9 +423,12 @@ class OnlineGP:
             return means
         # B holds the transposed right-hand sides (m x n, Fortran-ordered),
         # which the solves overwrite in place: first B = (L^-1 Kx)^T, then
-        # B = (K^-1 Kx)^T
+        # B = (K^-1 Kx)^T.  A read-only Kx is a view of rows the scorer keeps
+        # (kernels._held_out_rows), which f2py would overwrite all the same,
+        # so the first solve then writes into a copy
         U = self._chol.T
-        B = dtrsm(1.0, U, self._reordered(Kx).T, side=1, overwrite_b=1)
+        Kt = self._reordered(Kx).T
+        B = dtrsm(1.0, U, Kt, side=1, overwrite_b=Kt.flags.writeable)
         gamma2 = self.spec.signal_variance - np.einsum("ij,ij->i", B, B)
         B = self._in_slots(self._reordered(dtrsm(1.0, U, B, side=1, trans_a=1, overwrite_b=1), axis=1))
         sf2 = gamma2 + np.einsum("ij,ij->i", B, dgemm(1.0, B, self._sigma.T))
@@ -624,7 +627,8 @@ class OnlineGP:
         Kxx = _kernel_matrix(spec, X, X)
         np.fill_diagonal(Kxx, spec.gram_diagonal)
         U = self._chol.T
-        Wt = dtrsm(1.0, U, Kcx.T, side=1, overwrite_b=1)
+        # a read-only Kcx is a view of kept rows: solve into a copy (see predict_batch)
+        Wt = dtrsm(1.0, U, Kcx.T, side=1, overwrite_b=Kcx.flags.writeable)
         Qt = dtrsm(1.0, U, Wt, side=1, trans_a=1)
         schur = dsyrk(-1.0, Wt, beta=1.0, c=Kxx.T, lower=1, overwrite_c=1)
         # only the lower triangle of schur is read: dsyrk fills no other

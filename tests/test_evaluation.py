@@ -19,6 +19,7 @@ from okreg import (
     fingerprint,
     matched_eta,
 )
+from okreg import dump_state, load_state
 from okreg.batch_gp import batch_predict_grid
 from okreg.datasets import (
     RegressionSet,
@@ -32,6 +33,7 @@ from okreg.evaluation import (
     UncertaintyTrace,
     moving_average,
     nmse_db,
+    predict_means,
     run_online_experiment,
     run_reconvergence,
     run_uncertainty_trace,
@@ -39,7 +41,7 @@ from okreg.evaluation import (
     write_reconvergence_curves,
     write_uncertainty_traces,
 )
-from okreg.kernels import kernel_vector
+from okreg.kernels import cross_kernel, kernel_vector
 
 SPEC = KernelSpec(lengthscale=0.5, noise_variance=0.1)
 
@@ -150,6 +152,8 @@ def test_online_experiment_evaluation_grid():
 def test_online_experiment_feeds_each_scoring_interval_as_one_block():
     class Recorder:
         def __init__(self):
+            self.spec = SPEC
+            self.dictionary = Dictionary()
             self.blocks = []
 
         def update_block(self, X, y):
@@ -191,6 +195,99 @@ def test_online_experiment_validation():
     for sets in [(empty, test), (train, empty)]:
         with pytest.raises(ValueError, match="must be non-empty"):
             run_online_experiment(Klms(SPEC, 0.5), *sets, 1, label="klms")
+
+
+# every --algs kind, and a budget-20 GP that evicts and refactors
+_SCORED = {
+    "gp": lambda spec: OnlineGP(spec),
+    "klms": lambda spec: Klms(spec, eta=matched_eta(spec)),
+    "qklms": lambda spec: Qklms(spec, eta=matched_eta(spec), quant_radius=0.1),
+    "knlms": lambda spec: Knlms(spec, eta=1.0, coherence_mu0=0.9),
+    "beta:0": lambda spec: BetaKlms(spec, beta=0.0),
+    "beta:1": lambda spec: BetaKlms(spec, beta=1.0),
+    "gp-budget-20": lambda spec: OnlineGP(spec, budget=20),
+}
+
+
+def _record_scoring(model):
+    """Wrap ``model.predict_batch``: per call, the means, K_x^T w from rows
+    computed afresh, and whether the call's rows were the kept ones."""
+    records = []
+    predict_batch = model.predict_batch
+
+    def spy(X, **kwargs):
+        means = predict_batch(X, **kwargs)
+        w = model.krls_weights() if isinstance(model, OnlineGP) else model.alpha
+        afresh = cross_kernel(model.spec, model.dictionary, X.copy())
+        kept = not cross_kernel(model.spec, model.dictionary, X).flags.writeable
+        records.append((means, afresh.T @ w, kept))
+        return means
+
+    model.predict_batch = spy
+    return records
+
+
+def _scored_afresh(model, train, test, eval_every):
+    """``run_online_experiment``'s curve values with every kernel row computed afresh."""
+    values = []
+    for start in range(0, len(train), eval_every):
+        stop = min(start + eval_every, len(train))
+        model.update_block(train.inputs[start:stop], train.targets[start:stop])
+        values.append(nmse_db(predict_means(model, test.inputs), test.targets))
+    return np.array(values)
+
+
+def _assert_scored_with_fresh_bits(model, fresh, train, test, eval_every):
+    records = _record_scoring(model)
+    curve = run_online_experiment(model, train, test, eval_every, label="m")
+    assert len(records) == len(curve.steps)
+    for means, reference, kept in records:
+        assert kept
+        assert means.tobytes() == reference.tobytes()
+    assert model.dictionary._rows is None
+    assert curve.values.tobytes() == _scored_afresh(fresh, train, test, eval_every).tobytes()
+    assert fingerprint(model) == fingerprint(fresh)
+
+
+@pytest.mark.parametrize("eval_every", [1, 7, 50])
+@pytest.mark.parametrize("name", list(_SCORED))
+def test_online_experiment_scores_kept_rows_with_fresh_bits(name, eval_every):
+    spec = KernelSpec(lengthscale=0.5, noise_variance=0.1)
+    train, test = gen_kinematics_like(2, 120, 40, d=2)
+    model = _SCORED[name](spec)
+    _assert_scored_with_fresh_bits(model, _SCORED[name](spec), train, test, eval_every)
+    if name == "gp-budget-20":
+        assert model.dictionary.ids[0] >= 11  # the 1st, 6th and 11th evictions refactor
+
+
+@pytest.mark.parametrize("name", ["gp", "qklms", "gp-budget-20"])
+def test_online_experiment_scores_a_reloaded_model_with_fresh_bits(name):
+    spec = KernelSpec(lengthscale=0.5, noise_variance=0.1)
+    train, test = gen_kinematics_like(3, 120, 40, d=2)
+    first, rest = (RegressionSet(train.inputs[s], train.targets[s]) for s in (slice(60), slice(60, None)))
+    model = _SCORED[name](spec)
+    run_online_experiment(model, first, test, 7, label=name)
+    text = dump_state(model)
+    _assert_scored_with_fresh_bits(load_state(text), load_state(text), rest, test, 7)
+
+
+def test_online_experiment_leaves_no_kept_rows_when_update_block_raises():
+    train, test = gen_kinematics_like(0, 30, 10, d=2)
+    model = Klms(SPEC, eta=0.5)
+    update_block = model.update_block
+    blocks = []
+
+    def fails_in_the_second_block(X, y):
+        blocks.append(len(y))
+        if len(blocks) == 2:
+            update_block(X[:2], y[:2])
+            raise RuntimeError("mid-block")
+        update_block(X, y)
+
+    model.update_block = fails_in_the_second_block
+    with pytest.raises(RuntimeError, match="mid-block"):
+        run_online_experiment(model, train, test, 10, label="klms")
+    assert model.size == 12 and model.dictionary._rows is None
 
 
 # -- reconvergence runner ----------------------------------------------------------

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import okreg.kernels
 from okreg import Klms, OnlineGP, dump_state, load_state
 from okreg.kernels import (
     Dictionary,
     KernelSpec,
+    _held_out_rows,
     cross_kernel,
     gram_matrix,
     kernel_vector,
@@ -198,6 +200,110 @@ def test_cross_kernel_peak_memory_is_about_one_result():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * K.nbytes
+
+
+# -- held-out rows ------------------------------------------------------------
+
+
+def _spy_on_rows(monkeypatch):
+    """The number of centers of each ``_kernel_matrix`` call, in order."""
+    counts = []
+    kernel_matrix = okreg.kernels._kernel_matrix
+
+    def spy(spec, P, Q):
+        counts.append(len(P))
+        return kernel_matrix(spec, P, Q)
+
+    monkeypatch.setattr(okreg.kernels, "_kernel_matrix", spy)
+    return counts
+
+
+@pytest.mark.parametrize("m", [1, 9])
+def test_held_out_rows_compute_only_new_centers_until_a_drop(monkeypatch, m):
+    rng = np.random.default_rng(3)
+    centers = rng.standard_normal((12, 3))
+    d = Dictionary()
+    counts = _spy_on_rows(monkeypatch)
+    with _held_out_rows(SPEC, d, rng.standard_normal((m, 3)), capacity=12) as Q:
+        assert not Q.flags.writeable
+        # (appends, drops) before each scoring, and the rows it must compute
+        script = [((3, []), 3), ((2, []), 2), ((0, []), None), ((1, [1]), 5), ((4, [0, -1]), 7)]
+        used = 0
+        for (appends, drops), computed in script:
+            for x in centers[used : used + appends]:
+                d.append(x)
+            used += appends
+            for i in drops:
+                d.drop(i)
+            counts.clear()
+            K = cross_kernel(SPEC, d, Q)
+            assert counts == ([] if computed is None else [computed])
+            assert not K.flags.writeable and K.shape == (len(d), m)
+            assert K.tobytes() == cross_kernel(SPEC, d, Q.copy()).tobytes()
+    assert d._rows is None
+
+
+def test_held_out_rows_serve_only_their_own_queries_and_spec():
+    rng = np.random.default_rng(4)
+    d = Dictionary(rng.standard_normal((5, 2)))
+    X = rng.standard_normal((6, 2))
+    other = KernelSpec(lengthscale=0.5)
+    with _held_out_rows(SPEC, d, X, capacity=5) as Q:
+        assert Q is not X and Q.tobytes() == X.tobytes()
+        assert not cross_kernel(SPEC, d, Q).flags.writeable
+        for spec, queries in [(SPEC, X), (SPEC, Q.copy()), (other, Q)]:
+            K = cross_kernel(spec, d, queries)
+            assert K.flags.writeable
+            assert K.tobytes() == cross_kernel(spec, d, X).tobytes()
+        # a copy of the dictionary has no store
+        assert cross_kernel(SPEC, d.copy(), Q).flags.writeable
+
+
+def test_held_out_rows_past_their_capacity_are_computed_as_before():
+    rng = np.random.default_rng(5)
+    d = Dictionary(rng.standard_normal((3, 2)))
+    with _held_out_rows(SPEC, d, rng.standard_normal((4, 2)), capacity=3) as Q:
+        assert not cross_kernel(SPEC, d, Q).flags.writeable
+        d.append([0.1, 0.2])
+        K = cross_kernel(SPEC, d, Q)
+        assert K.flags.writeable and K.shape == (4, 4)
+
+
+def test_held_out_rows_leave_the_dictionary_when_the_block_raises():
+    d = Dictionary([[0.0, 1.0]])
+    with pytest.raises(RuntimeError, match="inside"):
+        with _held_out_rows(SPEC, d, np.zeros((2, 2)), capacity=1):
+            assert d._rows is not None
+            raise RuntimeError("inside")
+    assert d._rows is None
+
+
+def test_held_out_rows_open_no_store_for_a_non_finite_query():
+    d = Dictionary([[0.0, 1.0]])
+    with _held_out_rows(SPEC, d, [[0.0, np.nan], [1.0, 1.0]], capacity=1) as Q:
+        assert d._rows is None
+        with pytest.raises(ValueError, match="non-finite"):
+            cross_kernel(SPEC, d, Q)
+
+
+def test_held_out_rows_hold_one_buffer_and_free_it_on_exit():
+    rng = np.random.default_rng(6)
+    capacity, m = 40, 300
+    d = Dictionary()
+    centers = rng.standard_normal((capacity, 2))
+    X = rng.standard_normal((m, 2))
+    tracemalloc.start()
+    try:
+        with _held_out_rows(SPEC, d, X, capacity) as Q:
+            for x in centers:
+                d.append(x)
+                cross_kernel(SPEC, d, Q)
+            open_bytes = tracemalloc.get_traced_memory()[0]
+        del Q
+        held = open_bytes - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert capacity * m * 8 <= held <= capacity * m * 8 + 64 * 1024
 
 
 # -- gram_matrix ------------------------------------------------------------

@@ -26,7 +26,7 @@ from okreg.base import VARIANCE_FLOOR, predictive_variances
 from okreg.batch_gp import batch_predict_grid
 from okreg.datasets import gen_kinematics_like
 from okreg.evaluation import run_online_experiment
-from okreg.kernels import cross_kernel, gram_matrix, kernel_vector
+from okreg.kernels import _held_out_rows, cross_kernel, gram_matrix, kernel_vector
 from okreg.online_gp import DEFAULT_ADMISSION_THRESHOLD
 
 coord = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -1172,3 +1172,42 @@ def test_update_block_refuses_zero_dimensional_rows_and_changes_nothing(budget):
     with pytest.raises(ValueError, match="dimension >= 1"):
         gp.update_block(np.zeros((5, 0)), np.zeros(5))
     assert fingerprint(gp) == fingerprint(OnlineGP(_spec(), budget=budget))
+
+
+# -- kept held-out rows -------------------------------------------------------------
+#
+# SciPy's f2py wrappers honour overwrite_b even on a read-only array, so a
+# solve handed the scorer's kept rows must write into a copy of them.
+
+
+def _kept_rows_case(seed=2):
+    """A GP of 30 rows, 4-D probes and their targets."""
+    X, y, probes = _kinematics(seed, 30, 4)
+    gp = OnlineGP(KernelSpec(lengthscale=0.8, noise_variance=0.1))
+    gp.update_block(X, y)
+    return gp, probes[:12], y[:12]
+
+
+def test_predict_batch_with_variances_leaves_kept_rows_unchanged():
+    gp, probes, _ = _kept_rows_case()
+    with _held_out_rows(gp.spec, gp.dictionary, probes, gp.size) as Q:
+        kept = cross_kernel(gp.spec, gp.dictionary, Q)
+        before = kept.copy()
+        got = gp.predict_batch(Q)
+        assert kept.tobytes() == before.tobytes()
+        for a, b in zip(got, gp.predict_batch(Q.copy())):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_update_block_leaves_kept_rows_unchanged(monkeypatch):
+    gp, probes, targets = _kept_rows_case()
+    kept_side, fresh_side = (load_state(dump_state(gp)) for _ in range(2))
+    monkeypatch.setattr(OnlineGP, "update", _no_update)  # the block step runs
+    with _held_out_rows(gp.spec, kept_side.dictionary, probes, gp.size) as Q:
+        kept = cross_kernel(gp.spec, kept_side.dictionary, Q)
+        before = kept.copy()
+        kept_side.update_block(Q, targets)
+        assert kept.tobytes() == before.tobytes()
+    fresh_side.update_block(Q.copy(), targets)
+    assert kept_side.size > gp.size
+    assert fingerprint(kept_side) == fingerprint(fresh_side)
