@@ -13,9 +13,9 @@ there) so that inverses stay computable when inputs nearly repeat.
 There are three kernel evaluations: ``kernel_vector`` (the dictionary
 against one point), ``cross_kernel`` (against the rows of a matrix) and
 ``gram_matrix`` (against itself).  Each goes through ``_kernel_matrix``,
-which refuses a query point with a NaN or infinite entry, as
-``Dictionary.append`` refuses such a center (ValueError), so every model
-path shares one point rule.
+which refuses a query point with a NaN or infinite entry, or of
+dimension 0, as ``Dictionary.append`` refuses such a center (ValueError),
+so every model path shares one point rule.
 
 A ``Dictionary`` keeps its centers in the leading columns of a
 coordinate-major (dim, capacity) buffer.  A query of one row
@@ -240,7 +240,8 @@ def _check_points(rows: np.ndarray) -> None:
 
 def _kernel_matrix(spec: KernelSpec, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """k(p_i, q_j) for the rows p_i of P (rows) and the rows q_j of Q (columns);
-    ValueError when a q_j has a non-finite entry, even when P is empty."""
+    ValueError when a q_j has a non-finite entry or no entry, even when P
+    is empty."""
     # on one row a scan of the list is faster than np.isfinite; on 1000 rows
     # it is 40 times slower
     if Q.shape[0] == 1:
@@ -249,6 +250,8 @@ def _kernel_matrix(spec: KernelSpec, P: np.ndarray, Q: np.ndarray) -> np.ndarray
         finite = bool(np.isfinite(Q).all())
     if not finite:
         raise ValueError("input point has a non-finite entry")
+    if Q.shape[1] == 0:
+        raise ValueError("input point needs dimension >= 1")
     if P.shape[0] == 0:
         return np.zeros((0, Q.shape[0]))
     if P.shape[1] != Q.shape[1]:

@@ -259,8 +259,13 @@ class OnlineGP:
         admission_threshold: float = DEFAULT_ADMISSION_THRESHOLD,
     ):
         if budget is not None:
-            # int() would truncate 2.5 and overflow on inf; nan fails the isfinite test
-            if not (np.isfinite(budget) and budget == int(budget) >= 1):
+            # int() would truncate 2.5, and raises on inf and nan; np.isfinite
+            # would raise TypeError on an integer beyond int64
+            try:
+                whole = budget == int(budget) >= 1
+            except (OverflowError, ValueError):
+                whole = False
+            if not whole:
                 raise ValueError("budget must be a positive integer or None")
             budget = int(budget)
         if not admission_threshold >= 0:

@@ -17,37 +17,31 @@ reloaded model's steps agree with the original's only to rounding.
 Each model class has one entry in ``_KINDS``: its ``model=`` line (and
 ``variant=`` line for the filters), its parameter lines in file order
 with the parser that reads each back, and its array blocks after
-``[dict]``.  Every parameter line is required; ``family=`` defaults to
-gaussian and ``next_id=`` to the dictionary size.  Dictionary ids must be
-non-negative and strictly increasing, below ``next_id``.  ``load_state``
-rebuilds every kind with one call of its class's ``from_components``,
-which checks each block against the dictionary.
+``[dict]``.  Every line the writer emits is required.  Dictionary ids
+must be non-negative and strictly increasing, below ``next_id``.
+``load_state`` rebuilds every kind with one call of its class's
+``from_components``, which checks each block against the dictionary.
 
 A GP snapshot stores the lower Cholesky factor of its Gram matrix as the
-``[chol]`` block.  The writer emits only version 3.  Versions 1 and 2
-wrote each row as comma-separated repr() floats, ids as integers, and
-still load through their own row reader.  Version 1 stored the inverse
-Gram matrix as ``[q_inv]`` instead of ``[chol]``; such snapshots load
-with the factor recomputed from the dictionary (``[q_inv]`` is checked
-for its shape and otherwise ignored).
+``[chol]`` block.  Only version 3 is read: a version 1 or 2 file (rows
+of comma-separated repr() floats) is refused by its banner.  To carry
+one over, load it with an okreg that still reads it and dump it again.
 The loader raises ValueError, and only ValueError, for any malformed
-text: a missing banner, a missing or repeated key or block, a line
-before ``[dict]`` that is not ``key=value``, a key or block the model
-kind does not write (``[q_inv]`` only under the v1 banner), an
-unparsable number or row (the error names its ``key=`` line, or its
-block and line), a ``nan`` or ``inf`` anywhere in a block (in a v3 file
-the error names its line too), a parameter the model refuses (a
-non-finite kernel field, ``eta``, ``eps_reg`` or ``beta`` among them), a
-block whose shape does not match the dictionary, a ``[sigma]`` that is
-not exactly symmetric, or a ``[chol]`` that is not lower-triangular with
-a positive diagonal.  It does not check the factor against the
-dictionary's Gram matrix, which would cost O(n^3).
+text: a missing or other banner, a missing or repeated key or block, a
+line before ``[dict]`` that is not ``key=value``, a key or block the
+model kind does not write, an unparsable number or row (the error names
+its ``key=`` line, or its block and line), a ``nan`` or ``inf`` anywhere
+in a block (the error names its block and line), a parameter the model
+refuses (a non-finite kernel field, ``eta``, ``eps_reg`` or ``beta``
+among them), a block whose shape does not match the dictionary, a
+``[sigma]`` that is not exactly symmetric, or a ``[chol]`` that is not
+lower-triangular with a positive diagonal.  It does not check the factor
+against the dictionary's Gram matrix, which would cost O(n^3).
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -65,7 +59,6 @@ _BANNER = "# okreg-state v3"
 _SPEC_KEYS = ("lengthscale", "signal_variance", "noise_variance", "jitter")
 # the lines every model kind may write besides its own parameters
 _SHARED_KEYS = ("model", "family", *_SPEC_KEYS, "next_id")
-_READABLE_BANNERS = {"# okreg-state v1": 1, "# okreg-state v2": 2, _BANNER: 3}
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
@@ -170,22 +163,8 @@ def _require(table: dict, key: str, what: str):
     return table[key]
 
 
-def _text_rows(name: str, lines: list[str]) -> list[list[float]]:
-    """A v1 or v2 block: comma-separated repr() floats, one row per line."""
-    rows = []
-    for line in lines:
-        try:
-            row = [float(p) for p in line.split(",")]
-        except ValueError as exc:
-            raise ValueError(f"the [{name}] block line {line!r} does not parse ({exc})") from None
-        if not all(map(math.isfinite, row)):
-            raise ValueError(f"the [{name}] block holds a non-finite number")
-        rows.append(row)
-    return rows
-
-
 def _hex_rows(name: str, lines: list[str], cols: int | None) -> np.ndarray:
-    """A v3 block: each line the hex of ``cols`` little-endian float64 values
+    """A block: each line the hex of ``cols`` little-endian float64 values
     (as many as the first line holds when None), all decoded by one
     ``bytes.fromhex`` over the joined lines; ValueError naming the block and
     line of a row that is misshapen, not hex, or not finite."""
@@ -211,20 +190,11 @@ def _hex_rows(name: str, lines: list[str], cols: int | None) -> np.ndarray:
     return table
 
 
-def _table(blocks, name: str, rows: int | None, cols: int | None, version: int) -> np.ndarray:
+def _table(blocks, name: str, rows: int | None, cols: int | None) -> np.ndarray:
     """The [name] block as a float array of ``rows`` rows (any number when
     None), each of ``cols`` values (as many as its first row when None);
     ValueError naming the block when it is missing or shaped otherwise."""
-    lines = _require(blocks, name, f"[{name}] block")
-    if version == 3:
-        table = _hex_rows(name, lines, cols)
-    else:
-        table = _text_rows(name, lines)
-        if cols is None:
-            cols = len(table[0]) if table else 0
-        if any(len(row) != cols for row in table):
-            raise ValueError(f"[{name}] block needs {cols} value(s) on every line")
-        table = np.array(table, dtype=float).reshape(len(table), cols)
+    table = _hex_rows(name, _require(blocks, name, f"[{name}] block"), cols)
     if rows is not None and len(table) != rows:
         raise ValueError(f"[{name}] block has {len(table)} lines, expected {rows}")
     return table
@@ -234,30 +204,26 @@ def load_state(text: str):
     """Inverse of dump_state; raises ValueError on malformed input."""
     raw = text.splitlines()
     banner = raw[0].strip() if raw else ""
-    if banner not in _READABLE_BANNERS:
-        raise ValueError(f"not an okreg snapshot: the first line is {banner[:40]!r}")
-    version = _READABLE_BANNERS[banner]
+    if banner != _BANNER:
+        raise ValueError(f"not an okreg snapshot this version reads (only v3): the first line is {banner[:40]!r}")
     scalars, blocks = _parse(raw)
     model_line = _require(scalars, "model", "model line")
 
-    def scalar(key: str, parse: Callable[[str], object] = str, default=None):
-        """The key= line read by ``parse``, or ``default`` when the line is
-        absent and a default is given; ValueError naming the line otherwise."""
-        if default is not None and key not in scalars:
-            return default
+    def scalar(key: str, parse: Callable[[str], object] = str):
+        """The key= line read by ``parse``; ValueError naming the line when
+        it is missing or does not parse."""
         text = _require(scalars, key, f"{key}= line")
         try:
             return parse(text)
         except ValueError as exc:
             raise ValueError(f"snapshot line {key}={text} does not parse ({exc})") from exc
 
-    family = scalars.get("family", "gaussian")
+    family = scalar("family")
     if family != "gaussian":
         raise ValueError(f"unsupported kernel family: {family!r}")
     spec = KernelSpec(**{key: scalar(key, float) for key in _SPEC_KEYS})
-    entries = _table(blocks, "dict", None, None, version)  # an id, then the point
-    next_id = scalar("next_id", int, len(entries))
-    dictionary = Dictionary.restore(entries[:, 1:], entries[:, :1].ravel().tolist(), next_id)
+    entries = _table(blocks, "dict", None, None)  # an id, then the point
+    dictionary = Dictionary.restore(entries[:, 1:], entries[:, :1].ravel().tolist(), scalar("next_id", int))
     n = len(dictionary)
 
     variants = {variant for model, variant in _BY_LINES if model == model_line}
@@ -271,20 +237,14 @@ def load_state(text: str):
     keys = {*_SHARED_KEYS, *(name for name, _ in kind.params)}
     if variant is not None:
         keys.add("variant")
-    names = {"dict", *("q_inv" if version == 1 and name == "chol" else name for name, _ in kind.blocks)}
+    names = {"dict", *(name for name, _ in kind.blocks)}
     unknown = [f"{k}=" for k in sorted(scalars.keys() - keys)]
     unknown += [f"[{b}]" for b in sorted(blocks.keys() - names)]
     if unknown:
         raise ValueError(f"unknown in a {cls.__name__} snapshot: {', '.join(unknown)}")
     params = {name: scalar(name, parse) for name, parse in kind.params}
-    arrays = {}
-    for name, ndim in kind.blocks:
-        if name == "chol" and version == 1:
-            _table(blocks, "q_inv", n, n, version)
-            arrays[name] = None  # v1 stored K^-1; the factor is recomputed from the dictionary
-        else:
-            # a vector's length is left to from_components, which names it
-            arrays[name] = _table(blocks, name, *((n, n) if ndim == 2 else (None, 1)), version)
+    # a vector's length is left to from_components, which names it
+    arrays = {name: _table(blocks, name, *((n, n) if ndim == 2 else (None, 1))) for name, ndim in kind.blocks}
     return cls.from_components(spec, dictionary, **arrays, **params)
 
 

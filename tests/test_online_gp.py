@@ -223,6 +223,12 @@ def test_a_budget_that_is_not_an_integer_is_refused(budget):
         OnlineGP.from_components(_spec(), Dictionary(), np.zeros(0), np.zeros((0, 0)), budget=budget)
 
 
+@pytest.mark.parametrize("budget", [10**40, 10**400], ids=["beyond-int64", "beyond-float64"])
+def test_a_budget_beyond_the_machine_integers_is_kept(budget):
+    # a snapshot's budget= line may hold any integer
+    assert OnlineGP(_spec(), budget=budget).budget == budget
+
+
 def test_an_integral_numpy_budget_is_kept_as_an_int():
     gp = OnlineGP(_spec(), budget=np.int64(3))
     assert gp.budget == 3 and type(gp.budget) is int
@@ -1165,13 +1171,22 @@ def test_update_block_replays_a_block_it_cannot_certify_and_raises_as_the_loop(m
 
 
 @pytest.mark.parametrize("budget", [None, 20])
-def test_update_block_refuses_zero_dimensional_rows_and_changes_nothing(budget):
-    # the kernel accepts them, so only the block check stops the block step
-    # from factoring them before the dictionary refuses the first one
+@pytest.mark.parametrize(
+    "absorb",
+    [lambda gp: gp.update([], 1.0), lambda gp: gp.update_block(np.zeros((5, 0)), np.zeros(5))],
+    ids=["update", "update_block"],
+)
+def test_a_zero_dimensional_point_is_refused_and_changes_nothing(absorb, budget):
+    # an empty model scores any point against no centers, so the kernel
+    # must refuse it before _admit writes mu, sigma and the factor
     gp = OnlineGP(_spec(), budget=budget)
     with pytest.raises(ValueError, match="dimension >= 1"):
-        gp.update_block(np.zeros((5, 0)), np.zeros(5))
-    assert fingerprint(gp) == fingerprint(OnlineGP(_spec(), budget=budget))
+        absorb(gp)
+    fresh = OnlineGP(_spec(), budget=budget)
+    assert fingerprint(gp) == fingerprint(fresh)
+    gp.update([0.3], 1.0)
+    fresh.update([0.3], 1.0)
+    assert fingerprint(gp) == fingerprint(fresh)
 
 
 # -- kept held-out rows -------------------------------------------------------------
