@@ -83,6 +83,22 @@ def test_update_block_refuses_a_malformed_block_and_changes_nothing(name):
     assert fingerprint(model) == before
 
 
+@pytest.mark.parametrize("name", FILTERS)
+@pytest.mark.parametrize(
+    "absorb", [lambda model: model.update([], 1.0), lambda model: model.predict([])], ids=["update", "predict"]
+)
+def test_an_empty_filter_refuses_a_zero_dimensional_point_and_changes_nothing(absorb, name):
+    # the kernel refuses the point before an empty filter scores it against
+    # no centers, so predict does not answer 0.0 for it
+    model, fresh = FILTERS[name](), FILTERS[name]()
+    with pytest.raises(ValueError, match="dimension >= 1"):
+        absorb(model)
+    assert fingerprint(model) == fingerprint(fresh)
+    model.update([0.3, -0.2], 1.0)
+    fresh.update([0.3, -0.2], 1.0)
+    assert fingerprint(model) == fingerprint(fresh)
+
+
 def test_empty_model_predicts_zero():
     assert Klms(SPEC, eta=0.5).predict([1.0]) == 0.0
 

@@ -1173,12 +1173,18 @@ def test_update_block_replays_a_block_it_cannot_certify_and_raises_as_the_loop(m
 @pytest.mark.parametrize("budget", [None, 20])
 @pytest.mark.parametrize(
     "absorb",
-    [lambda gp: gp.update([], 1.0), lambda gp: gp.update_block(np.zeros((5, 0)), np.zeros(5))],
-    ids=["update", "update_block"],
+    [
+        lambda gp: gp.update([], 1.0),
+        lambda gp: gp.update_block(np.zeros((5, 0)), np.zeros(5)),
+        lambda gp: gp.predict([]),
+        lambda gp: gp.predict_batch(np.zeros((3, 0))),
+    ],
+    ids=["update", "update_block", "predict", "predict_batch"],
 )
 def test_a_zero_dimensional_point_is_refused_and_changes_nothing(absorb, budget):
     # an empty model scores any point against no centers, so the kernel
-    # must refuse it before _admit writes mu, sigma and the factor
+    # must refuse it before _admit writes mu, sigma and the factor, and
+    # before predict hands back the prior as if the point were valid
     gp = OnlineGP(_spec(), budget=budget)
     with pytest.raises(ValueError, match="dimension >= 1"):
         absorb(gp)

@@ -336,6 +336,35 @@ def test_dump_reproduces_the_golden_text(name):
     assert dump_state(load_state(golden)) == golden
 
 
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_a_loaded_golden_model_keeps_filtering_as_the_model_it_was_dumped_from(name):
+    # gp-empty admits its first center and the gated filters decide admission
+    # after the load.  gp-budget-evicted evicts again, but its snapshot holds
+    # the factor in insertion order, not in the model's slots, so (as README
+    # states) its copy keeps the same centers and agrees only to rounding
+    make, stream = _GOLDEN[name]
+    model = make()
+    for x, y in stream:
+        model.update([x], y)
+    clone = load_state(_GOLDEN_V3[name])
+    probes = np.array([[-1.25], [0.5], [2.0]])
+    for x, y in [(-1.0, 0.5), (0.25, 2.0), (3.0, -1.0), (0.5, 0.75)]:
+        model.update([x], y)
+        clone.update([x], y)
+        ours, theirs = np.asarray(clone.predict_batch(probes)), np.asarray(model.predict_batch(probes))
+        if name == "gp-budget-evicted":
+            assert clone.dictionary.ids == model.dictionary.ids
+            np.testing.assert_array_equal(clone.dictionary.points, model.dictionary.points)
+            for part in ["mu", "sigma"]:
+                np.testing.assert_allclose(getattr(clone, part), getattr(model, part), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(ours, theirs, rtol=0, atol=1e-12)
+        else:
+            assert _state(clone) == _state(model)
+            assert ours.tobytes() == theirs.tobytes()
+    if name != "gp-budget-evicted":
+        assert dump_state(clone) == dump_state(model)
+
+
 def _state(model) -> dict:
     """Every array and parameter of a model, as bytes where it is an array."""
     arrays = ["mu", "sigma", "chol", "targets"] if isinstance(model, OnlineGP) else ["alpha"]
