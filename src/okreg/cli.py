@@ -13,8 +13,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage or config error,
 Every flag can also come from a ``--config`` file of ``key=value``
 lines (keys are the flag names without the leading dashes, with ``_``
 or ``-``); explicit flags override the file.  A key the subcommand has
-no flag for is a config error naming the file and line, and every value
-passes through its flag's type.
+no flag for, and a key set twice, is a config error naming the file and
+line, and every value passes through its flag's type.
 
 ``compare``, ``reconverge`` and ``uncertainty`` check every flag, then
 read a ``--csv`` file and check it has enough rows, then create ``--out``,
@@ -74,8 +74,8 @@ def _config_flags(args) -> list[str]:
 
     A key names a flag of ``args``' subcommand, spelled with ``_`` or
     ``-``; a flag whose parsed value is a bool is a switch and takes
-    1/true/yes/on or 0/false/no/off.  Any other key is a ConfigError
-    naming the file and line.
+    1/true/yes/on or 0/false/no/off.  Any other key, or a key set twice
+    (in either spelling), is a ConfigError naming the file and line.
     """
     path = args.config
     if not path:
@@ -83,6 +83,7 @@ def _config_flags(args) -> list[str]:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     known = vars(args)
+    seen: dict[str, int] = {}
     flags: list[str] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -95,6 +96,9 @@ def _config_flags(args) -> list[str]:
             dest = key.replace("-", "_")
             if dest not in known or dest in _NOT_FLAGS:
                 raise ConfigError(f"{path}:{lineno}: {key!r} is not a config key of {args.command}")
+            if dest in seen:
+                raise ConfigError(f"{path}:{lineno}: {key!r} repeats the key of line {seen[dest]}")
+            seen[dest] = lineno
             flag = "--" + dest.replace("_", "-")
             if not isinstance(known[dest], bool):
                 flags.extend([flag, value])
@@ -326,6 +330,8 @@ def cmd_uncertainty(args) -> int:
         raise ConfigError("--prefixes must be comma-separated integers") from None
     if not prefixes:
         raise ConfigError("--prefixes must name at least one prefix size")
+    if len(set(prefixes)) != len(prefixes):
+        raise ConfigError("--prefixes contains duplicates")
     if args.grid_size < 2 or not -np.inf < args.grid_min < args.grid_max < np.inf:
         raise ConfigError("grid must span a positive range with >= 2 points")
     if min(prefixes) < 1:

@@ -56,8 +56,11 @@ two.  Once every ``max(1, budget // 4)`` evictions the model refactors
 instead, factoring the survivors' Gram matrix newest first; that keeps
 the trailing block short, and the amortised cost of an eviction O(n^2).
 A model without a budget never evicts, so its L stays in insertion order
-and nothing is reordered.  ``chol``, ``q_inv`` and ``krls_weights()`` are
-in insertion order whatever the order of L.
+and nothing is reordered.  ``q_inv`` and ``krls_weights()`` are in
+insertion order whatever the order of L.  ``chol`` is L as stored,
+``reversed`` counts the centers it holds newest first, and ``slots`` is
+the insertion-to-slot map: with ``mu``, ``sigma`` and the dictionary they
+are the whole state, which ``from_components`` takes back as it is.
 
 ``update_block(X, y)`` absorbs m rows at once and ends in the state of
 m ``update`` calls, because the posterior does not depend on how the
@@ -143,7 +146,7 @@ class GpUpdateScratch:
     ``k_ss`` is ``spec.gram_diagonal`` so that the implicit Gram matrix
     built by successive updates matches ``gram_matrix`` exactly.
     ``l = L^-1 k`` is the new row of the factor if x is admitted, in the
-    factor's own order (see ``OnlineGP.chol``), and ``q = K^-1 k`` and
+    factor's own order (see ``OnlineGP.reversed``), and ``q = K^-1 k`` and
     ``h = sigma q`` are in insertion order, like ``k_vec``.
     ``sigma_f2``/``sigma_y2`` are the latent/output predictive variances
     at x, ``y_hat`` the predictive mean, ``e`` the innovation y - y_hat.
@@ -305,18 +308,23 @@ class OnlineGP:
 
     @property
     def chol(self) -> np.ndarray:
-        """Lower Cholesky factor of the jittered Gram matrix in insertion order (read-only).
+        """The stored lower Cholesky factor L of the jittered Gram matrix
+        (read-only), in its own order: the first ``reversed`` centers of the
+        dictionary newest first, the rest in order.  A view until the model
+        first evicts, then a copy, since later evictions repair L in place."""
+        return _read_only(self._chol if self._slots is None else self._chol.copy())
 
-        Without evictions this is a view of the stored factor L.  A budgeted
-        model keeps L in its own order after evicting: the first centers of
-        the dictionary newest first, the rest in order.  ``chol`` is then
-        factored from ``gram_matrix`` with ``dpotrf`` on request, in
-        O(n^2 d + n^3), like ``q_inv``: for checks and snapshots, not for
-        the update path.
-        """
-        if self._reversed <= 1:
-            return _read_only(self._chol)
-        return _read_only(_lower_factor(gram_matrix(self.spec, self.dictionary)))
+    @property
+    def reversed(self) -> int:
+        """How many leading centers L holds newest first; at most 1 means L is
+        in insertion order, as it is until the model first evicts."""
+        return self._reversed
+
+    @property
+    def slots(self) -> np.ndarray | None:
+        """The slot in the stored ``mu`` and ``sigma`` of each center, in
+        insertion order (read-only); None until the model first evicts."""
+        return None if self._slots is None else _read_only(self._slots)
 
     @property
     def q_inv(self) -> np.ndarray:
@@ -361,20 +369,39 @@ class OnlineGP:
         targets=None,
         budget: int | None = None,
         admission_threshold: float = DEFAULT_ADMISSION_THRESHOLD,
+        reversed: int = 0,
+        slots=None,
     ) -> "OnlineGP":
         """Assemble a model from explicit posterior pieces (snapshots, oracles).
 
-        ``chol`` is the lower Cholesky factor of the dictionary's jittered
-        Gram matrix; when omitted it is computed from that matrix.  The
-        model keeps its own copy of ``dictionary``.  Raises ValueError when
-        a piece does not fit the dictionary or has a non-finite entry, when
-        ``sigma`` is not exactly symmetric (``update`` keeps it so), or when
-        the dictionary holds more centers than ``budget``.
+        ``mu`` and ``sigma`` are in insertion order, and ``chol`` is the
+        lower Cholesky factor of the dictionary's jittered Gram matrix in
+        the order ``reversed`` gives (see ``chol``); when omitted it is
+        computed from that matrix.  ``reversed`` and ``slots`` as a model
+        that has evicted reads them out rebuild it exactly.  The model keeps
+        its own copy of ``dictionary``.  Raises ValueError when a piece does
+        not fit the dictionary or has a non-finite entry, when ``sigma`` is
+        not exactly symmetric (``update`` keeps it so), when the dictionary
+        holds more centers than ``budget``, or when ``reversed`` and ``slots``
+        are not an evicted model's: a count from 0 to n, nonzero only with
+        ``slots``, and a permutation of 0..n-1 at the budget.
         """
         model = cls(spec, budget=budget, admission_threshold=admission_threshold)
         n = len(dictionary)
         if model.budget is not None and n > model.budget:
             raise ValueError(f"{n} centers exceed the budget of {model.budget}")
+        if reversed not in range(n + 1):
+            raise ValueError(f"reversed={reversed} is not a count of centers from 0 to {n}")
+        if slots is not None:
+            slots = np.asarray(slots, dtype=float).ravel()
+            if not np.array_equal(np.sort(slots), np.arange(n)):
+                raise ValueError(f"the slots are not a permutation of 0..{n - 1}")
+            if n != model.budget:
+                raise ValueError("slots belong to a model that has evicted, which is at its budget")
+            slots = slots.astype(np.intp)
+        elif reversed:
+            raise ValueError("a factor with reversed centers needs the slots of the model that has evicted")
+        model._reversed, model._slots = int(reversed), slots
         mu = np.asarray(mu, dtype=float).ravel()
         sigma = np.asarray(sigma, dtype=float)
         if mu.size != n or sigma.shape != (n, n):
@@ -391,14 +418,17 @@ class OnlineGP:
         if chol is None:
             chol = np.zeros((0, 0))
             if n:
+                K = gram_matrix(spec, dictionary)
                 try:
-                    chol = _lower_factor(gram_matrix(spec, dictionary))
+                    chol = _lower_factor(model._reordered(model._reordered(K), axis=1))
                 except NumericalError as exc:
                     raise ValueError("the dictionary's Gram matrix is not positive definite") from exc
         model.dictionary = dictionary.copy()
         model._targets = [float(t) for t in targets]
-        model._mu = mu.copy()
-        model._sigma = sigma.copy()
+        model._mu, model._sigma = mu.copy(), sigma.copy()
+        if slots is not None:  # insertion order into the slots: an exact copy
+            model._mu[slots] = mu
+            model._sigma[np.ix_(slots, slots)] = sigma
         model._chol = _checked_chol(chol, n)
         return model
 
@@ -532,9 +562,9 @@ class OnlineGP:
         elif n - a + 1 < _evictions_per_refactor(self.budget):
             # the oldest center is row a - 1 of L: only the n - a rows admitted
             # since the refactor, and the new one, follow it.  L is repaired in
-            # place; no view shares it, because ``chol`` hands out views only
-            # while at most one center is reversed, and only a refactor, which
-            # builds a new L, reverses more
+            # place; no view shares it, because ``chol`` hands out copies once
+            # ``slots`` is set, and a model evicting for the first time has no
+            # reversed center, so it refactors into a new L
             chol, a = _evicted(self._chol, scr.l, np.sqrt(scr.gamma2), a - 1), a - 1
         else:
             chol, a = self._newest_first_factor(scr), n

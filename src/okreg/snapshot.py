@@ -8,24 +8,27 @@ and a ``[dict]`` row is a center's id and then its point.  A row is the
 hex of its values' little-endian float64 bytes, which keeps every bit
 (``-0.0`` and subnormals included), so dump(load(text)) gives back the
 text; each block is decoded by one ``bytes.fromhex``.
-A reloaded model continues bit for bit as the original would, except a
-budgeted GP that has evicted: ``[chol]`` holds the factor in insertion
-order (``OnlineGP.chol``), not the model's own order, and ``[mu]`` and
-``[sigma]`` are in insertion order, not in the model's slots, so the
-reloaded model's steps agree with the original's only to rounding.
+A reloaded model continues bit for bit as the original would.
 
 Each model class has one entry in ``_KINDS``: its ``model=`` line (and
 ``variant=`` line for the filters), its parameter lines in file order
 with the parser that reads each back, and its array blocks after
-``[dict]``.  Every line the writer emits is required.  Dictionary ids
+``[dict]``.  Every line the writer emits is required, but for an evicted
+GP's two, which come together or not at all.  Dictionary ids
 must be non-negative and strictly increasing, below ``next_id``.
 ``load_state`` rebuilds every kind with one call of its class's
 ``from_components``, which checks each block against the dictionary.
 
-A GP snapshot stores the lower Cholesky factor of its Gram matrix as the
-``[chol]`` block.  Only version 3 is read: a version 1 or 2 file (rows
-of comma-separated repr() floats) is refused by its banner.  To carry
-one over, load it with an okreg that still reads it and dump it again.
+A GP snapshot writes ``[mu]`` and ``[sigma]`` in insertion order and its
+factor as stored (``OnlineGP.chol``) as ``[chol]``.  A GP that has evicted
+also writes a ``reversed=`` line, how many leading centers ``[chol]``
+holds newest first, and a ``[slots]`` block, the slot of each center in
+its stored ``mu`` and ``sigma``.  The two appear exactly when the GP has
+evicted, and their absence means insertion order.
+
+Only version 3 is read: a version 1 or 2 file (rows of comma-separated
+repr() floats) is refused by its banner.  To carry one over, load it
+with an okreg that still reads it and dump it again.
 The loader raises ValueError, and only ValueError, for any malformed
 text: a missing or other banner, a missing or repeated key or block, a
 line before ``[dict]`` that is not ``key=value``, a key or block the
@@ -34,8 +37,11 @@ its ``key=`` line, or its block and line), a ``nan`` or ``inf`` anywhere
 in a block (the error names its block and line), a parameter the model
 refuses (a non-finite kernel field, ``eta``, ``eps_reg`` or ``beta``
 among them), a block whose shape does not match the dictionary, a
-``[sigma]`` that is not exactly symmetric, or a ``[chol]`` that is not
-lower-triangular with a positive diagonal.  It does not check the factor
+``[sigma]`` that is not exactly symmetric, a ``[chol]`` that is not
+lower-triangular with a positive diagonal, a ``reversed=`` line without
+the ``[slots]`` block or the other way round, a ``reversed=`` outside
+[0, n], a ``[slots]`` that is not a permutation of 0..n-1, or a
+``[slots]`` of a GP below its budget.  It does not check the factor
 against the dictionary's Gram matrix, which would cost O(n^3).
 """
 
@@ -87,12 +93,15 @@ class _Kind:
     """How one model class is written: its ``model=`` and ``variant=`` lines,
     its parameter lines in file order, each with the parser that reads it
     back, and its array blocks after ``[dict]`` as (name, ndim) pairs: a
-    vector is a one-column table, a matrix an n x n one."""
+    vector is a one-column table, a matrix an n x n one.  ``evicted`` names
+    the lines and blocks among them that a model writes only once its
+    ``slots`` is not None; a file holds all of them or none."""
 
     model: str
     variant: str | None
     params: tuple[tuple[str, Callable[[str], object]], ...]
     blocks: tuple[tuple[str, int], ...]
+    evicted: frozenset[str] = frozenset()
 
 
 _ALPHA = (("alpha", 1),)
@@ -101,8 +110,9 @@ _KINDS: dict[type, _Kind] = {
     OnlineGP: _Kind(
         "online_gp",
         None,
-        (("budget", _or_none(int)), ("admission_threshold", float)),
-        (("targets", 1), ("mu", 1), ("sigma", 2), ("chol", 2)),
+        (("budget", _or_none(int)), ("admission_threshold", float), ("reversed", int)),
+        (("targets", 1), ("mu", 1), ("sigma", 2), ("chol", 2), ("slots", 1)),
+        frozenset({"reversed", "slots"}),
     ),
     Klms: _Kind("klms", Klms.variant, (("eta", float),), _ALPHA),
     Qklms: _Kind("klms", Qklms.variant, (("eta", float), ("quant_radius", float)), _ALPHA),
@@ -124,11 +134,13 @@ def dump_state(model) -> str:
     if kind.variant is not None:
         lines.append(f"variant={kind.variant}")
     lines += ["family=gaussian", *(f"{key}={float(getattr(model.spec, key))!r}" for key in _SPEC_KEYS)]
-    lines += [f"{name}={_text(getattr(model, name))}" for name, _ in kind.params]
+    left_out = kind.evicted if kind.evicted and model.slots is None else frozenset()
+    lines += [f"{name}={_text(getattr(model, name))}" for name, _ in kind.params if name not in left_out]
     lines += [f"next_id={model.dictionary.next_id}", "[dict]"]
     lines += _rows(np.column_stack([model.dictionary.ids, model.dictionary.points]))
     for name, _ in kind.blocks:
-        lines += [f"[{name}]", *_rows(getattr(model, name))]
+        if name not in left_out:
+            lines += [f"[{name}]", *_rows(getattr(model, name))]
     return "\n".join(lines) + "\n"
 
 
@@ -242,9 +254,15 @@ def load_state(text: str):
     unknown += [f"[{b}]" for b in sorted(blocks.keys() - names)]
     if unknown:
         raise ValueError(f"unknown in a {cls.__name__} snapshot: {', '.join(unknown)}")
-    params = {name: scalar(name, parse) for name, parse in kind.params}
+    # with one of the evicted model's entries the others are required too
+    left_out = kind.evicted if kind.evicted.isdisjoint({*scalars, *blocks}) else frozenset()
+    params = {name: scalar(name, parse) for name, parse in kind.params if name not in left_out}
     # a vector's length is left to from_components, which names it
-    arrays = {name: _table(blocks, name, *((n, n) if ndim == 2 else (None, 1))) for name, ndim in kind.blocks}
+    arrays = {
+        name: _table(blocks, name, *((n, n) if ndim == 2 else (None, 1)))
+        for name, ndim in kind.blocks
+        if name not in left_out
+    }
     return cls.from_components(spec, dictionary, **arrays, **params)
 
 

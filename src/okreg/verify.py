@@ -160,8 +160,9 @@ def _check_identity(rng, a, b, n_steps: int = 200):
 def general_alpha_update(state, x, y, sigma_override=None) -> np.ndarray:
     """One exact weight-vector step computed from full posterior state.
 
-    ``state`` is an OnlineGP (or anything exposing spec, dictionary, mu,
-    sigma and chol, the lower Cholesky factor of the jittered Gram K).
+    ``state`` is an OnlineGP that has not evicted (or anything exposing
+    spec, dictionary, mu, sigma and chol, the lower Cholesky factor of the
+    jittered Gram K in insertion order, which an evicted GP's is not).
     The implied weights are K^-1 mu; the step rescales the innovation by
     the modeled output variance, spreads (K^-1 sigma K^-1 - K^-1) k over
     the existing weights, and appends the scaled innovation.  Each K^-1

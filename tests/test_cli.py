@@ -352,6 +352,21 @@ def test_config_key_without_a_flag_names_the_line(tmp_path, capsys, command, tex
     assert f"{cfg}:{lineno}:" in err and repr(key) in err
 
 
+@pytest.mark.parametrize(
+    "text, lineno, key",
+    [("n=30\nalgs=klms\nn=40\n", 3, "n"), ("n_test=6\n# the other spelling\nn-test=7\n", 3, "n-test")],
+    ids=["same-spelling", "other-spelling"],
+)
+def test_a_config_key_set_twice_names_the_repeat(tmp_path, capsys, text, lineno, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:{lineno}:" in err and f"{key!r} repeats the key of line 1" in err
+    assert not out.exists()
+
+
 def test_config_value_passes_its_flag_type_under_an_explicit_flag(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n=abc\n")
@@ -473,10 +488,12 @@ def test_uncertainty_bad_flags_exit_config(tmp_path, flags):
         (["uncertainty", "--n", "0"], "--n"),
         (["uncertainty", "--n", "10"], "--prefixes"),
         (["uncertainty", "--prefixes", "0,3"], "--prefixes"),
+        (["uncertainty", "--n", "5", "--prefixes", "3,3"], "--prefixes contains duplicates"),
     ],
     ids=["nan-grid-min", "inf-grid-max", "inf-noise-std", "compare-n", "compare-n-test",
          "compare-eval-every", "compare-dim", "reconverge-seeds", "reconverge-smooth-window",
-         "uncertainty-n", "uncertainty-prefix-above-n", "uncertainty-prefix-zero"],
+         "uncertainty-n", "uncertainty-prefix-above-n", "uncertainty-prefix-zero",
+         "uncertainty-prefix-repeated"],
 )
 def test_non_finite_flag_exits_config_before_out_is_made(tmp_path, capsys, argv, named):
     out = tmp_path / "out"

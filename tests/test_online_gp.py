@@ -243,6 +243,14 @@ def test_budget_long_stream_stays_bounded():
     assert np.all(np.isfinite(gp.predict([0.0, 0.0])))
 
 
+def _factor_gram(gp) -> np.ndarray:
+    """The dictionary's Gram matrix in the order of the stored factor: its
+    first ``gp.reversed`` centers newest first, the rest in insertion order."""
+    p = np.arange(gp.size)
+    p[: gp.reversed] = p[: gp.reversed][::-1]
+    return gram_matrix(gp.spec, gp.dictionary)[np.ix_(p, p)]
+
+
 def _evicting_stream(n, seed=3):
     # 3-D points spread over many lengthscales: almost every point is admitted
     rng = np.random.default_rng(seed)
@@ -282,7 +290,7 @@ def test_eviction_repair_matches_refactoring_reference(budget):
     assert evictions >= 1000
     assert worst_state < 1e-9
     assert worst_pred < 1e-9
-    np.testing.assert_allclose(gp.chol, ref.chol, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(gp.chol, np.linalg.cholesky(_factor_gram(gp)), rtol=0, atol=1e-9)
 
 
 def _ill_conditioned_stream():
@@ -336,8 +344,7 @@ def test_a_full_model_admits_as_conditioning_then_evicting_would(budget):
         if full:
             np.testing.assert_array_equal(gp.mu, mu[1:])
             assert np.array_equal(gp.sigma, sigma[1:, 1:])
-            K = gram_matrix(gp.spec, gp.dictionary)
-            np.testing.assert_allclose(gp.chol @ gp.chol.T, K, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(gp.chol @ gp.chol.T, _factor_gram(gp), rtol=0, atol=1e-12)
             np.testing.assert_array_equal(gp.dictionary.points, points)
             assert gp.dictionary.ids == ids
             np.testing.assert_array_equal(gp.targets, targets)
@@ -506,8 +513,7 @@ def test_budget_updates_refactor_once_per_period_and_never_through_numpy(monkeyp
     period = okreg.online_gp._evictions_per_refactor(budget)
     assert period > 1
     assert 1 <= len(grams) <= -(-evictions // period)
-    K = gram_matrix(gp.spec, gp.dictionary)
-    np.testing.assert_allclose(gp.chol @ gp.chol.T, K, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gp.chol @ gp.chol.T, _factor_gram(gp), rtol=0, atol=1e-12)
 
 
 def _between_refactors():
@@ -519,14 +525,15 @@ def _between_refactors():
         gp.update(xi, yi)
         if gp.dictionary.ids[0] >= 45:
             break
-    assert 1 < gp._reversed < gp.size
+    assert 1 < gp.reversed < gp.size
     return gp, X[i + 1 :], y[i + 1 :]
 
 
 def test_a_model_between_refactors_reads_out_in_insertion_order():
+    # all but the factor, which is read out as stored
     gp, _, _ = _between_refactors()
     K = gram_matrix(gp.spec, gp.dictionary)
-    assert float(np.max(np.abs(gp.chol @ gp.chol.T - K))) < 1e-12
+    assert float(np.max(np.abs(gp.chol @ gp.chol.T - _factor_gram(gp)))) < 1e-12
     assert float(np.max(np.abs(gp.q_inv @ K - np.eye(gp.size)))) < 1e-10
     rebuilt = OnlineGP.from_components(
         gp.spec, gp.dictionary, gp.mu, gp.sigma, targets=gp.targets, budget=gp.budget
@@ -547,15 +554,52 @@ def test_a_model_between_refactors_round_trips_through_a_snapshot():
     clone = load_state(text)
     assert dump_state(clone) == text
     first = gp.dictionary.ids[0]
-    # the clone's factor is in insertion order, not the model's own, so its
-    # a-priori errors agree only to rounding
-    gap = 0.0
+    # the snapshot holds the factor, its order and the slots as stored, so
+    # the clone takes every step with the original's bits
     for xi, yi in zip(X[:200], y[:200]):
-        e, e_clone = gp.update(xi, yi).e, clone.update(xi, yi).e
-        gap = max(gap, abs(e - e_clone))
-        assert clone.dictionary.ids == gp.dictionary.ids
+        assert clone.update(xi, yi).e == gp.update(xi, yi).e
+        after, want = _every_part(clone), _every_part(gp)
+        for name, value in want.items():
+            np.testing.assert_array_equal(after[name], value, err_msg=name)
+        assert fingerprint(clone) == fingerprint(gp)
     assert gp.dictionary.ids[0] > first + 150  # both evicted throughout
-    assert gap < 1e-9
+
+
+def test_from_components_rebuilds_an_evicted_model_from_what_it_reads_out():
+    gp, X, y = _between_refactors()
+    parts = {"targets": gp.targets, "budget": gp.budget, "reversed": gp.reversed, "slots": gp.slots}
+    exact = OnlineGP.from_components(gp.spec, gp.dictionary, gp.mu, gp.sigma, chol=gp.chol, **parts)
+    want = _every_part(gp)
+    for name, value in _every_part(exact).items():
+        np.testing.assert_array_equal(value, want[name], err_msg=name)
+    # without chol the factor is computed in the order ``reversed`` names
+    factored = OnlineGP.from_components(gp.spec, gp.dictionary, gp.mu, gp.sigma, **parts)
+    np.testing.assert_allclose(factored.chol, gp.chol, rtol=0, atol=1e-9)
+    for xi, yi in zip(X[:20], y[:20]):
+        assert exact.update(xi, yi).e == gp.update(xi, yi).e
+    assert fingerprint(exact) == fingerprint(gp)
+
+
+@pytest.mark.parametrize(
+    "change, problem",
+    [
+        ({"reversed": -1}, "reversed=-1 is not a count of centers from 0 to 40"),
+        ({"reversed": 41}, "reversed=41 is not a count of centers from 0 to 40"),
+        ({"reversed": 2.5}, "reversed=2.5 is not a count"),
+        ({"slots": np.zeros(40)}, "not a permutation"),
+        ({"slots": np.arange(1, 41)}, "not a permutation"),
+        ({"slots": np.arange(39)}, "not a permutation"),
+        ({"slots": np.arange(40) + 0.5}, "not a permutation"),
+        ({"budget": 41}, "at its budget"),
+        ({"slots": None}, "needs the slots"),
+    ],
+    ids=["negative", "past-n", "fraction", "repeated", "shifted", "short", "not-integers", "below-budget", "no-slots"],
+)
+def test_from_components_refuses_an_order_no_evicted_model_has(change, problem):
+    gp, _, _ = _between_refactors()
+    parts = {"chol": gp.chol, "budget": gp.budget, "reversed": gp.reversed, "slots": gp.slots, **change}
+    with pytest.raises(ValueError, match=problem):
+        OnlineGP.from_components(gp.spec, gp.dictionary, gp.mu, gp.sigma, **parts)
 
 
 # -- the BLAS step ----------------------------------------------------------------

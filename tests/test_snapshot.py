@@ -21,6 +21,11 @@ from okreg import (
     load_state,
     save_state,
 )
+import okreg.kernels
+import okreg.online_gp
+from okreg.datasets import default_switch_scenario, gen_switch_series
+from okreg.evaluation import run_reconvergence
+from okreg.kernels import gram_matrix
 
 SPEC = KernelSpec(lengthscale=0.7, signal_variance=2.0, noise_variance=0.05)
 
@@ -107,10 +112,15 @@ def test_klms_variants_round_trip(make):
 # share, so dump_state must reproduce each text byte for byte.
 
 _GOLDEN_STREAM = [(0.0, 1.0), (0.5, -0.5), (1.5, 0.25)]
+# ten admitted points: at budget 8 the first eviction refactors and the
+# second repairs, which leaves 7 of the 8 centers reversed
+_REFACTOR_STREAM = [*_GOLDEN_STREAM, (-1.0, 0.5), (2.5, -1.0), (-2.0, 0.75), (3.5, 0.0), (-3.0, -0.5), (4.5, 1.0),
+                    (-4.0, 0.25)]
 
 _GOLDEN = {
     "gp": (lambda: OnlineGP(SPEC), _GOLDEN_STREAM),
     "gp-budget-evicted": (lambda: OnlineGP(SPEC, budget=2), _GOLDEN_STREAM),
+    "gp-between-refactors": (lambda: OnlineGP(SPEC, budget=8), _REFACTOR_STREAM),
     "gp-empty": (lambda: OnlineGP(SPEC, budget=4, admission_threshold=1e-6), []),
     "klms": (lambda: Klms(SPEC, eta=0.25), _GOLDEN_STREAM),
     "qklms-merged": (lambda: Qklms(SPEC, eta=0.25, quant_radius=0.6), _GOLDEN_STREAM),
@@ -163,6 +173,7 @@ noise_variance=0.05
 jitter=2e-10
 budget=2
 admission_threshold=1e-08
+reversed=2
 next_id=3
 [dict]
 000000000000f03f000000000000e03f
@@ -179,6 +190,76 @@ cef2887f1539dabf
 [chol]
 c11784669ea0f63f0000000000000000
 7c74888cdf4fe03f266782423c1bf53f
+[slots]
+000000000000f03f
+0000000000000000
+""",
+    "gp-between-refactors": """\
+# okreg-state v3
+model=online_gp
+family=gaussian
+lengthscale=0.7
+signal_variance=2.0
+noise_variance=0.05
+jitter=2e-10
+budget=8
+admission_threshold=1e-08
+reversed=7
+next_id=10
+[dict]
+0000000000000040000000000000f83f
+0000000000000840000000000000f0bf
+00000000000010400000000000000440
+000000000000144000000000000000c0
+00000000000018400000000000000c40
+0000000000001c4000000000000008c0
+00000000000020400000000000001240
+000000000000224000000000000010c0
+[targets]
+000000000000d03f
+000000000000e03f
+000000000000f0bf
+000000000000e83f
+0000000000000000
+000000000000e0bf
+000000000000f03f
+000000000000d03f
+[mu]
+4fdfab7003b1c93f
+a69fcef6cdf2e03f
+b94ab5a11da3eebf
+82ae0c6cfbcde63f
+784041540a0679bf
+4fedcc992113debf
+24cfdde41644ef3f
+f013399cda18ce3f
+[sigma]
+5574f43efcaba83fedf6d8a5ecea283f29efb975dd0a473f869d946b902b10bf0488bf5a5bf02fbfde2db2799f4bf23e5eeda42d9279133fbc40a8837a63cc3e
+edf6d8a5ecea283f3903d79c2aaca83ff94f95c87d7e10bf3d711e2160f7463f02d810bf9064f63ea6c3cf263a262fbf36111ec35e3bdbbe07b1f56c34270f3f
+29efb975dd0a473ff94f95c87d7e10bfff22dd7d8dbca83fe04efb60db5af53e9adaa09e3361453f891fbaef4f12d8be5cb8327e34712abf9e3f1eaabaaab3be
+869d946b902b10bf3d711e2160f7463fe04efb60db5af53e05dbc546bdbca83f1bb866126efbdcbebf4b9d29444e453f78cc4fad2c9fc13e7030ba5404c629bf
+0488bf5a5bf02fbf02d810bf9064f63e9adaa09e3361453f1bb866126efbdcbe33e3188f0bc2a83fabf3db8a7953c03e8e5103a95999423f9a0bca2444dd9a3e
+de2db2799f4bf23ea6c3cf263a262fbf891fbaef4f12d8bebf4b9d29444e453fabf3db8a7953c03ecab46e3e37c2a83f40935da010daa3becb00673be88a423f
+5eeda42d9279133f36111ec35e3bdbbe5cb8327e34712abf78cc4fad2c9fc13e8e5103a95999423f40935da010daa3be7c0de05907e0a83f94779bc1305980be
+bc40a8837a63cc3e07b1f56c34270f3f9e3f1eaabaaab3be7030ba5404c629bf9a0bca2444dd9a3ecb00673be88a423f94779bc1305980be5fa34e5f17e0a83f
+[chol]
+c11784669ea0f63f0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+4d07d77151dac93ac11784669ea0f63f000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+7c74888cdf4fe03f802805a762ba133c266782423c1bf53f00000000000000000000000000000000000000000000000000000000000000000000000000000000
+919f91f162ba133c7c74888cdf4fe03f6d24b99b55c6303d266782423c1bf53f0000000000000000000000000000000000000000000000000000000000000000
+0759c6c4d671983f4dea306d5c4b2f3d0a32832b3d31e13fe5d3771b22a81b3e86792b3570edf43f000000000000000000000000000000000000000000000000
+0bec306d5c4b2f3d0759c6c4d671983f26ee6b6f3da81b3e0a32832b3d31e13f0fee4d702ce5d73e419f2a3570edf43f00000000000000000000000000000000
+7459d8f58e09233f1fd306db63cc193e8de1dda218269a3f1eb4bf361cb2d73edcdb5d9a204de13fb6575903543f653f749f45c68ce7f43f0000000000000000
+978048ef499b51397c74888cdf4fe03f632c49bc557efebba1569ffc04f0c5bfe4947b7419fdec3d634930407f5caf3faa731acf7eae1fbfbca5d7778fe7f43f
+[slots]
+0000000000000040
+0000000000000840
+0000000000001040
+0000000000001440
+0000000000001840
+0000000000001c40
+0000000000000000
+000000000000f03f
 """,
     "gp-empty": """\
 # okreg-state v3
@@ -338,38 +419,84 @@ def test_dump_reproduces_the_golden_text(name):
 
 @pytest.mark.parametrize("name", sorted(_GOLDEN))
 def test_a_loaded_golden_model_keeps_filtering_as_the_model_it_was_dumped_from(name):
-    # gp-empty admits its first center and the gated filters decide admission
-    # after the load.  gp-budget-evicted evicts again, but its snapshot holds
-    # the factor in insertion order, not in the model's slots, so (as README
-    # states) its copy keeps the same centers and agrees only to rounding
+    # gp-empty admits its first center, the evicted GPs evict again, and the
+    # gated filters decide admission after the load
     make, stream = _GOLDEN[name]
     model = make()
     for x, y in stream:
         model.update([x], y)
     clone = load_state(_GOLDEN_V3[name])
+    assert _state(clone) == _state(model)
     probes = np.array([[-1.25], [0.5], [2.0]])
     for x, y in [(-1.0, 0.5), (0.25, 2.0), (3.0, -1.0), (0.5, 0.75)]:
         model.update([x], y)
         clone.update([x], y)
         ours, theirs = np.asarray(clone.predict_batch(probes)), np.asarray(model.predict_batch(probes))
-        if name == "gp-budget-evicted":
-            assert clone.dictionary.ids == model.dictionary.ids
-            np.testing.assert_array_equal(clone.dictionary.points, model.dictionary.points)
-            for part in ["mu", "sigma"]:
-                np.testing.assert_allclose(getattr(clone, part), getattr(model, part), rtol=0, atol=1e-12)
-            np.testing.assert_allclose(ours, theirs, rtol=0, atol=1e-12)
-        else:
-            assert _state(clone) == _state(model)
-            assert ours.tobytes() == theirs.tobytes()
-    if name != "gp-budget-evicted":
-        assert dump_state(clone) == dump_state(model)
+        assert _state(clone) == _state(model)
+        assert ours.tobytes() == theirs.tobytes()
+    assert dump_state(clone) == dump_state(model)
+
+
+def test_the_evicted_gp_fixtures_hold_reversed_centers():
+    assert [load_state(_GOLDEN_V3[name]).reversed for name in ("gp-budget-evicted", "gp-between-refactors")] == [2, 7]
+    assert "reversed=4\n" in _V3_TEXTS["gp-evicted"] and "[slots]\n" in _V3_TEXTS["gp-evicted"]
+
+
+# gp-budget-evicted as written before snapshots held the factor as stored: no
+# reversed= line and no [slots] block, so every block is in insertion order
+_INSERTION_ORDER_GP_BUDGET_EVICTED = """\
+# okreg-state v3
+model=online_gp
+family=gaussian
+lengthscale=0.7
+signal_variance=2.0
+noise_variance=0.05
+jitter=2e-10
+budget=2
+admission_threshold=1e-08
+next_id=3
+[dict]
+000000000000f03f000000000000e03f
+0000000000000040000000000000f83f
+[targets]
+000000000000e0bf
+000000000000d03f
+[mu]
+cef2887f1539dabf
+743bd498f948cc3f
+[sigma]
+2d00b70d02d2a73f1cd53ada8ee74f3f
+1cd53ada8ee74f3f288e699673d4a83f
+[chol]
+c11784669ea0f63f0000000000000000
+7c74888cdf4fe03f266782423c1bf53f
+"""
+
+
+def test_an_evicted_gp_text_without_reversed_or_slots_loads_in_insertion_order():
+    # every block as written, and the factor that of the Gram matrix in
+    # insertion order, as the text meant before reversed= and [slots] existed
+    text = _INSERTION_ORDER_GP_BUDGET_EVICTED
+    gp = load_state(text)
+    assert gp.reversed == 0 and gp.slots is None
+    assert dump_state(gp) == text
+    lines = text.splitlines()
+    for name in ("mu", "sigma", "chol"):
+        top = lines.index(f"[{name}]") + 1
+        rows = np.array([_hex_row(line) for line in lines[top : top + gp.size]])
+        assert np.asarray(getattr(gp, name)).tobytes() == rows.reshape(getattr(gp, name).shape).tobytes()
+    assert gp._mu.tobytes() == gp.mu.tobytes() and gp._sigma.tobytes() == gp.sigma.tobytes()
+    np.testing.assert_allclose(gp.chol @ gp.chol.T, gram_matrix(SPEC, gp.dictionary), rtol=0, atol=1e-14)
 
 
 def _state(model) -> dict:
-    """Every array and parameter of a model, as bytes where it is an array."""
+    """Every array and parameter of a model, as bytes where it is an array;
+    for a GP also how its factor and slots order its centers."""
     arrays = ["mu", "sigma", "chol", "targets"] if isinstance(model, OnlineGP) else ["alpha"]
     state = {name: np.asarray(getattr(model, name)).tobytes() for name in arrays}
     state.update(points=model.dictionary.points.tobytes(), ids=model.dictionary.ids, next_id=model.dictionary.next_id)
+    if isinstance(model, OnlineGP):
+        state.update(reversed=model.reversed, slots=None if model.slots is None else model.slots.tobytes())
     return state
 
 
@@ -411,9 +538,10 @@ _finite = st.one_of(st.sampled_from(_EDGES), st.floats(allow_nan=False, allow_in
 
 @st.composite
 def _gp_parts(draw):
-    """(dictionary, mu, sigma, chol, targets) of any finite values that
+    """(dictionary, mu, sigma, chol, targets, order) of any finite values that
     ``from_components`` accepts: sigma exactly symmetric, chol lower
-    triangular with a positive diagonal."""
+    triangular with a positive diagonal, and ``order`` either no keywords
+    or the ``budget``, ``reversed`` and ``slots`` of a model that has evicted."""
     n, d = draw(st.integers(0, 4)), draw(st.integers(1, 3))
 
     def table(shape, elements=_finite):
@@ -425,18 +553,23 @@ def _gp_parts(draw):
     sigma = np.where(np.triu(np.ones((n, n), dtype=bool)), upper, upper.T)
     chol = np.tril(table((n, n)), -1)
     np.fill_diagonal(chol, table((n,), st.sampled_from([5e-324, 1e-300, 0.5, 1.7e308])))
-    return Dictionary(table((n, d))), table((n,)), sigma, chol, table((n,))
+    order = {}
+    if n and draw(st.booleans()):
+        order = {"budget": n, "reversed": draw(st.integers(0, n)), "slots": draw(st.permutations(range(n)))}
+    return Dictionary(table((n, d))), table((n,)), sigma, chol, table((n,)), order
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(derandomize=True, max_examples=80, deadline=None)
 @given(_gp_parts())
 def test_v3_round_trip_keeps_every_bit(parts):
-    dictionary, mu, sigma, chol, targets = parts
-    gp = OnlineGP.from_components(SPEC, dictionary, mu, sigma, chol=chol, targets=targets)
+    dictionary, mu, sigma, chol, targets, order = parts
+    gp = OnlineGP.from_components(SPEC, dictionary, mu, sigma, chol=chol, targets=targets, **order)
     text = dump_state(gp)
+    assert ("reversed=" in text) == ("[slots]" in text) == bool(order)
     clone = load_state(text)
     assert _state(clone) == _state(gp)
     assert _state(clone)["sigma"] == sigma.tobytes() and _state(clone)["mu"] == mu.tobytes()
+    assert clone._mu.tobytes() == gp._mu.tobytes() and clone._sigma.tobytes() == gp._sigma.tobytes()
     assert dump_state(clone) == text
 
 
@@ -523,6 +656,8 @@ def test_dump_rejects_foreign_objects():
 
 _MAKERS = {
     "gp": lambda: OnlineGP(SPEC),
+    # six points into a budget of 4: two evictions, so reversed= and [slots] are written
+    "gp-evicted": lambda: OnlineGP(SPEC, budget=4),
     "klms": lambda: Klms(SPEC, eta=0.25),
     "qklms": lambda: Qklms(SPEC, eta=0.25, quant_radius=0.3),
     "knlms": lambda: Knlms(SPEC, eta=0.8, eps_reg=0.02, coherence_mu0=0.9),
@@ -564,6 +699,7 @@ def _without_block(text, name):
         ("gp", "admission_threshold"),
         ("gp", "budget"),
         ("gp", "next_id"),
+        ("gp-evicted", "reversed"),
         ("klms", "variant"),
         ("klms", "family"),
         ("klms", "signal_variance"),
@@ -593,6 +729,8 @@ def test_load_rejects_missing_scalar(kind, key):
         ("gp", "mu"),
         ("gp", "sigma"),
         ("gp", "chol"),
+        ("gp-evicted", "chol"),
+        ("gp-evicted", "slots"),
     ],
 )
 def test_load_rejects_missing_block(kind, name):
@@ -774,6 +912,58 @@ def test_load_rejects_a_sigma_one_ulp_from_symmetric():
         load_state(_sigma_bumped(text, 1, 4))
 
 
+@pytest.mark.parametrize("value", ["-1", "9"])
+def test_load_refuses_a_reversed_count_outside_zero_to_n(value):
+    with pytest.raises(ValueError, match=re.escape(f"reversed={value} is not a count of centers from 0 to 8")):
+        load_state(_with_scalar(_GOLDEN_V3["gp-between-refactors"], "reversed", value))
+
+
+@pytest.mark.parametrize(
+    "row, value", [(0, 3.0), (7, 8.0), (2, -1.0), (4, 4.5)], ids=["repeated", "past-n", "negative", "not-an-integer"]
+)
+def test_load_refuses_slots_that_are_not_a_permutation(row, value):
+    with pytest.raises(ValueError, match=re.escape("slots are not a permutation of 0..7")):
+        load_state(_with_value(_GOLDEN_V3["gp-between-refactors"], "slots", row, 0, value))
+
+
+def test_load_refuses_slots_of_a_gp_below_its_budget():
+    text = _with_scalar(_GOLDEN_V3["gp-between-refactors"], "budget", "9")
+    with pytest.raises(ValueError, match="at its budget"):
+        load_state(text)
+
+
+def test_dump_of_an_evicted_gp_neither_builds_nor_factors_a_gram_matrix(monkeypatch):
+    gp = load_state(_GOLDEN_V3["gp-between-refactors"])
+    text = dump_state(gp)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a dump built or factored a Gram matrix")
+
+    for module, name in [(okreg.online_gp, "gram_matrix"), (okreg.online_gp, "_lower_factor"),
+                         (okreg.online_gp, "dpotrf"), (okreg.kernels, "gram_matrix")]:
+        monkeypatch.setattr(module, name, forbidden)
+    assert 1 < gp.reversed < gp.size
+    assert dump_state(gp) == text
+
+
+def test_the_reconverge_gp_continues_bit_for_bit_after_a_reload():
+    # replicate 0 of the budget-300 reconverge benchmark: 276 of its 300
+    # centers are reversed when the stream ends
+    spec = KernelSpec(lengthscale=0.7, signal_variance=1.0, noise_variance=0.01)
+    factory = {"gp": lambda: OnlineGP(spec, budget=300, admission_threshold=1e-6)}
+    gp = run_reconvergence(default_switch_scenario(0), factory, n_seeds=1)[1]["gp"]
+    assert gp.reversed == 276 and gp.size == 300
+    clone = load_state(dump_state(gp))
+    more = gen_switch_series(default_switch_scenario(1, n_total=200, switch_at=100))
+    first = gp.dictionary.ids[0]
+    for i, (x, y) in enumerate(zip(more.inputs, more.targets)):
+        assert clone.update(x, y).e == gp.update(x, y).e
+        assert _state(clone) == _state(gp)
+        if i % 50 == 49:  # _state holds every block a fingerprint hashes
+            assert fingerprint(clone) == fingerprint(gp)
+    assert gp.dictionary.ids[0] > first + 100
+
+
 def test_load_accepts_only_the_gaussian_family():
     text = _fed_text("klms")
     assert "family=gaussian\n" in text
@@ -821,7 +1011,7 @@ def _mutated_v3_snapshot(draw):
     for i in range(first, len(lines)):
         block_of[i] = lines[i] if lines[i].startswith("[") else block_of[i - 1]
     ops = ["truncate", "drop-line", "repeat-line", "not-hex", "resize", "non-finite", "repeat-key", "garble"]
-    ops += ["sigma-asymmetric", "chol-upper", "chol-diagonal"] if kind == "gp" else []
+    ops += ["sigma-asymmetric", "chol-upper", "chol-diagonal"] if kind.startswith("gp") else []
     op = draw(st.sampled_from(ops))
     if op == "truncate":
         return text[: draw(st.integers(0, len(text) - 1))], False, ()
@@ -843,7 +1033,7 @@ def _mutated_v3_snapshot(draw):
         return _sigma_bumped(text, i, j), True, ("symmetric",)
     if op.startswith("chol"):
         top = lines.index("[chol]") + 1
-        n = len(lines) - top
+        n = len(lines[top]) // 16
         r = draw(st.integers(0, n - 1 if op == "chol-diagonal" else n - 2))
         values = _hex_row(lines[top + r])
         if op == "chol-upper":
