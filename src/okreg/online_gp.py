@@ -103,6 +103,14 @@ DEFAULT_ADMISSION_THRESHOLD = 1e-8
 
 _SIGMA_DIAG_FLOOR = -1e-6
 
+# How far, as a fraction of the Gram diagonal, the first column of L L^T
+# given to ``from_components`` may be from the Gram column of the center L
+# holds first.  Repairs leave it within rounding (it was exactly equal after
+# every step of three ``reconverge`` streams at budgets 4, 40 and 300); read
+# in insertion order, the budget-300 GP's factor, 276 centers reversed, was
+# 0.84 off.
+_FIRST_COLUMN_TOL = 1e-8
+
 # The block step decides nothing within this fraction of the prior variance
 # of a decision boundary: a gate pivot that close to the threshold, or an
 # a-priori output variance that close to zero, could fall on the other side
@@ -382,9 +390,12 @@ class OnlineGP:
         its own copy of ``dictionary``.  Raises ValueError when a piece does
         not fit the dictionary or has a non-finite entry, when ``sigma`` is
         not exactly symmetric (``update`` keeps it so), when the dictionary
-        holds more centers than ``budget``, or when ``reversed`` and ``slots``
+        holds more centers than ``budget``, when ``reversed`` and ``slots``
         are not an evicted model's: a count from 0 to n, nonzero only with
-        ``slots``, and a permutation of 0..n-1 at the budget.
+        ``slots``, and a permutation of 0..n-1 at the budget, or when the
+        first column of ``chol`` is not the one of a factor in the order
+        ``reversed`` gives (an O(nd) check of L L^T's first column against
+        the Gram column of the center that order puts first).
         """
         model = cls(spec, budget=budget, admission_threshold=admission_threshold)
         n = len(dictionary)
@@ -430,6 +441,21 @@ class OnlineGP:
             model._mu[slots] = mu
             model._sigma[np.ix_(slots, slots)] = sigma
         model._chol = _checked_chol(chol, n)
+        if n:
+            # the first column of L L^T is the Gram column of the center L
+            # holds first: an O(nd) check that L is in the order ``reversed``
+            # names, which catches a factor read out of a model that has
+            # evicted and passed on without its ``reversed``
+            first = max(model._reversed, 1) - 1
+            column = kernel_vector(spec, dictionary, dictionary.points[first])
+            column[first] = spec.gram_diagonal
+            L = model._chol
+            gap = np.abs(L[:, 0] * L[0, 0] - model._reordered(column))
+            if not gap.max() <= _FIRST_COLUMN_TOL * column[first]:
+                raise ValueError(
+                    f"the Cholesky factor's first column is not the Gram column of center {first}, "
+                    f"which reversed={model._reversed} puts first"
+                )
         return model
 
     # -- prediction -----------------------------------------------------

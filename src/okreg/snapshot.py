@@ -40,9 +40,11 @@ among them), a block whose shape does not match the dictionary, a
 ``[sigma]`` that is not exactly symmetric, a ``[chol]`` that is not
 lower-triangular with a positive diagonal, a ``reversed=`` line without
 the ``[slots]`` block or the other way round, a ``reversed=`` outside
-[0, n], a ``[slots]`` that is not a permutation of 0..n-1, or a
-``[slots]`` of a GP below its budget.  It does not check the factor
-against the dictionary's Gram matrix, which would cost O(n^3).
+[0, n], a ``[slots]`` that is not a permutation of 0..n-1, a
+``[slots]`` of a GP below its budget, or a ``[chol]`` whose first column
+is not the one of a factor in the order ``reversed=`` gives.  It checks
+no more of the factor against the dictionary's Gram matrix, which would
+cost O(n^3).
 """
 
 from __future__ import annotations

@@ -160,9 +160,10 @@ def _check_identity(rng, a, b, n_steps: int = 200):
 def general_alpha_update(state, x, y, sigma_override=None) -> np.ndarray:
     """One exact weight-vector step computed from full posterior state.
 
-    ``state`` is an OnlineGP that has not evicted (or anything exposing
-    spec, dictionary, mu, sigma and chol, the lower Cholesky factor of the
-    jittered Gram K in insertion order, which an evicted GP's is not).
+    ``state`` is an OnlineGP whose factor is in insertion order (or anything
+    exposing spec, dictionary, mu, sigma and chol, the lower Cholesky factor
+    of the jittered Gram K in insertion order); raises ValueError for a GP
+    whose ``reversed`` is above 1, whose factor is in another order.
     The implied weights are K^-1 mu; the step rescales the innovation by
     the modeled output variance, spreads (K^-1 sigma K^-1 - K^-1) k over
     the existing weights, and appends the scaled innovation.  Each K^-1
@@ -172,6 +173,11 @@ def general_alpha_update(state, x, y, sigma_override=None) -> np.ndarray:
     posterior covariance, which is how parametric covariance models (for
     example K (beta K + I) for BetaKlms) are exercised against it.
     """
+    if getattr(state, "reversed", 0) > 1:
+        raise ValueError(
+            f"general_alpha_update needs a factor in insertion order; this GP's holds "
+            f"its first {state.reversed} centers newest first"
+        )
     n = len(state.dictionary)
     sigma = state.sigma if sigma_override is None else np.asarray(sigma_override, dtype=float)
     if sigma.shape != (n, n):

@@ -474,6 +474,15 @@ def test_general_update_is_the_gps_own_step(jitter):
     assert gp.size == 100
 
 
+def test_general_update_refuses_a_gp_whose_factor_is_not_in_insertion_order():
+    gp = OnlineGP(KernelSpec(lengthscale=0.5, noise_variance=0.1), budget=8)
+    for xi in np.random.default_rng(4).uniform(-2.0, 2.0, size=(14, 2)):
+        gp.update(xi, float(np.sin(xi.sum())))
+    assert gp.reversed > 1
+    with pytest.raises(ValueError, match="needs a factor in insertion order"):
+        general_alpha_update(gp, [0.3, -0.2], 0.5)
+
+
 def test_general_update_forms_no_inverse(monkeypatch):
     spec = KernelSpec(lengthscale=0.5, noise_variance=0.1)
     rng = np.random.default_rng(3)

@@ -602,6 +602,18 @@ def test_from_components_refuses_an_order_no_evicted_model_has(change, problem):
         OnlineGP.from_components(gp.spec, gp.dictionary, gp.mu, gp.sigma, **parts)
 
 
+@pytest.mark.parametrize("reversed_by", [None, 0, -1], ids=["left-out", "zero", "one-short"])
+def test_from_components_refuses_a_factor_in_another_order_than_reversed_names(reversed_by):
+    # an evicted model's factor passed on with its reversed count left out
+    # (and so read as insertion order), set to 0, or one short
+    gp, _, _ = _between_refactors()
+    parts = {"chol": gp.chol, "targets": gp.targets, "budget": gp.budget}
+    if reversed_by is not None:
+        parts.update(reversed=gp.reversed + reversed_by if reversed_by else 0, slots=gp.slots)
+    with pytest.raises(ValueError, match="first column is not the Gram column of center"):
+        OnlineGP.from_components(gp.spec, gp.dictionary, gp.mu, gp.sigma, **parts)
+
+
 # -- the BLAS step ----------------------------------------------------------------
 
 
