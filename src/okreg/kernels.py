@@ -89,13 +89,13 @@ class KernelSpec:
         return self.signal_variance + self.jitter
 
 
-def _with_room(buf: np.ndarray, n: int) -> np.ndarray:
-    """``buf`` when its last axis has a free slot past its first n, else a
-    copy of those slots in a buffer of twice the capacity, so that n
-    appends copy O(n) slots in total."""
-    if n < buf.shape[-1]:
+def _with_room(buf: np.ndarray, n: int, k: int = 1) -> np.ndarray:
+    """``buf`` when its last axis has k free slots past its first n, else a
+    copy of those slots in a buffer of at least twice the capacity, so that
+    n appends copy O(n) slots in total."""
+    if n + k <= buf.shape[-1]:
         return buf
-    grown = np.empty(buf.shape[:-1] + (max(2 * n, 1),))
+    grown = np.empty(buf.shape[:-1] + (max(2 * n, n + k),))
     grown[..., :n] = buf[..., :n]
     return grown
 
@@ -180,22 +180,29 @@ class Dictionary:
         return self._next_id
 
     def append(self, x) -> int:
-        p = _vector(x)
-        _check_points(p[np.newaxis])
-        n = len(self._ids)
+        self.extend(_vector(x)[np.newaxis])
+        return self._ids[-1]
+
+    def extend(self, rows) -> None:
+        """``append`` each row of the 2-D array ``rows`` in order, with one
+        check and one copy; ValueError, changing nothing, for a non-finite
+        or misshapen row."""
+        P = np.asarray(rows, dtype=float)
+        _check_points(P)
+        n, m = len(self._ids), len(P)
+        if not m:
+            return
         if self._buf is None:
-            self._buf = np.empty((p.size, 1))
-        elif p.size != self._buf.shape[0]:
+            self._buf = np.empty((P.shape[1], 0))
+        elif P.shape[1] != self._buf.shape[0]:
             raise ValueError(
                 f"dimension mismatch: dictionary holds "
-                f"{self._buf.shape[0]}-dimensional points, got {p.size}"
+                f"{self._buf.shape[0]}-dimensional points, got {P.shape[1]}"
             )
-        self._buf = _with_room(self._buf, n)
-        self._buf[:, n] = p
-        new_id = self._next_id
-        self._next_id += 1
-        self._ids.append(new_id)
-        return new_id
+        self._buf = _with_room(self._buf, n, m)
+        self._buf[:, n : n + m] = P.T
+        self._ids.extend(range(self._next_id, self._next_id + m))
+        self._next_id += m
 
     def drop(self, index: int) -> None:
         n = len(self._ids)
@@ -271,9 +278,9 @@ def _kernel_matrix(spec: KernelSpec, P: np.ndarray, Q: np.ndarray) -> np.ndarray
         K = K[:, np.newaxis]
     else:
         K = cdist(np.ascontiguousarray(P), np.ascontiguousarray(Q), "sqeuclidean")
-    # the Gaussian is evaluated in place
-    np.negative(K, out=K)
-    K /= 2.0 * spec.lengthscale**2
+    # the Gaussian is evaluated in place; IEEE division is sign-symmetric, so
+    # dividing by the negated scale gives the bits of negating first
+    K /= -(2.0 * spec.lengthscale**2)
     np.exp(K, out=K)
     K *= spec.signal_variance
     return K

@@ -25,9 +25,18 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg.blas import dgemv, dsyrk, dtrsv
 
 from .base import Step, block_rows, finite_target
-from .kernels import Dictionary, KernelSpec, _vector, _with_room, cross_kernel, kernel_vector
+from .kernels import (
+    Dictionary,
+    KernelSpec,
+    _kernel_matrix,
+    _vector,
+    _with_room,
+    cross_kernel,
+    kernel_vector,
+)
 
 __all__ = [
     "KlmsModel",
@@ -37,6 +46,12 @@ __all__ = [
     "BetaKlms",
     "matched_eta",
 ]
+
+
+# update_block runs the loop on blocks of fewer rows, and solves longer ones
+# in sub-blocks of at most _SUB_BLOCK_ROWS rows (measured below).
+_MIN_BLOCK_ROWS = 8
+_SUB_BLOCK_ROWS = 64
 
 
 def matched_eta(spec: KernelSpec) -> float:
@@ -87,9 +102,100 @@ class KlmsModel:
 
     def update_block(self, X, y) -> None:
         """``update`` on each row of X with its target, in order; a
-        malformed or non-finite block raises ValueError and changes nothing."""
-        for x, t in zip(*block_rows(X, y)):
-            self.update(x, t)
+        malformed or non-finite block raises ValueError and changes nothing.
+
+        A filter with a ``_block_rule`` solves a block of at least
+        ``_MIN_BLOCK_ROWS`` rows in sub-blocks of at most ``_SUB_BLOCK_ROWS``
+        (``_block_errors``): it admits the points the loop admits, and its
+        weights agree with the loop's up to rounding.  Shorter blocks, and
+        every block of a filter without a rule, run the loop.
+        """
+        X, y = block_rows(X, y)
+        m = len(y)
+        if m < _MIN_BLOCK_ROWS or self._block_rule() is None:
+            for x, t in zip(X, y):
+                self.update(x, t)
+            return
+        cuts = -(-m // _SUB_BLOCK_ROWS)  # sub-blocks of equal size, to a row
+        for lo, hi in zip(range(cuts), range(1, cuts + 1)):
+            rows = slice(lo * m // cuts, hi * m // cuts)
+            self._block_errors(X[rows], y[rows])
+
+    def _block_rule(self):
+        """(spread, new_weight, mu0) of the step alpha += g e u with
+        u = [spread * k; new_weight when x joins], where x joins when its
+        largest kernel value is at most mu0 * k(x, x) (always when mu0 is
+        None), or None for a filter whose blocks run the update loop."""
+        return None
+
+    def _gains(self, kk: np.ndarray, admit: np.ndarray) -> np.ndarray:
+        """The step gains g from the squared norms kk of the rows' kernel
+        vectors and whether each row joins."""
+        raise NotImplementedError
+
+    def _block_errors(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Absorb a checked block in one solve and return its a-priori errors.
+
+        With C the centers before the block, K_CX their kernel rows against
+        the block, K the block's own kernel matrix and a_s whether row s
+        joins, the kernel vector of row t at its step covers C and the rows
+        s < t that joined.  The steps' w = g * e then solve the
+        unit-lower-triangular system
+
+            e_t + sum_{r<t} M_tr w_r = y_t - K_CX[:, t] . alpha,
+            M = spread * (K_CX^T K_CX + Lt^T Lt) + new_weight * K diag(a),
+
+        with Lt[s, t] = a_s K[s, t] for s < t (zero elsewhere), whose Gram
+        matrix sums the products through the rows that joined in between;
+        the diagonal of the spread term is each step's ||k_t||^2.  The
+        centers then gain spread * K_CX w, and a row that joined the weight
+        new_weight * w_s + spread * (Lt w)_s.  Gate decisions compare the
+        kernel values the loop compares, so they are the loop's.
+        """
+        spread, new_weight, mu0 = self._block_rule()
+        spec = self.spec
+        n, m = self.size, len(y)
+        Kc = cross_kernel(spec, self.dictionary, X)  # (n, m)
+        K = _kernel_matrix(spec, X, X)  # exactly symmetric: cdist's terms are
+        admit = np.ones(m, dtype=bool)
+        if mu0 is not None:
+            bound = mu0 * spec.signal_variance
+            near = K > bound
+            blocked = (Kc > bound).any(axis=0)
+            joined = n
+            for t in range(m):
+                if joined and blocked[t]:
+                    admit[t] = False
+                    continue
+                joined += 1
+                blocked |= near[t]
+        # K's transpose is K, so K.T is the Fortran-ordered operand BLAS takes
+        M = K.T * (new_weight * admit)
+        kk = np.zeros(m)
+        if spread:
+            Lt = np.triu(K, 1)
+            Lt *= admit[:, np.newaxis]
+            # the two lower triangles K_CX^T K_CX + Lt^T Lt, in one buffer
+            S = dsyrk(1.0, Lt.T, lower=1)
+            if n:
+                S = dsyrk(1.0, Kc.T, beta=1.0, c=S, lower=1, overwrite_c=1)
+            kk = S.diagonal().copy()
+            M += spread * S
+        g = self._gains(kk, admit)
+        M *= g  # column r scaled by g_r; only the strict lower triangle is read
+        e = y.copy()
+        if n:
+            e = dgemv(-1.0, Kc.T, self.alpha, beta=1.0, y=e, overwrite_y=1)
+        e = dtrsv(M, e, lower=1, diag=1, overwrite_x=1)
+        w = g * e
+        new = new_weight * w
+        if spread:
+            if n:
+                self.alpha[:] += dgemv(spread, Kc.T, w, trans=1)
+            new = dgemv(spread, Lt.T, w, beta=1.0, y=new, overwrite_y=1, trans=1)
+        # 0.0 + stores a -0.0 weight as +0.0, as _spend does
+        self._extend(X[admit], 0.0 + new[admit])
+        return e
 
     def _a_priori(self, x, y) -> tuple[np.ndarray, Step]:
         """Kernel vector at x, and the prediction and error before the step;
@@ -104,6 +210,13 @@ class KlmsModel:
         self.dictionary.append(x)
         self._alpha = _with_room(self._alpha, n)
         self._alpha[n] = weight
+
+    def _extend(self, X: np.ndarray, weights: np.ndarray) -> None:
+        """``_grow`` on each row of X with its weight."""
+        n, m = self.size, len(weights)
+        self.dictionary.extend(X)
+        self._alpha = _with_room(self._alpha, n, m)
+        self._alpha[n : n + m] = weights
 
     def _coherent(self, k: np.ndarray, mu0: float) -> bool:
         """The coherence gate: x may join when no kernel value exceeds mu0 * k(x, x)."""
@@ -132,6 +245,12 @@ class Klms(KlmsModel):
         _, step = self._a_priori(x, y)
         self._grow(x, self.eta * step.e)
         return step
+
+    def _block_rule(self):
+        return 0.0, 1.0, None
+
+    def _gains(self, kk, admit):
+        return np.full(len(kk), self.eta)
 
 
 class Qklms(KlmsModel):
@@ -209,6 +328,13 @@ class Knlms(KlmsModel):
         self._spend(x, self.eta * step.e / denom, k, kss, admit)
         return step
 
+    def _block_rule(self):
+        return 1.0, self.spec.signal_variance, self.coherence_mu0
+
+    def _gains(self, kk, admit):
+        kss = self.spec.signal_variance
+        return self.eta / (self.eps_reg + kss * kss * admit + kk)
+
 
 class BetaKlms(KlmsModel):
     """One-parameter filter between Klms (beta=0) and normalized spreading.
@@ -243,6 +369,12 @@ class BetaKlms(KlmsModel):
         admit = self.coherence_mu0 is None or self._coherent(k, self.coherence_mu0)
         self._spend(x, step.e / denom, self.beta * k, 1.0, admit)
         return step
+
+    def _block_rule(self):
+        return self.beta, 1.0, self.coherence_mu0
+
+    def _gains(self, kk, admit):
+        return 1.0 / (self.spec.noise_variance + self.spec.signal_variance + self.beta * kk)
 
     def variance_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Modeled (latent, output) variances at the rows of X.

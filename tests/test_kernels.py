@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 
 import okreg.kernels
 from okreg import Klms, OnlineGP, dump_state, load_state
+from scipy.spatial.distance import cdist
+
 from okreg.kernels import (
     Dictionary,
     KernelSpec,
     _held_out_rows,
+    _kernel_matrix,
     cross_kernel,
     gram_matrix,
     kernel_vector,
@@ -171,6 +174,17 @@ def test_kernel_vector_is_bitwise_a_column_of_a_two_row_cross_kernel(dim, n):
     for x in rng.uniform(-3.0, 3.0, size=(20, dim)):
         two_rows = cross_kernel(SPEC, d, np.vstack([x, x]))
         np.testing.assert_array_equal(kernel_vector(SPEC, d, x), two_rows[:, 0])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 9])
+@pytest.mark.parametrize("m", [1, 7])
+def test_kernel_matrix_is_the_gaussian_of_cdist_bit_for_bit(dim, m):
+    # sf2 * exp(-d2 / (2 l^2)), with the sign folded into the divisor
+    spec = KernelSpec(lengthscale=0.7, signal_variance=2.5)
+    rng = np.random.default_rng(dim)
+    P, Q = rng.uniform(-3.0, 3.0, size=(30, dim)), rng.uniform(-3.0, 3.0, size=(m, dim))
+    expected = spec.signal_variance * np.exp(-cdist(P, Q, "sqeuclidean") / (2.0 * spec.lengthscale**2))
+    assert _kernel_matrix(spec, P, Q).tobytes() == expected.tobytes()
 
 
 def test_cross_kernel_shape_and_values():
@@ -374,6 +388,45 @@ def test_dictionary_rejects_empty_point():
     with pytest.raises(ValueError, match="dimension >= 1"):
         Dictionary([[]])
     assert len(Dictionary([])) == 0
+
+
+@pytest.mark.parametrize("start", [0, 1, 3])
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_dictionary_extend_is_repeated_append(start, m):
+    rng = np.random.default_rng(10 * start + m)
+    first, rows = rng.standard_normal((start, 3)), rng.standard_normal((m, 3))
+    Q = rng.standard_normal((4, 3))
+    one, bulk = Dictionary(), Dictionary()
+    for x in first:
+        one.append(x)
+        bulk.append(x)
+    with _held_out_rows(SPEC, one, Q, capacity=8) as Q1, _held_out_rows(SPEC, bulk, Q, capacity=8) as Qb:
+        cross_kernel(SPEC, one, Q1), cross_kernel(SPEC, bulk, Qb)
+        for x in rows:
+            one.append(x)
+        bulk.extend(rows)
+        assert bulk.ids == one.ids and bulk.next_id == one.next_id
+        assert bulk.points.tobytes() == one.points.tobytes()
+        assert cross_kernel(SPEC, bulk, Qb).tobytes() == cross_kernel(SPEC, one, Q1).tobytes()
+
+
+@pytest.mark.parametrize(
+    "rows, match",
+    [
+        ([[0.0, 1.0, 2.0], [np.nan, 0.0, 0.0]], "non-finite"),
+        ([[0.0, 1.0, 2.0], [np.inf, 0.0, 0.0]], "non-finite"),
+        ([[0.0, 1.0]], "dimension mismatch"),
+        ([0.0, 1.0, 2.0], "1-D vectors"),
+        (np.zeros((2, 0)), "dimension >= 1"),
+    ],
+)
+def test_dictionary_extend_refuses_a_bad_row_and_changes_nothing(rows, match):
+    d = Dictionary([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    d.drop(0)
+    before = (d.ids, d.next_id, d.points.tobytes())
+    with pytest.raises(ValueError, match=match):
+        d.extend(rows)
+    assert (d.ids, d.next_id, d.points.tobytes()) == before
 
 
 def test_dictionary_accepts_scalars():

@@ -17,6 +17,7 @@ from okreg import (
     matched_eta,
 )
 from okreg.kernels import gram_matrix
+from okreg.klms import _MIN_BLOCK_ROWS
 from okreg.verify import general_alpha_update
 
 SPEC = KernelSpec(lengthscale=1.0, signal_variance=1.0, noise_variance=0.1)
@@ -46,17 +47,89 @@ FILTERS = {
 
 @pytest.mark.parametrize("name", FILTERS)
 def test_update_block_is_the_update_loop_bit_for_bit(name):
+    # qklms runs the loop on every block, the other filters on blocks below the break-even
+    rows = 25 if name == "qklms" else _MIN_BLOCK_ROWS - 1
     rng = np.random.default_rng(5)
     X = rng.uniform(-2.0, 2.0, size=(120, 2))
     y = np.sin(X.sum(axis=1)) + 0.1 * rng.standard_normal(120)
     loop, block = FILTERS[name](), FILTERS[name]()
     for xi, yi in zip(X, y):
         loop.update(xi, yi)
-    for start in range(0, 120, 25):
-        block.update_block(X[start : start + 25], y[start : start + 25])
+    for start in range(0, 120, rows):
+        block.update_block(X[start : start + rows], y[start : start + rows])
     assert block.dictionary.ids == loop.dictionary.ids
     np.testing.assert_array_equal(block.dictionary.points, loop.dictionary.points)
     assert block.alpha.tobytes() == loop.alpha.tobytes()
+
+
+def _relative_gap(a, b) -> float:
+    """max |a - b| over max |b|; the bare gap when b is all zeros."""
+    scale = float(np.max(np.abs(b), initial=0.0))
+    gap = float(np.max(np.abs(np.asarray(a) - b), initial=0.0))
+    return gap / scale if scale else gap
+
+
+def _recording_errors(model, errors: list):
+    """``model``, which now appends the a-priori error of every row its
+    ``update_block`` absorbs to ``errors``, whether it solves or loops;
+    returns the count of rows solved in a list of one entry."""
+    solved = [0]
+    cls = type(model)
+
+    def solve(X, y):
+        e = cls._block_errors(model, X, y)
+        errors.extend(e.tolist())
+        solved[0] += len(e)
+        return e
+
+    def update(x, y):
+        step = cls.update(model, x, y)
+        errors.append(step.e)
+        return step
+
+    model._block_errors, model.update = solve, update
+    return solved
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    st.sampled_from(["klms", "knlms", "beta"]),
+    st.sampled_from([None, 0.5, 0.9, 1.0]),
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.integers(1, 4),
+    st.integers(1, 120),
+    st.sampled_from([0.3, 1.0, 3.0]),
+    st.sampled_from([1.0, 2.5]),
+    st.integers(0, 2**32 - 1),
+)
+def test_update_block_solves_the_update_loop(kind, mu0, beta, d, rows, lengthscale, sv, seed):
+    # the solve admits the loop's points and holds its weights and a-priori
+    # errors within 1e-12 relative; half the points sit on a coarse grid, so
+    # repeats and kernel-value ties reach the coherence gate
+    spec = KernelSpec(lengthscale=lengthscale, signal_variance=sv, noise_variance=0.1)
+    make = {
+        "klms": lambda: Klms(spec, eta=matched_eta(spec)),
+        "knlms": lambda: Knlms(spec, coherence_mu0=1.0 if mu0 is None else mu0),
+        "beta": lambda: BetaKlms(spec, beta, coherence_mu0=mu0),
+    }[kind]
+    rng = np.random.default_rng(seed)
+    n = 2 * rows + int(rng.integers(1, 40))
+    X = rng.uniform(-2.0, 2.0, size=(n, d))
+    grid = rng.random(n) < 0.5
+    X[grid] = rng.integers(-2, 3, size=(int(grid.sum()), d)) / 2.0
+    y = np.sin(X.sum(axis=1)) + 0.3 * rng.standard_normal(n)
+    loop, block = make(), make()
+    loop_errors = [loop.update(xi, yi).e for xi, yi in zip(X, y)]
+    block_errors: list = []
+    solved = _recording_errors(block, block_errors)
+    for start in range(0, n, rows):
+        block.update_block(X[start : start + rows], y[start : start + rows])
+    sizes = [min(rows, n - start) for start in range(0, n, rows)]
+    assert solved[0] == sum(size for size in sizes if size >= _MIN_BLOCK_ROWS)
+    assert block.dictionary.ids == loop.dictionary.ids
+    np.testing.assert_array_equal(block.dictionary.points, loop.dictionary.points)
+    assert _relative_gap(block.alpha, loop.alpha) <= 1e-12
+    assert _relative_gap(block_errors, loop_errors) <= 1e-12
 
 
 def test_update_block_refuses_mismatched_counts():
@@ -125,13 +198,22 @@ def test_predict_batch_matches_pointwise():
         assert preds[i] == pytest.approx(model.predict(x), abs=1e-14)
 
 
-@pytest.mark.parametrize("make", [lambda: Knlms(SPEC), lambda: BetaKlms(SPEC, 1.0)], ids=["knlms", "beta"])
+@pytest.mark.parametrize(
+    "make",
+    [lambda: Knlms(SPEC), lambda: BetaKlms(SPEC, 1.0), lambda: BetaKlms(SPEC, 0.0)],
+    ids=["knlms", "beta", "beta0"],
+)
 def test_a_negative_zero_step_stores_a_positive_zero_weight(make):
     # an admitted weight is the sum 0.0 + coef * new_weight, and 0.0 + (-0.0) is +0.0
     model = make()
     model.update([0.0], -0.0)
     assert model.alpha.tolist() == [0.0]
     assert not np.signbit(model.alpha[0])
+    # and so does the block solve, whose first row's error is y itself
+    model = make()
+    model.update_block(np.arange(_MIN_BLOCK_ROWS)[:, None], np.full(_MIN_BLOCK_ROWS, -0.0))
+    assert model.alpha.tolist() == [0.0] * _MIN_BLOCK_ROWS
+    assert not np.signbit(model.alpha).any()
 
 
 # -- Klms ------------------------------------------------------------------------
