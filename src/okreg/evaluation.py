@@ -7,10 +7,11 @@ error y - y_hat (a ``Step`` for the KLMS filters, a ``GpUpdateScratch``
 for the GP).  ``run_reconvergence`` scores that error, so each
 observation costs one kernel-vector pass.  ``update_block(X, y)``
 absorbs the rows of X in order and returns nothing; it leaves the state
-``update`` on each row would (bit for bit for the filters, which loop,
-and up to rounding for the unbudgeted GP, which takes one block step on
-blocks of four or more rows).  A malformed or non-finite block raises
-ValueError before any state changes.
+``update`` on each row would, with the same centers, and weights up to
+rounding where it solves the block at once: the unbudgeted GP on blocks
+of four or more rows, and the filters but ``Qklms`` on blocks of eight or
+more.  A malformed or non-finite block raises ValueError before any
+state changes.
 ``run_online_experiment`` feeds each scoring interval through it.
 ``predict_batch(X)`` scores held-out rows.  A filter returns the means;
 the GP returns (means, latent variances, output variances), or the means

@@ -180,8 +180,14 @@ class Dictionary:
         return self._next_id
 
     def append(self, x) -> int:
-        self.extend(_vector(x)[np.newaxis])
-        return self._ids[-1]
+        p = _vector(x)
+        _check_points(p[np.newaxis])
+        n = self._room(p.size, 1)
+        self._buf[:, n] = p
+        new_id = self._next_id
+        self._next_id += 1
+        self._ids.append(new_id)
+        return new_id
 
     def extend(self, rows) -> None:
         """``append`` each row of the 2-D array ``rows`` in order, with one
@@ -189,20 +195,27 @@ class Dictionary:
         or misshapen row."""
         P = np.asarray(rows, dtype=float)
         _check_points(P)
-        n, m = len(self._ids), len(P)
-        if not m:
-            return
+        m = len(P)
+        if m:
+            n = self._room(P.shape[1], m)
+            self._buf[:, n : n + m] = P.T
+            self._ids.extend(range(self._next_id, self._next_id + m))
+            self._next_id += m
+
+    def _room(self, dim: int, m: int) -> int:
+        """The number of points, once the buffer has room for m more of
+        dimension ``dim``; ValueError, changing nothing, for another
+        dimension than the dictionary's."""
         if self._buf is None:
-            self._buf = np.empty((P.shape[1], 0))
-        elif P.shape[1] != self._buf.shape[0]:
+            self._buf = np.empty((dim, m))
+        elif dim != self._buf.shape[0]:
             raise ValueError(
                 f"dimension mismatch: dictionary holds "
-                f"{self._buf.shape[0]}-dimensional points, got {P.shape[1]}"
+                f"{self._buf.shape[0]}-dimensional points, got {dim}"
             )
+        n = len(self._ids)
         self._buf = _with_room(self._buf, n, m)
-        self._buf[:, n : n + m] = P.T
-        self._ids.extend(range(self._next_id, self._next_id + m))
-        self._next_id += m
+        return n
 
     def drop(self, index: int) -> None:
         n = len(self._ids)

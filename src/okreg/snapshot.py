@@ -146,15 +146,58 @@ def dump_state(model) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse(raw: list[str]):
-    """The ``key=value`` lines of ``raw``, a text's lines, as a dict of
-    texts, and the stripped lines of each block, from the line after its
-    ``[name]`` line to the next such line; blank lines and ``#`` comments
-    are left out."""
+def _parse(text: str):
+    """The ``key=value`` lines of ``text`` as a dict of texts, and the text of
+    each block, from the line after its ``[name]`` line to the next such line;
+    blank lines and ``#`` comments are left out of the ``key=value`` lines.
+
+    A block head is a line that, stripped, starts with ``[`` and ends with
+    ``]``.  When every ``[`` in the text opens a line that is such a head
+    with no other line break in it, as the writer lays them out, the heads
+    are found by a scan for ``[`` and each block is one slice of the text;
+    otherwise the text is read line by line (``_parse_lines``).
+    """
+    heads = []
+    at = text.find("[")
+    while at >= 0:
+        end = text.find("\n", at)
+        end = len(text) if end < 0 else end
+        if not at or text[at - 1] != "\n" or text[end - 1] != "]" or not text[at:end].isprintable():
+            return _parse_lines(text.splitlines())
+        heads.append((at, end))
+        at = text.find("[", end)
+    scalars = _scalars(text[: heads[0][0]] if heads else text)
+    blocks: dict[str, str] = {}
+    for (at, end), (stop, _) in zip(heads, [*heads[1:], (len(text), None)]):
+        name = text[at + 1 : end - 1]
+        if name in blocks:
+            raise ValueError(f"snapshot repeats the [{name}] block")
+        blocks[name] = text[end + 1 : stop]
+    return scalars, blocks
+
+
+def _parse_lines(raw: list[str]):
+    """``_parse`` of a text's lines, each stripped; a block's text is its
+    lines, blank lines and ``#`` comments left out, each ended by a line feed."""
     lines = [line for line in map(str.strip, raw) if line and line[0] != "#"]
     heads = [i for i, line in enumerate(lines) if line[0] == "[" and line[-1] == "]"]
+    scalars = _scalars("\n".join(lines[: heads[0] if heads else len(lines)]))
+    blocks: dict[str, str] = {}
+    for at, end in zip(heads, [*heads[1:], len(lines)]):
+        name = lines[at][1:-1]
+        if name in blocks:
+            raise ValueError(f"snapshot repeats the [{name}] block")
+        blocks[name] = "".join(line + "\n" for line in lines[at + 1 : end])
+    return scalars, blocks
+
+
+def _scalars(text: str) -> dict[str, str]:
+    """The ``key=value`` lines of ``text``, blank lines and ``#`` comments
+    left out; ValueError for any other line and for a repeated key."""
     scalars: dict[str, str] = {}
-    for line in lines[: heads[0] if heads else len(lines)]:
+    for line in map(str.strip, text.splitlines()):
+        if not line or line[0] == "#":
+            continue
         key, eq, value = line.partition("=")
         if not eq:
             raise ValueError(f"snapshot line {line!r} is not key=value")
@@ -162,13 +205,7 @@ def _parse(raw: list[str]):
         if key in scalars:
             raise ValueError(f"snapshot repeats the {key}= line")
         scalars[key] = value.strip()
-    blocks: dict[str, list[str]] = {}
-    for at, end in zip(heads, [*heads[1:], len(lines)]):
-        name = lines[at][1:-1]
-        if name in blocks:
-            raise ValueError(f"snapshot repeats the [{name}] block")
-        blocks[name] = lines[at + 1 : end]
-    return scalars, blocks
+    return scalars
 
 
 def _require(table: dict, key: str, what: str):
@@ -177,11 +214,30 @@ def _require(table: dict, key: str, what: str):
     return table[key]
 
 
-def _hex_rows(name: str, lines: list[str], cols: int | None) -> np.ndarray:
-    """A block: each line the hex of ``cols`` little-endian float64 values
-    (as many as the first line holds when None), all decoded by one
-    ``bytes.fromhex`` over the joined lines; ValueError naming the block and
-    line of a row that is misshapen, not hex, or not finite."""
+def _hex_rows(name: str, body: str, cols: int | None) -> np.ndarray:
+    """A block: each line of its text the hex of ``cols`` little-endian
+    float64 values (as many as the first line holds when None).  A text of
+    rows as the writer lays them out, each ended by a line feed, is decoded
+    by one ``bytes.fromhex``; any other goes through ``_hex_lines`` line by
+    line, stripped, without blank lines and ``#`` comments.  ValueError
+    naming the block and line of a row that is misshapen, not hex, or not
+    finite."""
+    width = 16 * cols if cols is not None else body.find("\n")
+    rows = len(body) // (width + 1) if width > 0 and not width % 16 else 0
+    if rows and len(body) == rows * (width + 1) and body[width :: width + 1] == "\n" * rows:
+        try:
+            data = bytes.fromhex(body)  # skips the line feeds
+        except ValueError:
+            data = b""
+        if 2 * len(data) == rows * width:  # and any other whitespace, so none was there
+            return _finite(name, np.frombuffer(data, dtype="<f8").reshape(rows, width // 16))
+    lines = [line for line in map(str.strip, body.splitlines()) if line and line[0] != "#"]
+    return _hex_lines(name, lines, cols)
+
+
+def _hex_lines(name: str, lines: list[str], cols: int | None) -> np.ndarray:
+    """``_hex_rows`` of a block's stripped lines, all decoded by one
+    ``bytes.fromhex`` over the joined lines."""
     if cols is None:
         cols = max(1, len(lines[0]) // 16) if lines else 0
     width = 16 * cols
@@ -197,7 +253,11 @@ def _hex_rows(name: str, lines: list[str], cols: int | None) -> np.ndarray:
     if 2 * len(data) != len(text):  # fromhex also skips whitespace
         bad = next(i for i, c in enumerate(text) if c not in _HEX_DIGITS)
         raise ValueError(f"the [{name}] block line {bad // width + 1} is not hex")
-    table = np.frombuffer(data, dtype="<f8").reshape(len(lines), cols)
+    return _finite(name, np.frombuffer(data, dtype="<f8").reshape(len(lines), cols))
+
+
+def _finite(name: str, table: np.ndarray) -> np.ndarray:
+    """``table``; ValueError naming the block and line of a non-finite value."""
     finite = np.isfinite(table).all(axis=1)
     if not finite.all():
         raise ValueError(f"the [{name}] block holds a non-finite number on line {np.argmin(finite) + 1}")
@@ -216,11 +276,11 @@ def _table(blocks, name: str, rows: int | None, cols: int | None) -> np.ndarray:
 
 def load_state(text: str):
     """Inverse of dump_state; raises ValueError on malformed input."""
-    raw = text.splitlines()
-    banner = raw[0].strip() if raw else ""
+    end = text.find("\n")
+    banner = next(iter(text[: end if end >= 0 else len(text)].splitlines()), "").strip()
     if banner != _BANNER:
         raise ValueError(f"not an okreg snapshot this version reads (only v3): the first line is {banner[:40]!r}")
-    scalars, blocks = _parse(raw)
+    scalars, blocks = _parse(text)
     model_line = _require(scalars, "model", "model line")
 
     def scalar(key: str, parse: Callable[[str], object] = str):

@@ -1066,3 +1066,50 @@ def test_load_raises_only_value_error_naming_the_fault_on_mutated_v3_snapshots(c
         assert all(part in str(exc) for part in named), (str(exc), named)
         return
     assert not must_fail, "a dropped line, a repeated key, a bad row, an asymmetric [sigma] or a bad [chol] loaded"
+
+
+def _line_break_moved(text):
+    """``text`` with the line break after the second [dict] row one byte's two
+    hex digits later (the first row sets the block's width), when it has
+    three rows."""
+    at = text.find("[dict]\n")
+    end = text.find("\n", text.find("\n", at + 7) + 1)
+    if at < 0 or end < 0 or end + 3 >= len(text):
+        return text
+    return text[:end] + text[end + 1 : end + 3] + "\n" + text[end + 3 :]
+
+
+_LAYOUTS = [
+    lambda text: text,
+    lambda text: text.replace("\n", "\r\n"),
+    lambda text: text.replace("\n[", "\n  [", 1),
+    lambda text: text.replace("]\n", "]  \n", 1),
+    lambda text: text.replace("[dict]\n", "[dict]\n# a [comment]\n\n"),
+    lambda text: text.replace("\n[", "\x1c[", 1),
+    lambda text: text.replace("[dict]\n", "[dict]\x1c]\n"),
+    lambda text: text.rstrip("\n"),
+    _line_break_moved,
+]
+
+
+def _outcome(text) -> str:
+    try:
+        return dump_state(load_state(text))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_mutated_v3_snapshot(), st.sampled_from(range(len(_LAYOUTS))))
+def test_the_one_slice_reader_loads_and_refuses_as_the_line_reader_does(case, layout):
+    # every file and every message of the line-by-line reader, whose blocks
+    # are stripped lines joined, is kept by the reader that slices the text
+    import okreg.snapshot as snapshot
+
+    text = _LAYOUTS[layout](case[0])
+    sliced = _outcome(text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(snapshot, "_parse", lambda text: snapshot._parse_lines(text.splitlines()))
+        lines = lambda body: [line for line in map(str.strip, body.splitlines()) if line and line[0] != "#"]
+        patch.setattr(snapshot, "_hex_rows", lambda name, body, cols: snapshot._hex_lines(name, lines(body), cols))
+        assert sliced == _outcome(text)
