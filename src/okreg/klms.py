@@ -118,7 +118,7 @@ class KlmsModel:
         """``update`` on each row of X with its target, in order; a
         malformed or non-finite block raises ValueError and changes nothing.
 
-        A filter with a ``_block_rule`` solves a block of at least
+        A filter whose ``_block_rule`` is not None solves a block of at least
         ``_MIN_BLOCK_ROWS`` rows in sub-blocks of at most ``_SUB_BLOCK_ROWS``
         (``_block_errors``): it admits the points the loop admits, and its
         weights agree with the loop's up to rounding.  Shorter blocks, and
@@ -131,8 +131,8 @@ class KlmsModel:
                 self.update(x, t)
             return
         cuts = -(-m // _SUB_BLOCK_ROWS)  # sub-blocks of equal size, to a row
-        for lo, hi in zip(range(cuts), range(1, cuts + 1)):
-            rows = slice(lo * m // cuts, hi * m // cuts)
+        for i in range(cuts):
+            rows = slice(i * m // cuts, (i + 1) * m // cuts)
             self._block_errors(X[rows], y[rows])
 
     def _block_rule(self):
@@ -170,7 +170,7 @@ class KlmsModel:
         spec = self.spec
         n, m = self.size, len(y)
         Kc = cross_kernel(spec, self.dictionary, X)  # (n, m)
-        K = _kernel_matrix(spec, X, X)  # exactly symmetric: cdist's terms are
+        K = _kernel_matrix(spec, X, X)  # exactly symmetric: (a - b)^2 is (b - a)^2
         admit = np.ones(m, dtype=bool)
         if mu0 is not None:
             bound = mu0 * spec.signal_variance
@@ -191,9 +191,8 @@ class KlmsModel:
             Lt *= admit[:, np.newaxis]
             # the two lower triangles K_CX^T K_CX + Lt^T Lt, in one buffer
             S = dsyrk(1.0, Lt.T, lower=1)
-            if n:
-                S = dsyrk(1.0, Kc.T, beta=1.0, c=S, lower=1, overwrite_c=1)
-            kk = S.diagonal().copy()
+            S = dsyrk(1.0, Kc.T, beta=1.0, c=S, lower=1, overwrite_c=1)
+            kk = S.diagonal()
             M += spread * S
         g = self._gains(kk, admit)
         M *= g  # column r scaled by g_r; only the strict lower triangle is read

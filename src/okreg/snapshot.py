@@ -276,8 +276,9 @@ def _table(blocks, name: str, rows: int | None, cols: int | None) -> np.ndarray:
 
 def load_state(text: str):
     """Inverse of dump_state; raises ValueError on malformed input."""
-    end = text.find("\n")
-    banner = next(iter(text[: end if end >= 0 else len(text)].splitlines()), "").strip()
+    # the first of text.splitlines(), without splitting all of the text
+    first = text[: text.find("\n")] if "\n" in text else text
+    banner = next(iter(first.splitlines()), "").strip()
     if banner != _BANNER:
         raise ValueError(f"not an okreg snapshot this version reads (only v3): the first line is {banner[:40]!r}")
     scalars, blocks = _parse(text)

@@ -69,17 +69,17 @@ def _relative_gap(a, b) -> float:
     return gap / scale if scale else gap
 
 
-def _recording_errors(model, errors: list):
-    """``model``, which now appends the a-priori error of every row its
-    ``update_block`` absorbs to ``errors``, whether it solves or loops;
-    returns the count of rows solved in a list of one entry."""
-    solved = [0]
+def _recording_errors(model, errors: list) -> list:
+    """Make ``model`` append to ``errors`` the a-priori error of every row
+    its ``update_block`` absorbs, whether it solves or loops; returns the
+    list of the sizes of the blocks it solves."""
+    solved: list[int] = []
     cls = type(model)
 
     def solve(X, y):
         e = cls._block_errors(model, X, y)
         errors.extend(e.tolist())
-        solved[0] += len(e)
+        solved.append(len(e))
         return e
 
     def update(x, y):
@@ -125,7 +125,7 @@ def test_update_block_solves_the_update_loop(kind, mu0, beta, d, rows, lengthsca
     for start in range(0, n, rows):
         block.update_block(X[start : start + rows], y[start : start + rows])
     sizes = [min(rows, n - start) for start in range(0, n, rows)]
-    assert solved[0] == sum(size for size in sizes if size >= _MIN_BLOCK_ROWS)
+    assert sum(solved) == sum(size for size in sizes if size >= _MIN_BLOCK_ROWS)
     assert block.dictionary.ids == loop.dictionary.ids
     np.testing.assert_array_equal(block.dictionary.points, loop.dictionary.points)
     assert _relative_gap(block.alpha, loop.alpha) <= 1e-12
@@ -410,6 +410,23 @@ def test_beta_one_equals_all_admit_knlms_exactly():
         knlms.update(xi, yi)
         beta1.update(xi, yi)
         np.testing.assert_array_equal(knlms.alpha, beta1.alpha)
+
+
+@pytest.mark.parametrize("identity", ["A", "B"])
+def test_the_identities_hold_bit_for_bit_through_the_block_solve(identity):
+    # each pair runs the same arithmetic in the solve, so A holds exactly
+    # there, not only to rounding as in the loop
+    rng = np.random.default_rng(7)
+    X = rng.uniform(-1, 1, size=(130, 2))
+    y = rng.standard_normal(130)
+    if identity == "A":
+        pair = Klms(SPEC, eta=matched_eta(SPEC)), BetaKlms(SPEC, beta=0.0)
+    else:
+        pair = Knlms(SPEC, eta=1.0, eps_reg=SPEC.noise_variance), BetaKlms(SPEC, beta=1.0)
+    for model in pair:
+        model.update_block(X[:50], y[:50])
+        model.update_block(X[50:], y[50:])  # two sub-blocks of 40
+    assert pair[0].alpha.tobytes() == pair[1].alpha.tobytes()
 
 
 @settings(derandomize=True, max_examples=25)
