@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 import okreg.kernels
 from okreg import Klms, OnlineGP, dump_state, load_state
-from scipy.spatial.distance import cdist
-
 from okreg.kernels import (
     Dictionary,
     KernelSpec,

@@ -23,6 +23,7 @@ from okreg import (
 )
 import okreg.kernels
 import okreg.online_gp
+import okreg.snapshot
 from okreg.datasets import default_switch_scenario, gen_switch_series
 from okreg.evaluation import run_reconvergence
 from okreg.kernels import gram_matrix
@@ -1104,8 +1105,7 @@ def _outcome(text) -> str:
 def test_the_one_slice_reader_loads_and_refuses_as_the_line_reader_does(case, layout):
     # every file and every message of the line-by-line reader, whose blocks
     # are stripped lines joined, is kept by the reader that slices the text
-    import okreg.snapshot as snapshot
-
+    snapshot = okreg.snapshot
     text = _LAYOUTS[layout](case[0])
     sliced = _outcome(text)
     with pytest.MonkeyPatch.context() as patch:
