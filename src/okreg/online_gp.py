@@ -659,8 +659,7 @@ class OnlineGP:
             step = self._block_step(X, y)
             if step is not None:
                 admitted, self._mu, self._sigma, self._chol = step
-                for i in admitted:
-                    self.dictionary.append(X[i])
+                self.dictionary.extend(X[admitted])
                 self._targets.extend(y[admitted].tolist())
                 return
         for xi, yi in zip(X, y):

@@ -23,7 +23,6 @@ from okreg import (
 )
 import okreg.kernels
 import okreg.online_gp
-import okreg.snapshot
 from okreg.datasets import default_switch_scenario, gen_switch_series
 from okreg.evaluation import run_reconvergence
 from okreg.kernels import gram_matrix
@@ -843,14 +842,17 @@ def test_v3_load_names_the_block_and_line_of_a_row_that_does_not_decode(kind, bl
     [
         lambda text: text.replace("\n", "\r\n"),
         lambda text: text.replace("\n", "\r"),
-        lambda text: text.replace("[sigma]\n", "[sigma]\n\n# a comment\n").replace("[chol]\n", "[chol]\n  "),
+        # a blank line, a comment and an indented first row in every block
+        lambda text: re.sub(r"^(\[\w+\])\n", "\\1\n\n# a comment\n  ", text, flags=re.M),
         lambda text: text + "\n\n",
         lambda text: text.rstrip("\n"),
     ],
     ids=["crlf", "bare-cr", "blank-comment-indent", "trailing-blank-lines", "no-final-newline"],
 )
-def test_v3_load_reads_rows_laid_out_otherwise_than_the_writer_does(edit):
-    text = _GOLDEN_V3["gp"]
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_v3_load_reads_rows_laid_out_otherwise_than_the_writer_does(edit, name):
+    text = _GOLDEN_V3[name]
+    assert edit(text) != text
     assert _state(load_state(edit(text))) == _state(load_state(text))
 
 
@@ -1069,28 +1071,17 @@ def test_load_raises_only_value_error_naming_the_fault_on_mutated_v3_snapshots(c
     assert not must_fail, "a dropped line, a repeated key, a bad row, an asymmetric [sigma] or a bad [chol] loaded"
 
 
-def _line_break_moved(text):
-    """``text`` with the line break after the second [dict] row one byte's two
-    hex digits later (the first row sets the block's width), when it has
-    three rows."""
-    at = text.find("[dict]\n")
-    end = text.find("\n", text.find("\n", at + 7) + 1)
-    if at < 0 or end < 0 or end + 3 >= len(text):
-        return text
-    return text[:end] + text[end + 1 : end + 3] + "\n" + text[end + 3 :]
-
-
-_LAYOUTS = [
-    lambda text: text,
-    lambda text: text.replace("\n", "\r\n"),
-    lambda text: text.replace("\n[", "\n  [", 1),
-    lambda text: text.replace("]\n", "]  \n", 1),
-    lambda text: text.replace("[dict]\n", "[dict]\n# a [comment]\n\n"),
-    lambda text: text.replace("\n[", "\x1c[", 1),
-    lambda text: text.replace("[dict]\n", "[dict]\x1c]\n"),
-    lambda text: text.rstrip("\n"),
-    _line_break_moved,
-]
+# layouts that move only line breaks, spaces, blank lines and comments
+_LAYOUTS = {
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "bare-cr": lambda text: text.replace("\n", "\r"),
+    "fs-before-head": lambda text: text.replace("\n[", "\x1c[", 1),
+    "indented-head": lambda text: text.replace("\n[", "\n  [", 1),
+    "spaces-after-head": lambda text: text.replace("]\n", "]  \n", 1),
+    "comment-after-dict": lambda text: text.replace("[dict]\n", "[dict]\n# a [comment]\n\n"),
+    "no-final-newline": lambda text: text.rstrip("\n"),
+    "trailing-blank-lines": lambda text: text + "\n\n",
+}
 
 
 def _outcome(text) -> str:
@@ -1101,15 +1092,7 @@ def _outcome(text) -> str:
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(_mutated_v3_snapshot(), st.sampled_from(range(len(_LAYOUTS))))
-def test_the_one_slice_reader_loads_and_refuses_as_the_line_reader_does(case, layout):
-    # every file and every message of the line-by-line reader, whose blocks
-    # are stripped lines joined, is kept by the reader that slices the text
-    snapshot = okreg.snapshot
-    text = _LAYOUTS[layout](case[0])
-    sliced = _outcome(text)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(snapshot, "_parse", lambda text: snapshot._parse_lines(text.splitlines()))
-        lines = lambda body: [line for line in map(str.strip, body.splitlines()) if line and line[0] != "#"]
-        patch.setattr(snapshot, "_hex_rows", lambda name, body, cols: snapshot._hex_lines(name, lines(body), cols))
-        assert sliced == _outcome(text)
+@given(_mutated_v3_snapshot(), st.sampled_from(sorted(_LAYOUTS)))
+def test_a_text_loads_or_is_refused_alike_however_its_lines_are_laid_out(case, layout):
+    # the same re-dump text, or the same ValueError message, as the writer's layout
+    assert _outcome(_LAYOUTS[layout](case[0])) == _outcome(case[0])
