@@ -4,15 +4,16 @@ Every model in the package follows one protocol: ``update(x, y)``
 absorbs an observation and returns the a-priori record of that step,
 whose ``y_hat`` is the prediction at x before the update and ``e`` the
 error y - y_hat (a ``Step`` for the KLMS filters, a ``GpUpdateScratch``
-for the GP).  ``run_reconvergence`` scores that error, so each
-observation costs one kernel-vector pass.  ``update_block(X, y)``
-absorbs the rows of X in order and returns nothing; it leaves the state
-``update`` on each row would, with the same centers, and weights up to
-rounding where it solves the block at once: the unbudgeted GP on blocks
-of four or more rows, and the filters but ``Qklms`` on blocks of eight or
-more.  A malformed or non-finite block raises ValueError before any
-state changes.
-``run_online_experiment`` feeds each scoring interval through it.
+for the GP).  ``update_block(X, y)`` absorbs the rows of X in order and
+returns their a-priori errors, the ``e`` of each ``update`` in turn; it
+leaves the state ``update`` on each row would, with the same centers,
+and weights and errors up to rounding where it solves the block at once:
+the unbudgeted GP on blocks of four or more rows, and the filters but
+``Qklms`` on blocks of eight or more.  A malformed or non-finite block
+raises ValueError before any state changes.  ``run_reconvergence``
+scores those errors, feeding each series in the near-equal blocks of at
+most 64 rows that the filters solve at once (``klms._sub_blocks``), and
+``run_online_experiment`` feeds each scoring interval as one block.
 ``predict_batch(X)`` scores held-out rows.  A filter returns the means;
 the GP returns (means, latent variances, output variances), or the means
 alone with ``variances=False``, which ``predict_means`` asks for so that
@@ -43,7 +44,7 @@ from .datasets import (
     gen_switch_series,
 )
 from .kernels import _held_out_rows
-from .klms import BetaKlms
+from .klms import BetaKlms, _sub_blocks
 from .online_gp import OnlineGP
 
 __all__ = [
@@ -188,8 +189,10 @@ def run_reconvergence(
     Replicate 0 is ``scenario`` as given; replicate i >= 1 redraws both
     channels and the source from seed scenario.seed + i, as
     ``default_switch_scenario`` does.  Each algorithm starts fresh per
-    replicate.  Returns (curves sorted by algorithm name, final models of
-    the last replicate).
+    replicate and absorbs the series in order through ``update_block``,
+    in near-equal blocks of at most 64 rows; the squared errors those
+    calls return are the curve.  Returns (curves sorted by algorithm
+    name, final models of the last replicate).
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
@@ -209,11 +212,10 @@ def run_reconvergence(
         stream = gen_switch_series(replicate)
         for name in names:
             model = model_factories[name]()
-            e2 = np.empty(len(stream))
-            for t in range(len(stream)):
-                err = model.update(stream.inputs[t], stream.targets[t]).e
-                e2[t] = err * err
-            acc[name] += e2
+            e = np.concatenate(
+                [model.update_block(stream.inputs[rows], stream.targets[rows]) for rows in _sub_blocks(len(stream))]
+            )
+            acc[name] += e * e
             if i == n_seeds - 1:
                 last_models[name] = model
     curves = []

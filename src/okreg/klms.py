@@ -22,11 +22,13 @@ Scalar ``predict`` is a one-row call of ``predict_batch``.
 Each step but Qklms's is alpha += g e u, u = [spread * k; new_weight if x
 joins], with a gain g, a spread and a coherence gate that depend on the
 inputs alone.  So ``update_block`` solves a block's a-priori errors from
-one unit-lower-triangular system (``KlmsModel._block_errors``): it admits
+one unit-lower-triangular system (``KlmsModel._block_errors``) and
+returns them, one per row, as the loop returns each ``Step.e``: it admits
 the points the ``update`` loop admits, and its weights and errors agree
 with the loop's within rounding (1e-12 relative), not bit for bit.  Qklms,
 and every filter on a block of fewer than ``_MIN_BLOCK_ROWS`` rows, runs
-the loop.  ``update`` stays the per-point path and the oracle.
+the loop and returns its errors.  ``update`` stays the per-point path and
+the oracle.
 """
 
 from __future__ import annotations
@@ -63,9 +65,21 @@ __all__ = [
 # d=4, lengthscale 0.4, 200 to 3,000 centers; 2 vCPUs, two BLAS threads):
 # 0.6-1.6x at 4 rows, 0.35-1.14x at 8 (above 1 only at 3,000 centers) and
 # 0.1-0.6x at 64; from 64 to 256 rows it grows again, by up to 1.6x at 1,000
-# centers, as the O(m^2 n) dsyrk takes over.
+# centers, as the O(m^2 n) dsyrk takes over.  At 5,000 centers, where the
+# 5,000-step filter-long series ends, BetaKlms(1) and Knlms(0.9) took
+# 0.82-0.92x at 64 rows and 0.71-0.84x at 32, but 1.0-1.7x at 8; Klms took
+# 0.64-0.66x at 64 and 0.95-0.98x at 8 (medians of 31, two runs).
 _MIN_BLOCK_ROWS = 8
 _SUB_BLOCK_ROWS = 64
+
+
+def _sub_blocks(m: int) -> list[slice]:
+    """m rows cut into the fewest near-equal slices of at most
+    ``_SUB_BLOCK_ROWS`` rows, in order; their sizes differ by at most one.
+    ``update_block`` solves its sub-blocks in these slices, and
+    ``evaluation.run_reconvergence`` feeds its series in them."""
+    cuts = -(-m // _SUB_BLOCK_ROWS)
+    return [slice(i * m // cuts, (i + 1) * m // cuts) for i in range(cuts)]
 
 
 def matched_eta(spec: KernelSpec) -> float:
@@ -114,26 +128,22 @@ class KlmsModel:
     def predict_batch(self, X) -> np.ndarray:
         return cross_kernel(self.spec, self.dictionary, X).T @ self.alpha
 
-    def update_block(self, X, y) -> None:
-        """``update`` on each row of X with its target, in order; a
-        malformed or non-finite block raises ValueError and changes nothing.
+    def update_block(self, X, y) -> np.ndarray:
+        """``update`` on each row of X with its target, in order, returning
+        the rows' a-priori errors: the ``e`` each ``update`` would return.
+        A malformed or non-finite block raises ValueError and changes nothing.
 
         A filter whose ``_block_rule`` is not None solves a block of at least
-        ``_MIN_BLOCK_ROWS`` rows in sub-blocks of at most ``_SUB_BLOCK_ROWS``
+        ``_MIN_BLOCK_ROWS`` rows in the sub-blocks of ``_sub_blocks``
         (``_block_errors``): it admits the points the loop admits, and its
-        weights agree with the loop's up to rounding.  Shorter blocks, and
-        every block of a filter without a rule, run the loop.
+        weights and errors agree with the loop's up to rounding.  Shorter
+        blocks, and every block of a filter without a rule, run the loop and
+        return its errors bit for bit.
         """
         X, y = block_rows(X, y)
-        m = len(y)
-        if m < _MIN_BLOCK_ROWS or self._block_rule() is None:
-            for x, t in zip(X, y):
-                self.update(x, t)
-            return
-        cuts = -(-m // _SUB_BLOCK_ROWS)  # sub-blocks of equal size, to a row
-        for i in range(cuts):
-            rows = slice(i * m // cuts, (i + 1) * m // cuts)
-            self._block_errors(X[rows], y[rows])
+        if len(y) < _MIN_BLOCK_ROWS or self._block_rule() is None:
+            return np.array([self.update(x, t).e for x, t in zip(X, y)], dtype=float)
+        return np.concatenate([self._block_errors(X[rows], y[rows]) for rows in _sub_blocks(len(y))])
 
     def _block_rule(self):
         """(spread, new_weight, mu0) of the step alpha += g e u with

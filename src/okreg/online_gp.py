@@ -62,19 +62,21 @@ insertion order whatever the order of L.  ``chol`` is L as stored,
 the insertion-to-slot map: with ``mu``, ``sigma`` and the dictionary they
 are the whole state, which ``from_components`` takes back as it is.
 
-``update_block(X, y)`` absorbs m rows at once and ends in the state of
-m ``update`` calls, because the posterior does not depend on how the
-observations are grouped.  Its work is level-3 SciPy BLAS: two ``dtrsm``
-solves give L^-1 K_CX and K^-1 K_CX for all rows, a sequential Cholesky
-of the m x m Schur complement gates each row in order on the same gamma2
-``update`` uses, and the admitted rows are conditioned on in one step
-through the Cholesky factor of their a-priori output covariance, with
-one ``dsyrk`` downdate of one triangle of ``sigma`` that is then
-mirrored.  ``sigma`` and L grow once per block.  A budgeted model, a
-model whose admission threshold is within rounding of zero, a block of
-fewer than four rows, a block with a decision within rounding of its
-boundary, and a block whose output covariance is not positive definite
-take the ``update`` loop.
+``update_block(X, y)`` absorbs m rows at once, returns the a-priori
+errors the m ``update`` calls would, and ends in their state, because
+the posterior does not depend on how the observations are grouped.  Its
+work is level-3 SciPy BLAS: two ``dtrsm`` solves give L^-1 K_CX and K^-1
+K_CX for all rows, a sequential Cholesky of the m x m Schur complement
+gates each row in order on the same gamma2 ``update`` uses, and the
+admitted rows are conditioned on in one step through the Cholesky factor
+of their a-priori output covariance, with one ``dsyrk`` downdate of one
+triangle of ``sigma`` that is then mirrored.  ``sigma`` and L grow once
+per block.  The errors of the admitted rows come from that factor, and
+each skipped row's from one triangular solve.  A budgeted model, a model
+whose admission threshold is within rounding of zero, a block of fewer
+than four rows, a block with a decision within rounding of its boundary,
+and a block whose output covariance is not positive definite take the
+``update`` loop.
 """
 
 from __future__ import annotations
@@ -632,13 +634,15 @@ class OnlineGP:
         G[1:, 1:] = K[:0:-1, :0:-1]
         return _lower_factor(G)
 
-    def update_block(self, X, y) -> None:
-        """Absorb the rows of X with targets y, in order.
+    def update_block(self, X, y) -> np.ndarray:
+        """Absorb the rows of X with targets y, in order, and return the
+        rows' a-priori errors: the ``e`` each ``update`` would return.
 
-        The state is that of ``update`` on each row in turn, up to
-        rounding: the same points are admitted, and ``sigma`` stays exactly
-        symmetric.  A malformed or non-finite block raises ValueError
-        before any state changes.  The block runs as that loop when the
+        The state and the errors are those of ``update`` on each row in
+        turn, up to rounding: the same points are admitted, and ``sigma``
+        stays exactly symmetric.  A malformed or non-finite block raises
+        ValueError before any state changes.  The block runs as that loop,
+        and returns the loop's errors bit for bit, when the
         model has a budget (a block would see points the loop evicts before
         the later rows arrive), when its admission threshold is within
         rounding of zero (the loop's own decisions then turn on rounding),
@@ -658,16 +662,16 @@ class OnlineGP:
         ):
             step = self._block_step(X, y)
             if step is not None:
-                admitted, self._mu, self._sigma, self._chol = step
+                admitted, self._mu, self._sigma, self._chol, e = step
                 self.dictionary.extend(X[admitted])
                 self._targets.extend(y[admitted].tolist())
-                return
-        for xi, yi in zip(X, y):
-            self.update(xi, yi)
+                return e
+        return np.array([self.update(xi, yi).e for xi, yi in zip(X, y)], dtype=float)
 
     def _block_step(self, X: np.ndarray, y: np.ndarray):
-        """(admitted row indices, mu, sigma, chol) after a block, without
-        touching state; None when the block must be replayed point by point.
+        """(admitted row indices, mu, sigma, chol, a-priori errors) after a
+        block, without touching state; None when the block must be replayed
+        point by point.
 
         With C the centers, W = L^-1 K_CX and Q = L^-T W = K^-1 K_CX.  The
         gate runs a sequential Cholesky over the Schur complement
@@ -680,6 +684,12 @@ class OnlineGP:
         Cholesky factor Ls of S = Sigma_AA + noise I gives, with
         T = [H; Sigma_AA] Ls^-T, the covariance [[sigma, H], [H^T, Sigma_AA]]
         - T T^T and the mean [mu; Q_A^T mu] + T Ls^-1 (y_A - Q_A^T mu).
+
+        The errors are the loop's innovations.  With z = Ls^-1 (y_A - Q_A^T mu),
+        the p-th admitted row's is Ls[p, p] z[p].  A skipped row j with p rows
+        of A before it predicts from those p: its error is
+        y_j - Q_j^T mu - (Ls[:p, :p]^-1 s) . z[:p], where s_i is the prior
+        covariance of row j with A_i, schur[j, A_i] + Q_{A_i}^T sigma Q_j.
         """
         m = X.shape[0]
         spec = self.spec
@@ -708,8 +718,12 @@ class OnlineGP:
                 R[a, a] = np.sqrt(pivot)
                 admitted.append(j)
         a = len(admitted)
+        skipped = np.setdiff1d(np.arange(m), admitted)
+        e = np.empty(m)
+        if len(skipped):
+            e[skipped] = y[skipped] - (dgemv(1.0, Qt[skipped], self._mu) if Qt.size else 0.0)
         if a == 0:
-            return admitted, self._mu, self._sigma, self._chol
+            return admitted, self._mu, self._sigma, self._chol, e
 
         Wa, Qa = Wt[admitted], Qt[admitted]
         sigma_aa = schur[np.ix_(admitted, admitted)]
@@ -724,6 +738,16 @@ class OnlineGP:
         sigma = _bordered(self._sigma, Ht, sigma_aa, Ht.T)
         T = dtrsm(1.0, Ls, sigma[:, -a:], side=1, lower=1, trans_a=1)
         z = dtrsv(Ls, y[admitted] - y_hat, lower=1)
+        e[admitted] = Ls.diagonal() * z
+        # the skipped rows that p > 0 rows of A precede, and the posterior
+        # part of their covariances with A (dgemm takes an empty operand)
+        p = np.searchsorted(admitted, skipped)
+        late, p = skipped[p > 0], p[p > 0]
+        if len(late):
+            cov = dgemm(1.0, Ht, Qt[late], trans_b=1)
+            for k, (j, pk) in enumerate(zip(late, p)):
+                s = schur[j, admitted[:pk]] + cov[:pk, k]
+                e[j] -= ddot(dtrsv(Ls[:pk, :pk], s, lower=1), z[:pk])
         mu = dgemv(1.0, T, z, beta=1.0, y=np.append(self._mu, y_hat))
         # one triangle of the downdate, mirrored, keeps sigma exactly symmetric
         G = dsyrk(-1.0, T, beta=1.0, c=sigma.T, lower=1, overwrite_c=1)
@@ -733,7 +757,7 @@ class OnlineGP:
             return None
 
         chol = _bordered(self._chol, Wa, R[:a, :a], 0.0)
-        return admitted, mu, sigma, chol
+        return admitted, mu, sigma, chol, e
 
     # -- bridges ----------------------------------------------------------
 

@@ -309,12 +309,44 @@ def test_reconvergence_curves_sorted_and_shaped():
     assert last["b"].size > 0
 
 
+def test_reconvergence_feeds_each_replicate_in_near_equal_blocks_and_squares_their_errors():
+    class Recorder:
+        def __init__(self):
+            self.blocks = []
+
+        def update_block(self, X, y):
+            # the errors count the rows fed so far from -65: -65, -64, ...
+            fed = sum(len(rows) for rows, _ in self.blocks)
+            self.blocks.append((X, y))
+            return np.arange(fed, fed + len(y), dtype=float) - 65.0
+
+    scenario = default_switch_scenario(seed=4, n_total=130, switch_at=60)
+    models = []
+
+    def make():
+        models.append(Recorder())
+        return models[-1]
+
+    (curve,), last = run_reconvergence(scenario, {"r": make}, n_seeds=2, smooth_window=1)
+    assert last["r"] is models[-1]
+    for model, seed in zip(models, (4, 5)):
+        # 130 rows in the fewest blocks of at most 64, whose sizes differ by at most one
+        assert [len(y) for _, y in model.blocks] == [43, 43, 44]
+        stream = gen_switch_series(default_switch_scenario(seed, n_total=130, switch_at=60))
+        np.testing.assert_array_equal(np.concatenate([X for X, _ in model.blocks]), stream.inputs)
+        np.testing.assert_array_equal(np.concatenate([y for _, y in model.blocks]), stream.targets)
+    np.testing.assert_array_equal(curve.mean_sq_error, (np.arange(130.0) - 65.0) ** 2)
+
+
 def test_reconvergence_runs_the_scenario_it_is_given():
     scenario = SwitchScenario(channel_a=[1, 0, 0, 0], channel_b=[0, 0, 0, 1], n_total=200, switch_at=100)
     factories = {"klms": lambda: Klms(SPEC, eta=matched_eta(SPEC))}
     (curve,), _ = run_reconvergence(scenario, factories, n_seeds=1)
     model, stream = factories["klms"](), gen_switch_series(scenario)
-    e = np.array([model.update(x, y).e for x, y in zip(stream.inputs, stream.targets)])
+    # the driver feeds 200 steps as four blocks of 50
+    e = np.concatenate(
+        [model.update_block(stream.inputs[i : i + 50], stream.targets[i : i + 50]) for i in range(0, 200, 50)]
+    )
     np.testing.assert_array_equal(curve.mean_sq_error, e * e)
     same_seed = default_switch_scenario(0, n_total=200, switch_at=100)
     (drawn,), _ = run_reconvergence(same_seed, factories, n_seeds=1)

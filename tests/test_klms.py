@@ -53,13 +53,14 @@ def test_update_block_is_the_update_loop_bit_for_bit(name):
     X = rng.uniform(-2.0, 2.0, size=(120, 2))
     y = np.sin(X.sum(axis=1)) + 0.1 * rng.standard_normal(120)
     loop, block = FILTERS[name](), FILTERS[name]()
-    for xi, yi in zip(X, y):
-        loop.update(xi, yi)
-    for start in range(0, 120, rows):
-        block.update_block(X[start : start + rows], y[start : start + rows])
+    loop_errors = np.array([loop.update(xi, yi).e for xi, yi in zip(X, y)])
+    block_errors = np.concatenate(
+        [block.update_block(X[start : start + rows], y[start : start + rows]) for start in range(0, 120, rows)]
+    )
     assert block.dictionary.ids == loop.dictionary.ids
     np.testing.assert_array_equal(block.dictionary.points, loop.dictionary.points)
     assert block.alpha.tobytes() == loop.alpha.tobytes()
+    assert block_errors.tobytes() == loop_errors.tobytes()
 
 
 def _relative_gap(a, b) -> float:
@@ -69,25 +70,16 @@ def _relative_gap(a, b) -> float:
     return gap / scale if scale else gap
 
 
-def _recording_errors(model, errors: list) -> list:
-    """Make ``model`` append to ``errors`` the a-priori error of every row
-    its ``update_block`` absorbs, whether it solves or loops; returns the
-    list of the sizes of the blocks it solves."""
+def _counting_solved_rows(model) -> list:
+    """The list to which ``model`` appends the size of every block it solves."""
     solved: list[int] = []
-    cls = type(model)
+    block_errors = model._block_errors
 
     def solve(X, y):
-        e = cls._block_errors(model, X, y)
-        errors.extend(e.tolist())
-        solved.append(len(e))
-        return e
+        solved.append(len(y))
+        return block_errors(X, y)
 
-    def update(x, y):
-        step = cls.update(model, x, y)
-        errors.append(step.e)
-        return step
-
-    model._block_errors, model.update = solve, update
+    model._block_errors = solve
     return solved
 
 
@@ -120,10 +112,11 @@ def test_update_block_solves_the_update_loop(kind, mu0, beta, d, rows, lengthsca
     y = np.sin(X.sum(axis=1)) + 0.3 * rng.standard_normal(n)
     loop, block = make(), make()
     loop_errors = [loop.update(xi, yi).e for xi, yi in zip(X, y)]
-    block_errors: list = []
-    solved = _recording_errors(block, block_errors)
-    for start in range(0, n, rows):
-        block.update_block(X[start : start + rows], y[start : start + rows])
+    solved = _counting_solved_rows(block)
+    block_errors = np.concatenate(
+        [block.update_block(X[start : start + rows], y[start : start + rows]) for start in range(0, n, rows)]
+    )
+    assert block_errors.shape == (n,)
     sizes = [min(rows, n - start) for start in range(0, n, rows)]
     assert sum(solved) == sum(size for size in sizes if size >= _MIN_BLOCK_ROWS)
     assert block.dictionary.ids == loop.dictionary.ids
@@ -137,6 +130,7 @@ def test_update_block_refuses_mismatched_counts():
     with pytest.raises(ValueError, match="one input row per target"):
         model.update_block(np.zeros((3, 2)), np.zeros(2))
     assert model.size == 0
+    assert model.update_block(np.zeros((0, 2)), np.zeros(0)).shape == (0,)
 
 
 @pytest.mark.parametrize("name", FILTERS)

@@ -24,7 +24,7 @@ from okreg import (
 )
 from okreg.base import VARIANCE_FLOOR, predictive_variances
 from okreg.batch_gp import batch_predict_grid
-from okreg.datasets import gen_kinematics_like
+from okreg.datasets import default_switch_scenario, gen_kinematics_like, gen_switch_series
 from okreg.evaluation import run_online_experiment
 from okreg.kernels import _held_out_rows, cross_kernel, gram_matrix, kernel_vector
 from okreg.online_gp import DEFAULT_ADMISSION_THRESHOLD
@@ -796,9 +796,9 @@ def _means_case(case: str):
     if case == "empty":
         return OnlineGP(spec), probes
     if case in ("no-rows", "one-row"):
-        return _in_a_loop(OnlineGP(spec), X[:20], y[:20]), probes[: 0 if case == "no-rows" else 1]
+        return _in_a_loop(OnlineGP(spec), X[:20], y[:20])[0], probes[: 0 if case == "no-rows" else 1]
     if case == "update":
-        return _in_a_loop(OnlineGP(spec), X, y), probes
+        return _in_a_loop(OnlineGP(spec), X, y)[0], probes
     if case == "block-step":
         gp = OnlineGP(spec)
         gp.update_block(X, y)
@@ -975,18 +975,21 @@ def test_corrupted_covariance_raises_on_update():
 
 
 def _in_blocks(gp, X, y, size):
-    for start in range(0, len(y), size):
-        gp.update_block(X[start : start + size], y[start : start + size])
-    return gp
+    """gp after ``update_block`` on each run of ``size`` rows, and the
+    a-priori errors the calls return."""
+    errors = [gp.update_block(X[start : start + size], y[start : start + size]) for start in range(0, len(y), size)]
+    return gp, np.concatenate(errors)
 
 
 def _in_a_loop(gp, X, y):
-    for xi, yi in zip(X, y):
-        gp.update(xi, yi)
-    return gp
+    """gp after ``update`` on each row, and the a-priori errors it returns."""
+    return gp, np.array([gp.update(xi, yi).e for xi, yi in zip(X, y)])
 
 
 def _assert_block_matches_loop(block, loop, probes):
+    (block, block_errors), (loop, loop_errors) = block, loop
+    assert block_errors.shape == loop_errors.shape
+    np.testing.assert_allclose(block_errors, loop_errors, rtol=0, atol=1e-10)
     assert block.dictionary.ids == loop.dictionary.ids
     np.testing.assert_array_equal(block.dictionary.points, loop.dictionary.points)
     np.testing.assert_allclose(block.mu, loop.mu, rtol=0, atol=1e-10)
@@ -1018,7 +1021,7 @@ def test_update_block_matches_the_update_loop(lengthscale, dim, seed, size):
     spec = KernelSpec(lengthscale=lengthscale, noise_variance=0.1)
     loop = _in_a_loop(OnlineGP(spec), X, y)
     block = _in_blocks(OnlineGP(spec), X, y, size)
-    assert 0 < loop.size <= 300
+    assert 0 < loop[0].size <= 300
     _assert_block_matches_loop(block, loop, probes)
 
 
@@ -1035,20 +1038,38 @@ def test_update_block_skips_what_the_loop_skips(monkeypatch):
     loop = _in_a_loop(OnlineGP(spec), X, y)
     monkeypatch.setattr(OnlineGP, "update", _no_update)
     block = _in_blocks(OnlineGP(spec), X, y, 20)
-    assert loop.size <= 60
+    assert loop[0].size <= 60
     _assert_block_matches_loop(block, loop, probes)
-    before = fingerprint(block)
-    block.update_block(X[:20], y[:20])
-    assert fingerprint(block) == before
+    gp = block[0]
+    before = fingerprint(gp)
+    errors = gp.update_block(X[:20], y[:20])
+    assert fingerprint(gp) == before
+    # no row joins, so each error is the target less the model's prediction
+    np.testing.assert_allclose(errors, y[:20] - gp.predict_batch(X[:20], variances=False), rtol=0, atol=1e-10)
+
+
+def test_update_block_errors_of_skipped_rows_inside_block_steps(monkeypatch):
+    # at threshold 1e-3 about half the switch series is skipped, and skipped
+    # rows sit between admitted ones in every block step
+    spec = KernelSpec(lengthscale=0.7, noise_variance=0.01)
+    stream = gen_switch_series(default_switch_scenario(seed=0))
+    X, y = stream.inputs, stream.targets
+    probes = np.random.default_rng(3).uniform(-1.0, 1.0, size=(20, X.shape[1]))
+    loop = _in_a_loop(OnlineGP(spec, admission_threshold=1e-3), X, y)
+    monkeypatch.setattr(OnlineGP, "update", _no_update)
+    block = _in_blocks(OnlineGP(spec, admission_threshold=1e-3), X, y, 64)
+    assert 400 < loop[0].size < 700
+    _assert_block_matches_loop(block, loop, probes)
 
 
 def test_update_block_of_a_budgeted_model_is_the_update_loop():
     X, y = _evicting_stream(200)
     spec = KernelSpec(lengthscale=0.5, noise_variance=0.1)
-    loop = _in_a_loop(OnlineGP(spec, budget=20), X, y)
-    block = _in_blocks(OnlineGP(spec, budget=20), X, y, 50)
+    loop, loop_errors = _in_a_loop(OnlineGP(spec, budget=20), X, y)
+    block, block_errors = _in_blocks(OnlineGP(spec, budget=20), X, y, 50)
     assert block.dictionary.ids[0] > 150
     assert fingerprint(block) == fingerprint(loop)
+    assert block_errors.tobytes() == loop_errors.tobytes()
 
 
 @pytest.mark.parametrize("budget", [None, 20])
@@ -1076,14 +1097,14 @@ def test_update_block_refuses_mismatched_counts():
         gp.update_block(np.zeros((3, 2)), np.zeros(2))
     with pytest.raises(ValueError, match="one input row per target"):
         gp.update_block(np.zeros(3), np.zeros(3))
-    gp.update_block(np.zeros((0, 2)), np.zeros(0))
+    assert gp.update_block(np.zeros((0, 2)), np.zeros(0)).shape == (0,)
     assert gp.size == 0
 
 
 def test_update_block_state_round_trips_through_a_snapshot():
     X, y, probes = _kinematics(2, 200, 4)
     spec = KernelSpec(lengthscale=0.4, noise_variance=0.1)
-    gp = _in_blocks(OnlineGP(spec), X[:100], y[:100], 50)
+    gp, _ = _in_blocks(OnlineGP(spec), X[:100], y[:100], 50)
     clone = load_state(dump_state(gp))
     assert fingerprint(clone) == fingerprint(gp)
     for model in (gp, clone):
@@ -1138,10 +1159,11 @@ def _no_block_step(*args, **kwargs):
 def test_update_block_loops_at_a_rounding_threshold_or_a_short_block(monkeypatch, threshold, size):
     X, y, _ = _kinematics(0, 100, 2)
     spec = KernelSpec(lengthscale=0.5, noise_variance=0.1)
-    loop = _in_a_loop(OnlineGP(spec, admission_threshold=threshold), X, y)
+    loop, loop_errors = _in_a_loop(OnlineGP(spec, admission_threshold=threshold), X, y)
     monkeypatch.setattr(OnlineGP, "_block_step", _no_block_step)
-    block = _in_blocks(OnlineGP(spec, admission_threshold=threshold), X, y, size)
+    block, block_errors = _in_blocks(OnlineGP(spec, admission_threshold=threshold), X, y, size)
     assert fingerprint(block) == fingerprint(loop)
+    assert block_errors.tobytes() == loop_errors.tobytes()
 
 
 def test_update_block_takes_the_block_step_from_four_rows(monkeypatch):
@@ -1187,12 +1209,13 @@ def test_update_block_replays_a_gate_pivot_within_the_margin(monkeypatch):
             spec, probe.dictionary, probe.mu, probe.sigma, chol=probe.chol, targets=probe.targets, admission_threshold=t
         )
 
-    loop = _in_a_loop(clone(), X, y)
+    loop, loop_errors = _in_a_loop(clone(), X, y)
     steps, factors = _spy_on_replays(monkeypatch)
     block = clone()
-    block.update_block(X, y)
+    block_errors = block.update_block(X, y)
     assert steps == [None] and factors == []  # no output covariance was factored
     assert fingerprint(block) == fingerprint(loop)
+    assert block_errors.tobytes() == loop_errors.tobytes()
 
 
 @pytest.mark.parametrize(
