@@ -180,19 +180,14 @@ class Dictionary:
         return self._next_id
 
     def append(self, x) -> int:
-        p = _vector(x)
-        _check_points(p[np.newaxis])
-        n = self._room(p.size, 1)
-        self._buf[:, n] = p
-        new_id = self._next_id
-        self._next_id += 1
-        self._ids.append(new_id)
-        return new_id
+        """Add the point x, as a one-row ``extend``, and return its id."""
+        self.extend(_vector(x)[np.newaxis])
+        return self._next_id - 1
 
     def extend(self, rows) -> None:
-        """``append`` each row of the 2-D array ``rows`` in order, with one
-        check and one copy; ValueError, changing nothing, for a non-finite
-        or misshapen row."""
+        """Add each row of the 2-D array ``rows`` in order, with one check
+        and one copy; ValueError, changing nothing, for a non-finite or
+        misshapen row."""
         P = np.asarray(rows, dtype=float)
         _check_points(P)
         m = len(P)

@@ -18,10 +18,8 @@ from okreg import (
     Knlms,
     OnlineGP,
     Qklms,
-    batch_fit,
     matched_eta,
 )
-from okreg.batch_gp import batch_predict_grid
 from okreg.cli import main
 from okreg.datasets import default_switch_scenario, gen_kinematics_like
 from okreg.evaluation import (
@@ -30,8 +28,15 @@ from okreg.evaluation import (
     run_reconvergence,
     run_uncertainty_trace,
 )
-from okreg.kernels import Dictionary, gram_matrix
-from okreg.verify import general_alpha_update
+from okreg.verify import (
+    beta_rule_vs_exact_step,
+    covariance_model_gap,
+    identity_gap,
+    jittered_grid_stream,
+    krls_vs_batch,
+    online_vs_batch,
+    random_stream,
+)
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -40,47 +45,26 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
     assert ok, f"acceptance {num:02d} {name}: {detail}"
 
 
-def _random_stream(rng, n, d, scale=1.0):
-    X = rng.uniform(-scale, scale, size=(n, d))
-    y = np.sin(X.sum(axis=1)) + 0.1 * rng.standard_normal(n)
-    return X, y
-
-
 # -- 1: online recursion equals the batch solve --------------------------------
-
-
-def _stream_vs_batch(spec, X, y, grid):
-    gp = OnlineGP(spec, admission_threshold=1e-12)
-    for xi, yi in zip(X, y):
-        gp.update(xi, yi)
-    assert gp.size == len(y)  # nothing was pruned; the comparison is honest
-    fit = batch_fit(spec, gp.dictionary, y)
-    bm, _, bv = batch_predict_grid(fit, grid)
-    om, _, ov = gp.predict_batch(grid)
-    return float(np.max(np.abs(bm - om))), float(np.max(np.abs(bv - ov)))
 
 
 def test_01_online_gp_matches_batch_regression():
     t0 = time.monotonic()
     worst_mean = worst_var = 0.0
+    base = np.linspace(-1.0, 1.0, 200)
+    grid_spec = KernelSpec(lengthscale=float(base[1] - base[0]), noise_variance=0.1)  # the grid spacing
+    cases = []
     for seed in range(5):  # 1-D: perturbed grid keeps the Gram well conditioned
-        rng = np.random.default_rng([seed, 10])
-        base = np.linspace(-1.0, 1.0, 200)
-        h = base[1] - base[0]
-        x = base + rng.uniform(-0.3 * h, 0.3 * h, size=200)
-        rng.shuffle(x)
-        y = np.sin(3.0 * x) + 0.1 * rng.standard_normal(200)
-        spec = KernelSpec(lengthscale=float(h), noise_variance=0.1)
-        grid = np.linspace(-1.1, 1.1, 100)[:, np.newaxis]
-        m, v = _stream_vs_batch(spec, x[:, np.newaxis], y, grid)
-        worst_mean = max(worst_mean, m)
-        worst_var = max(worst_var, v)
+        X, y = jittered_grid_stream(np.random.default_rng([seed, 10]), 200)
+        cases.append((grid_spec, X, y, np.linspace(-1.1, 1.1, 100)[:, np.newaxis]))
     for seed in range(5):  # 4-D random streams
         rng = np.random.default_rng([seed, 11])
-        X, y = _random_stream(rng, 200, 4)
-        spec = KernelSpec(lengthscale=0.5, noise_variance=0.1)
-        grid = rng.uniform(-1.0, 1.0, size=(100, 4))
-        m, v = _stream_vs_batch(spec, X, y, grid)
+        X, y = random_stream(rng, 200, 4)
+        cases.append((KernelSpec(lengthscale=0.5, noise_variance=0.1), X, y, rng.uniform(-1.0, 1.0, size=(100, 4))))
+    for spec, X, y, grid in cases:
+        gp = OnlineGP(spec, admission_threshold=1e-12)
+        m, v = online_vs_batch(gp, X, y, grid)
+        assert gp.size == len(y)  # nothing was pruned; the comparison is honest
         worst_mean = max(worst_mean, m)
         worst_var = max(worst_var, v)
     elapsed = time.monotonic() - t0
@@ -98,16 +82,10 @@ def test_01_online_gp_matches_batch_regression():
 
 
 def test_02_weight_bridge_holds_after_every_step():
-    spec = KernelSpec(lengthscale=0.5, noise_variance=0.1)
-    rng = np.random.default_rng([0, 12])
-    X, y = _random_stream(rng, 100, 2, scale=2.0)
-    gp = OnlineGP(spec, admission_threshold=1e-12)
-    worst = 0.0
-    for i, (xi, yi) in enumerate(zip(X, y)):
-        gp.update(xi, yi)
-        fit = batch_fit(spec, gp.dictionary, y[: i + 1])
-        worst = max(worst, float(np.max(np.abs(gp.krls_weights() - fit.weights))))
-    ok = worst < 1e-8
+    X, y = random_stream(np.random.default_rng([0, 12]), 100, 2, scale=2.0)
+    gp = OnlineGP(KernelSpec(lengthscale=0.5, noise_variance=0.1), admission_threshold=1e-12)
+    worst = krls_vs_batch(gp, X, y)[0]
+    ok = worst < 1e-8 and gp.size == 100
     _report(
         2,
         "K^-1 mu equals the batch weight vector at all 100 steps",
@@ -123,14 +101,8 @@ def test_03_matched_eta_pairing_is_exact():
     spec = KernelSpec(lengthscale=0.7, noise_variance=0.1)
     worst = 0.0
     for seed in range(3):
-        rng = np.random.default_rng([seed, 13])
-        X, y = _random_stream(rng, 500, 2)
-        klms = Klms(spec, eta=matched_eta(spec))
-        beta0 = BetaKlms(spec, beta=0.0)
-        for xi, yi in zip(X, y):
-            klms.update(xi, yi)
-            beta0.update(xi, yi)
-            worst = max(worst, float(np.max(np.abs(klms.alpha - beta0.alpha))))
+        X, y = random_stream(np.random.default_rng([seed, 13]), 500, 2)
+        worst = max(worst, identity_gap(Klms(spec, eta=matched_eta(spec)), BetaKlms(spec, beta=0.0), X, y))
     ok = worst < 1e-12
     _report(
         3,
@@ -147,14 +119,9 @@ def test_04_normalized_pairing_is_exact():
     spec = KernelSpec(lengthscale=0.7, signal_variance=1.0, noise_variance=0.1)
     worst = 0.0
     for seed in range(3):
-        rng = np.random.default_rng([seed, 14])
-        X, y = _random_stream(rng, 500, 2)
+        X, y = random_stream(np.random.default_rng([seed, 14]), 500, 2)
         knlms = Knlms(spec, eta=1.0, eps_reg=spec.noise_variance, coherence_mu0=1.0)
-        beta1 = BetaKlms(spec, beta=1.0)
-        for xi, yi in zip(X, y):
-            knlms.update(xi, yi)
-            beta1.update(xi, yi)
-            worst = max(worst, float(np.max(np.abs(knlms.alpha - beta1.alpha))))
+        worst = max(worst, identity_gap(knlms, BetaKlms(spec, beta=1.0), X, y))
     ok = worst < 1e-12
     _report(
         4,
@@ -169,42 +136,11 @@ def test_04_normalized_pairing_is_exact():
 
 def test_05_beta_rule_equals_exact_recursion():
     spec = KernelSpec(lengthscale=0.5, noise_variance=0.1, jitter=0.0)
-    worst_step = 0.0
-    for bi, beta in enumerate((0.0, 0.25, 1.0, 2.0)):
-        rng = np.random.default_rng([bi, 15])
-        X, y = _random_stream(rng, 30, 2, scale=3.0)
-        model = BetaKlms(spec, beta=beta)
-        for xi, yi in zip(X, y):
-            if model.size:
-                K = gram_matrix(spec, model.dictionary)
-                state = OnlineGP.from_components(
-                    spec,
-                    model.dictionary.copy(),
-                    mu=K @ model.alpha,
-                    sigma=np.zeros_like(K),
-                )
-                expected = general_alpha_update(
-                    state, xi, yi, sigma_override=K @ (beta * K + np.eye(model.size))
-                )
-            else:
-                expected = np.array(
-                    [yi / (spec.noise_variance + spec.signal_variance)]
-                )
-            model.update(xi, yi)
-            worst_step = max(
-                worst_step, float(np.max(np.abs(model.alpha - expected)))
-            )
-
-    worst_resid = 0.0
+    betas = (0.0, 0.25, 1.0, 2.0)
+    streams = (random_stream(np.random.default_rng([bi, 15]), 30, 2, scale=3.0) for bi in range(len(betas)))
+    worst_step = max(beta_rule_vs_exact_step(BetaKlms(spec, beta=b), *stream) for b, stream in zip(betas, streams))
     rng = np.random.default_rng([0, 16])
-    for n in (5, 20, 40):
-        d = Dictionary(rng.uniform(-3.0, 3.0, size=(n, 2)))
-        K = gram_matrix(spec, d)
-        Q = np.linalg.inv(K)
-        for beta in (0.0, 0.25, 1.0, 2.0):
-            sigma = K @ (beta * K + np.eye(n))
-            resid = Q @ sigma @ Q - Q - beta * np.eye(n)
-            worst_resid = max(worst_resid, float(np.max(np.abs(resid))))
+    worst_resid = covariance_model_gap(spec, [rng.uniform(-3.0, 3.0, size=(n, 2)) for n in (5, 20, 40)], betas)
 
     ok = worst_step < 1e-10 and worst_resid < 1e-8
     _report(
@@ -353,19 +289,10 @@ def test_08_every_algorithm_reconverges_after_the_switch():
 def test_09_inverse_gram_residual_stays_small():
     # 3-D keeps the points separated, so the Gram stays well conditioned
     # for the full stream and the residual probes the update, not the data
-    spec = KernelSpec(lengthscale=0.5, noise_variance=0.1)
-    rng = np.random.default_rng([0, 17])
-    X, y = _random_stream(rng, 100, 3, scale=2.0)
-    gp = OnlineGP(spec, admission_threshold=1e-12)
-    worst = 0.0
-    admitted = 0
-    for xi, yi in zip(X, y):
-        scr = gp.update(xi, yi)
-        if scr.gamma2 > gp.admission_threshold:
-            admitted += 1
-            K = gram_matrix(spec, gp.dictionary)
-            resid = gp.q_inv @ K - np.eye(gp.size)
-            worst = max(worst, float(np.max(np.abs(resid))))
+    X, y = random_stream(np.random.default_rng([0, 17]), 100, 3, scale=2.0)
+    gp = OnlineGP(KernelSpec(lengthscale=0.5, noise_variance=0.1), admission_threshold=1e-12)
+    worst = krls_vs_batch(gp, X, y)[1]
+    admitted = gp.dictionary.next_id
     ok = worst < 1e-7 and admitted == 100
     _report(
         9,

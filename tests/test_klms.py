@@ -13,12 +13,14 @@ from okreg import (
     Knlms,
     OnlineGP,
     Qklms,
+    dump_state,
     fingerprint,
+    load_state,
     matched_eta,
 )
 from okreg.kernels import gram_matrix
 from okreg.klms import _MIN_BLOCK_ROWS
-from okreg.verify import general_alpha_update
+from okreg.verify import beta_oracle, beta_rule_vs_exact_step, general_alpha_update, identity_gap, random_stream
 
 SPEC = KernelSpec(lengthscale=1.0, signal_variance=1.0, noise_variance=0.1)
 
@@ -49,9 +51,7 @@ FILTERS = {
 def test_update_block_is_the_update_loop_bit_for_bit(name):
     # qklms runs the loop on every block, the other filters on blocks below the break-even
     rows = 25 if name == "qklms" else _MIN_BLOCK_ROWS - 1
-    rng = np.random.default_rng(5)
-    X = rng.uniform(-2.0, 2.0, size=(120, 2))
-    y = np.sin(X.sum(axis=1)) + 0.1 * rng.standard_normal(120)
+    X, y = random_stream(np.random.default_rng(5), 120, 2, scale=2.0)
     loop, block = FILTERS[name](), FILTERS[name]()
     loop_errors = np.array([loop.update(xi, yi).e for xi, yi in zip(X, y)])
     block_errors = np.concatenate(
@@ -70,9 +70,8 @@ def _relative_gap(a, b) -> float:
     return gap / scale if scale else gap
 
 
-def _counting_solved_rows(model) -> list:
-    """The list to which ``model`` appends the size of every block it solves."""
-    solved: list[int] = []
+def _counting_solved_rows(model, solved: list) -> None:
+    """Make ``model`` append to ``solved`` the size of every block it solves."""
     block_errors = model._block_errors
 
     def solve(X, y):
@@ -80,7 +79,6 @@ def _counting_solved_rows(model) -> list:
         return block_errors(X, y)
 
     model._block_errors = solve
-    return solved
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
@@ -93,11 +91,13 @@ def _counting_solved_rows(model) -> list:
     st.sampled_from([0.3, 1.0, 3.0]),
     st.sampled_from([1.0, 2.5]),
     st.integers(0, 2**32 - 1),
+    st.integers(0, 2),
 )
-def test_update_block_solves_the_update_loop(kind, mu0, beta, d, rows, lengthscale, sv, seed):
+def test_update_block_solves_the_update_loop(kind, mu0, beta, d, rows, lengthscale, sv, seed, reload):
     # the solve admits the loop's points and holds its weights and a-priori
-    # errors within 1e-12 relative; half the points sit on a coarse grid, so
-    # repeats and kernel-value ties reach the coherence gate
+    # errors within 1e-12 relative, also when the model is reloaded from its
+    # snapshot before block ``reload``; half the points sit on a coarse grid,
+    # so repeats and kernel-value ties reach the coherence gate
     spec = KernelSpec(lengthscale=lengthscale, signal_variance=sv, noise_variance=0.1)
     make = {
         "klms": lambda: Klms(spec, eta=matched_eta(spec)),
@@ -112,10 +112,15 @@ def test_update_block_solves_the_update_loop(kind, mu0, beta, d, rows, lengthsca
     y = np.sin(X.sum(axis=1)) + 0.3 * rng.standard_normal(n)
     loop, block = make(), make()
     loop_errors = [loop.update(xi, yi).e for xi, yi in zip(X, y)]
-    solved = _counting_solved_rows(block)
-    block_errors = np.concatenate(
-        [block.update_block(X[start : start + rows], y[start : start + rows]) for start in range(0, n, rows)]
-    )
+    solved: list[int] = []
+    _counting_solved_rows(block, solved)
+    block_errors = []
+    for start in range(0, n, rows):  # at least three blocks, as n > 2 * rows
+        if start == reload * rows:
+            block = load_state(dump_state(block))
+            _counting_solved_rows(block, solved)
+        block_errors.append(block.update_block(X[start : start + rows], y[start : start + rows]))
+    block_errors = np.concatenate(block_errors)
     assert block_errors.shape == (n,)
     sizes = [min(rows, n - start) for start in range(0, n, rows)]
     assert sum(solved) == sum(size for size in sizes if size >= _MIN_BLOCK_ROWS)
@@ -384,14 +389,9 @@ def test_beta_zero_equals_matched_klms_exactly():
     rng = np.random.default_rng(0)
     X = rng.uniform(-1, 1, size=(50, 2))
     y = rng.standard_normal(50)
-    klms = Klms(SPEC, eta=matched_eta(SPEC))
-    beta0 = BetaKlms(SPEC, beta=0.0)
-    for xi, yi in zip(X, y):
-        klms.update(xi, yi)
-        beta0.update(xi, yi)
-        # one path multiplies by the reciprocal step size, the other divides
-        # by the denominator, so agreement is to rounding, not bitwise
-        np.testing.assert_allclose(klms.alpha, beta0.alpha, rtol=0, atol=1e-13)
+    # one path multiplies by the reciprocal step size, the other divides
+    # by the denominator, so agreement is to rounding, not bitwise
+    assert identity_gap(Klms(SPEC, eta=matched_eta(SPEC)), BetaKlms(SPEC, beta=0.0), X, y) <= 1e-13
 
 
 def test_beta_one_equals_all_admit_knlms_exactly():
@@ -399,11 +399,7 @@ def test_beta_one_equals_all_admit_knlms_exactly():
     X = rng.uniform(-1, 1, size=(50, 2))
     y = rng.standard_normal(50)
     knlms = Knlms(SPEC, eta=1.0, eps_reg=SPEC.noise_variance, coherence_mu0=1.0)
-    beta1 = BetaKlms(SPEC, beta=1.0)
-    for xi, yi in zip(X, y):
-        knlms.update(xi, yi)
-        beta1.update(xi, yi)
-        np.testing.assert_array_equal(knlms.alpha, beta1.alpha)
+    assert identity_gap(knlms, BetaKlms(SPEC, beta=1.0), X, y) == 0.0
 
 
 @pytest.mark.parametrize("identity", ["A", "B"])
@@ -429,9 +425,8 @@ def test_beta_zero_klms_identity_any_signal_variance(triples, sv):
     # the pairing scales both corrections by the same constant, so it
     # holds for every kernel amplitude, not just the unit one
     spec = KernelSpec(lengthscale=1.0, signal_variance=sv, noise_variance=0.1)
-    klms = _run(Klms(spec, eta=matched_eta(spec)), triples)
-    beta0 = _run(BetaKlms(spec, beta=0.0), triples)
-    np.testing.assert_allclose(klms.alpha, beta0.alpha, rtol=0, atol=1e-13)
+    X, y = np.array(triples)[:, :2], np.array(triples)[:, 2]
+    assert identity_gap(Klms(spec, eta=matched_eta(spec)), BetaKlms(spec, beta=0.0), X, y) <= 1e-13
 
 
 def test_beta_duplicate_second_step():
@@ -505,40 +500,20 @@ def test_from_components_keeps_its_own_dictionary():
 # -- exact one-step recursion ---------------------------------------------------
 
 
-def _oracle_state(spec, model):
-    K = gram_matrix(spec, model.dictionary)
-    return OnlineGP.from_components(
-        spec,
-        model.dictionary.copy(),
-        mu=K @ model.alpha,
-        sigma=np.zeros_like(K),
-    ), K
-
-
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2.0])
 def test_beta_rule_matches_general_update(beta):
     spec = KernelSpec(lengthscale=0.8, noise_variance=0.1, jitter=0.0)
     rng = np.random.default_rng(int(beta * 10))
     X = rng.uniform(-3, 3, size=(20, 2))
     y = rng.standard_normal(20)
-    model = BetaKlms(spec, beta=beta)
-    for xi, yi in zip(X, y):
-        if model.size:
-            state, K = _oracle_state(spec, model)
-            expected = general_alpha_update(
-                state, xi, yi, sigma_override=K @ (beta * K + np.eye(model.size))
-            )
-        else:
-            expected = np.array([yi / 1.1])
-        model.update(xi, yi)
-        np.testing.assert_allclose(model.alpha, expected, rtol=0, atol=1e-10)
+    assert beta_rule_vs_exact_step(BetaKlms(spec, beta=beta), X, y) <= 1e-10
 
 
 def test_general_update_rejects_bad_covariance_shape():
     spec = KernelSpec(lengthscale=1.0, jitter=0.0)
     model = BetaKlms(spec, beta=1.0)
     model.update([0.0], 1.0)
-    state, _ = _oracle_state(spec, model)
+    state, _ = beta_oracle(model)
     with pytest.raises(ValueError, match="covariance shape"):
         general_alpha_update(state, [1.0], 1.0, sigma_override=np.eye(3))
 
@@ -547,7 +522,7 @@ def test_general_update_refuses_a_non_finite_observation():
     spec = KernelSpec(lengthscale=1.0, jitter=0.0)
     model = BetaKlms(spec, beta=1.0)
     model.update([0.0], 1.0)
-    state, _ = _oracle_state(spec, model)
+    state, _ = beta_oracle(model)
     with pytest.raises(ValueError, match="finite"):
         general_alpha_update(state, [0.3], np.nan)
 
@@ -556,9 +531,7 @@ def test_general_update_refuses_a_non_finite_observation():
 def test_general_update_is_the_gps_own_step(jitter):
     # acceptance 09's stream: well separated in 3-D, so all 100 points are admitted
     spec = KernelSpec(lengthscale=0.5, noise_variance=0.1, jitter=jitter)
-    rng = np.random.default_rng([0, 17])
-    X = rng.uniform(-2.0, 2.0, size=(100, 3))
-    y = np.sin(X.sum(axis=1)) + 0.1 * rng.standard_normal(100)
+    X, y = random_stream(np.random.default_rng([0, 17]), 100, 3, scale=2.0)
     gp = OnlineGP(spec, admission_threshold=1e-12)
     for xi, yi in zip(X, y):
         expected = general_alpha_update(gp, xi, yi)
